@@ -17,7 +17,6 @@ import numpy as np
 from . import datakit, metrics, sgtf
 from .diffusion import (
     DivergenceError,
-    TrainConfig,
     audio_to_windows,
     linear_schedule,
     sample,
@@ -28,7 +27,7 @@ from .sfm import SfmParams, sfm_forward
 from .tensor import Tensor, set_default_dtype
 from .training import (
     ablate,
-    config_to_dict,
+    config_to_text,
     load_config,
     make_synthetic_dataset,
     report_to_json,
@@ -150,11 +149,6 @@ def cmd_sfm_apply(args) -> int:
     out = sfm_forward(Tensor(features), SfmParams.from_named(params))
     sgtf.write_tensor(args.out, out)
     return EXIT_OK
-
-
-def config_to_text(cfg: TrainConfig) -> str:
-    lines = [f"{f.name}={getattr(cfg, f.name)}" for f in dataclasses.fields(TrainConfig)]
-    return "".join(line + "\n" for line in lines)
 
 
 def cmd_train_toy(args) -> int:

@@ -8,7 +8,7 @@ read/write round trip verbatim.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -205,11 +205,7 @@ def split_dataset(records: list[ClipRecord], seed: int,
     out = []
     for rec in records:
         label = "train" if rec.source_id in train_sources else "test"
-        out.append(ClipRecord(
-            source_id=rec.source_id, start_frame=rec.start_frame, end_frame=rec.end_frame,
-            fps=rec.fps, crop_box=rec.crop_box, landmark_path=rec.landmark_path,
-            beats_path=rec.beats_path, frames_path=rec.frames_path, split=label,
-            extra=dict(rec.extra)))
+        out.append(replace(rec, split=label, extra=dict(rec.extra)))
     return out
 
 

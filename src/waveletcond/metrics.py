@@ -299,10 +299,10 @@ def _frame_pairs(pred: np.ndarray, gt: np.ndarray):
 
 def evaluate_clip(assets: ClipAssets, peak: float = 1.0) -> dict:
     """Per-clip metric row with the standard column names; "n/a" where unsupported."""
-    psnr_vals = [psnr(p, g, peak=peak) for p, g in _frame_pairs(assets.pred_frames,
-                                                                assets.gt_frames)]
-    ssim_vals = [ssim(p, g, peak=peak) for p, g in _frame_pairs(assets.pred_frames,
-                                                                assets.gt_frames)]
+    psnr_vals, ssim_vals = [], []
+    for p, g in _frame_pairs(assets.pred_frames, assets.gt_frames):
+        psnr_vals.append(psnr(p, g, peak=peak))
+        ssim_vals.append(ssim(p, g, peak=peak))
     pred_seq = LandmarkSequence(assets.pred_landmarks, fps=assets.fps,
                                 mouth_indices=assets.mouth_indices)
     gt_seq = LandmarkSequence(assets.gt_landmarks, fps=assets.fps,

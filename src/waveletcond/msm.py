@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
+    ParamGroup,
     Tensor,
     add,
     as_tensor,
-    concat,
     ew_mul,
     linear,
     matmul,
-    mean_pool_all,
+    mean,
     relu,
     reshape,
     scale,
@@ -56,29 +56,20 @@ class AudioEmbedding:
 
 
 @dataclass
-class MsmParams:
+class MsmParams(ParamGroup):
     """Tunable latent-weighting matrix plus the two-layer weight head.
 
     At the default initialization (w all ones, zero FC weights, unit output
     bias) the module is an exact identity on the audio embedding.
     """
 
+    default_prefix = "msm"
+
     w: Tensor        # same shape as the latent, init 1.0
     fc1_w: Tensor    # (4, hidden)
     fc1_b: Tensor    # (hidden,)
     fc2_w: Tensor    # (hidden, 4)
     fc2_b: Tensor    # (4,), init 1.0
-
-    def named(self, prefix: str = "msm") -> dict[str, Tensor]:
-        return {f"{prefix}.w": self.w, f"{prefix}.fc1_w": self.fc1_w,
-                f"{prefix}.fc1_b": self.fc1_b, f"{prefix}.fc2_w": self.fc2_w,
-                f"{prefix}.fc2_b": self.fc2_b}
-
-    @classmethod
-    def from_named(cls, params: dict[str, Tensor], prefix: str = "msm") -> "MsmParams":
-        return cls(w=params[f"{prefix}.w"], fc1_w=params[f"{prefix}.fc1_w"],
-                   fc1_b=params[f"{prefix}.fc1_b"], fc2_w=params[f"{prefix}.fc2_w"],
-                   fc2_b=params[f"{prefix}.fc2_b"])
 
 
 def init_msm_params(latent_shape: tuple[int, ...], hidden: int = 16) -> MsmParams:
@@ -109,16 +100,11 @@ def chunk_weights(z_t: Tensor, p: MsmParams) -> Tensor:
         raise ValueError(f"chunk_weights: latent must be 4-D (f,c,w,h), got {z_t.shape}")
     if z_t.shape != p.w.shape:
         raise ValueError(f"chunk_weights: latent shape {z_t.shape} != weight shape {p.w.shape}")
-    d_w = z_t.shape[2]
+    f, c, d_w, h = z_t.shape
     if d_w % 4:
         raise ValueError(f"chunk_weights: width {d_w} not divisible by 4")
-    w_z = ew_mul(p.w, z_t)
-    step = d_w // 4
-    means = []
-    for i in range(4):
-        chunk = tslice(w_z, (slice(None), slice(None), slice(i * step, (i + 1) * step)))
-        means.append(reshape(mean_pool_all(chunk), (1, 1)))
-    row = concat(means, axis=1)                    # (1, 4)
+    chunks = reshape(ew_mul(p.w, z_t), (f, c, 4, d_w // 4, h))
+    row = reshape(mean(chunks, axis=(0, 1, 3, 4)), (1, 4))
     hidden = relu(linear(row, p.fc1_w, p.fc1_b))   # (1, hidden)
     out = linear(hidden, p.fc2_w, p.fc2_b)         # (1, 4)
     return reshape(out, (4,))
@@ -139,20 +125,14 @@ def msm_forward(audio: AudioEmbedding, z_t: Tensor, p: MsmParams) -> Tensor:
 
 
 @dataclass
-class AttentionParams:
+class AttentionParams(ParamGroup):
     """Projections for single-head cross-attention (video queries, audio keys/values)."""
+
+    default_prefix = "att"
 
     q_w: Tensor  # (d_video, d_video)
     k_w: Tensor  # (d_audio, d_video)
     v_w: Tensor  # (d_audio, d_video)
-
-    def named(self, prefix: str = "att") -> dict[str, Tensor]:
-        return {f"{prefix}.q_w": self.q_w, f"{prefix}.k_w": self.k_w, f"{prefix}.v_w": self.v_w}
-
-    @classmethod
-    def from_named(cls, params: dict[str, Tensor], prefix: str = "att") -> "AttentionParams":
-        return cls(q_w=params[f"{prefix}.q_w"], k_w=params[f"{prefix}.k_w"],
-                   v_w=params[f"{prefix}.v_w"])
 
 
 def init_attention_params(d_video: int, d_audio: int, rng: np.random.Generator) -> AttentionParams:
@@ -172,11 +152,7 @@ def frame_tokens(values: Tensor, frames: int) -> Tensor:
     d_a, l = values.shape
     if l % frames:
         raise ValueError(f"frame_tokens: length {l} not divisible by frames {frames}")
-    seg = l // frames
-    pool = np.zeros((l, frames))
-    for f in range(frames):
-        pool[f * seg:(f + 1) * seg, f] = 1.0 / seg
-    return transpose2d(matmul(values, Tensor(pool)))
+    return transpose2d(mean(reshape(values, (d_a, frames, l // frames)), axis=2))
 
 
 def audio_attention(video_tokens: Tensor, audio_tokens: Tensor, p: AttentionParams) -> Tensor:

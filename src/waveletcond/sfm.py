@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, channel_linear, ew_mul, sigmoid
+from .tensor import ParamGroup, Tensor, as_tensor, channel_linear, ew_mul, sigmoid
 from .wavelet import SubBands, dwt2_batched, idwt2_batched
 
 
 @dataclass
-class SfmParams:
+class SfmParams(ParamGroup):
     """Per-element sub-band weights plus the channel-mixing gate layer."""
+
+    default_prefix = "sfm"
 
     w_ll: Tensor   # (f, c, h/2, w/2), init 1.0
     w_lh: Tensor
@@ -31,17 +33,6 @@ class SfmParams:
 
     def band_weights(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         return (self.w_ll, self.w_lh, self.w_hl, self.w_hh)
-
-    def named(self, prefix: str = "sfm") -> dict[str, Tensor]:
-        return {f"{prefix}.w_ll": self.w_ll, f"{prefix}.w_lh": self.w_lh,
-                f"{prefix}.w_hl": self.w_hl, f"{prefix}.w_hh": self.w_hh,
-                f"{prefix}.gate_w": self.gate_w, f"{prefix}.gate_b": self.gate_b}
-
-    @classmethod
-    def from_named(cls, params: dict[str, Tensor], prefix: str = "sfm") -> "SfmParams":
-        return cls(w_ll=params[f"{prefix}.w_ll"], w_lh=params[f"{prefix}.w_lh"],
-                   w_hl=params[f"{prefix}.w_hl"], w_hh=params[f"{prefix}.w_hh"],
-                   gate_w=params[f"{prefix}.gate_w"], gate_b=params[f"{prefix}.gate_b"])
 
 
 def init_sfm_params(feature_shape: tuple[int, ...]) -> SfmParams:

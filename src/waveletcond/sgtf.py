@@ -8,6 +8,7 @@ row-major order.  All integers little-endian.  Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from .tensor import Tensor
 
 MAGIC = b"SGTF"
 VERSION = 1
+MAX_RANK = 64  # numpy's limit; also bounds the element-count product
 
 _DTYPE_CODE = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 _CODE_DTYPE = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
@@ -44,11 +46,15 @@ def read_tensor(path) -> np.ndarray:
         raise ValueError(f"{path}: unsupported SGTF version {version}")
     if code not in _CODE_DTYPE:
         raise ValueError(f"{path}: unknown dtype code {code}")
-    offset = 10
-    dims = struct.unpack_from(f"<{rank}Q", raw, offset) if rank else ()
-    offset += 8 * rank
+    if rank > MAX_RANK:
+        raise ValueError(f"{path}: rank {rank} exceeds the maximum of {MAX_RANK}")
+    offset = 10 + 8 * rank
+    if len(raw) < offset:
+        raise ValueError(f"{path}: truncated header, rank {rank} needs {offset} bytes, "
+                         f"got {len(raw)}")
+    dims = struct.unpack_from(f"<{rank}Q", raw, 10)
     dtype = _CODE_DTYPE[code]
-    count = int(np.prod(dims)) if dims else 1
+    count = math.prod(dims)  # exact: np.prod would wrap on large u64 dims
     expected = offset + count * dtype.itemsize
     if len(raw) != expected:
         raise ValueError(f"{path}: size mismatch, expected {expected} bytes, got {len(raw)}")
@@ -78,6 +84,8 @@ def load_params(dirpath, requires_grad: bool = True) -> dict[str, Tensor]:
         raise ValueError(f"{dirpath}: not a parameter directory")
     params: dict[str, Tensor] = {}
     for name in manifest["tensors"]:
+        if not isinstance(name, str) or Path(name).name != name:
+            raise ValueError(f"{dirpath}: tensor name {name!r} is not a plain file name")
         arr = read_tensor(d / f"{name}.sgtf")
         t = Tensor(arr, requires_grad=requires_grad, dtype=arr.dtype)
         t.name = name

@@ -8,7 +8,8 @@ construction; training replaces parameter tensors instead of mutating them.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+import dataclasses
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -51,7 +52,13 @@ class Tensor:
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: Sequence["Tensor"],
                  backward_fn: Callable[[np.ndarray], None]) -> "Tensor":
-        """Wrap an op result; records the tape edge only if a parent needs grad."""
+        """Wrap an op result; records the tape edge only if a parent needs grad.
+
+        Invariant: an op output has `requires_grad` exactly when it recorded
+        a tape edge (parents and a backward rule).  A leaf has no edge, so
+        `requires_grad` alone tells a backward rule whether an input wants a
+        gradient; rules test it before computing that gradient.
+        """
         out = cls.__new__(cls)
         arr = np.asarray(data)
         try:
@@ -61,14 +68,9 @@ class Tensor:
         out.data = arr
         out.grad = None
         out.name = None
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward_fn = backward_fn
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._backward_fn = None
+        out.requires_grad = any(p.requires_grad for p in parents)
+        out._parents = tuple(parents) if out.requires_grad else ()
+        out._backward_fn = backward_fn if out.requires_grad else None
         return out
 
     # -- basic introspection ------------------------------------------------
@@ -160,6 +162,24 @@ class Tensor:
         return tslice(self, key)
 
 
+class ParamGroup:
+    """Mixin for a dataclass of parameter tensors, flattened as `<prefix>.<field>`.
+
+    Names and their order follow the dataclass fields.
+    """
+
+    default_prefix: ClassVar[str]
+
+    def named(self, prefix: str | None = None) -> dict[str, Tensor]:
+        prefix = self.default_prefix if prefix is None else prefix
+        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in dataclasses.fields(self)}
+
+    @classmethod
+    def from_named(cls, params: dict[str, Tensor], prefix: str | None = None):
+        prefix = cls.default_prefix if prefix is None else prefix
+        return cls(**{f.name: params[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls)})
+
+
 def as_tensor(x, dtype=None) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
 
@@ -184,9 +204,9 @@ def add(a: Tensor, b) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(g if a.shape == g.shape else _sum_to_scalar_shape(g, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(g if b.shape == g.shape else _sum_to_scalar_shape(g, b.shape))
 
     return Tensor._from_op(out_data, (a, b), backward)
@@ -200,10 +220,10 @@ def ew_mul(a: Tensor, b) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             ga = g * b.data
             a._accumulate(ga if a.shape == ga.shape else _sum_to_scalar_shape(ga, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             gb = g * a.data
             b._accumulate(gb if b.shape == gb.shape else _sum_to_scalar_shape(gb, b.shape))
 
@@ -235,9 +255,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(g @ b.data.T)
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(a.data.T @ g)
 
     return Tensor._from_op(out_data, (a, b), backward)
@@ -252,11 +272,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out_data = x.data @ w.data + b.data
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             x._accumulate(g @ w.data.T)
-        if w.requires_grad or w._parents:
+        if w.requires_grad:
             w._accumulate(x.data.T @ g)
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(g.sum(axis=0))
 
     return Tensor._from_op(out_data, (x, w, b), backward)
@@ -274,11 +294,11 @@ def channel_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out_data = np.einsum("oc,ncij->noij", w.data, x.data) + b.data[None, :, None, None]
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             x._accumulate(np.einsum("oc,noij->ncij", w.data, g))
-        if w.requires_grad or w._parents:
+        if w.requires_grad:
             w._accumulate(np.einsum("noij,ncij->oc", g, x.data))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)))
 
     return Tensor._from_op(out_data, (x, w, b), backward)
@@ -336,18 +356,18 @@ def sum_all(x: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (x,), backward)
 
 
-def mean_pool_all(x: Tensor) -> Tensor:
-    """Arithmetic mean of every entry, as a scalar tensor."""
+def mean(x: Tensor, axis: int | tuple[int, ...] | None = None) -> Tensor:
+    """Arithmetic mean over `axis` (an int or a tuple); over every entry when None."""
     x = as_tensor(x)
     if x.data.size == 0:
-        raise ValueError("mean_pool_all: empty tensor")
-    n = x.data.size
-    out_data = np.asarray(x.data.mean())
+        raise ValueError("mean: empty tensor")
+    kept = x.data.mean(axis=axis, keepdims=True)
+    n = x.data.size // kept.size
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(np.full(x.data.shape, float(g) / n, dtype=x.data.dtype))
+        x._accumulate(np.broadcast_to(g.reshape(kept.shape) / n, x.data.shape))
 
-    return Tensor._from_op(out_data, (x,), backward)
+    return Tensor._from_op(np.squeeze(kept, axis=axis), (x,), backward)
 
 
 # -- shape manipulation ---------------------------------------------------------
@@ -388,7 +408,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad or t._parents:
+            if t.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(idx)])
@@ -427,9 +447,9 @@ def conv3x3(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     ho, wo = out_data.shape[2], out_data.shape[3]
 
     def backward(g: np.ndarray) -> None:
-        if w.requires_grad or w._parents:
+        if w.requires_grad:
             w._accumulate(np.einsum("noij,ncijuv->ocuv", g, win))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             gxp = np.zeros_like(xp)
             for u in range(3):
                 for v in range(3):
@@ -447,9 +467,9 @@ def add_channel_bias(x: Tensor, v: Tensor) -> Tensor:
     out_data = x.data + v.data[None, :, None, None]
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             x._accumulate(g)
-        if v.requires_grad or v._parents:
+        if v.requires_grad:
             v._accumulate(g.sum(axis=(0, 2, 3)))
 
     return Tensor._from_op(out_data, (x, v), backward)

@@ -23,7 +23,7 @@ from .diffusion import (
     linear_schedule,
     unet_forward,
 )
-from .tensor import AdamState, Tensor, adam_step, collect_grads, ew_mul, mean_pool_all, scale, sub
+from .tensor import AdamState, Tensor, adam_step, collect_grads, ew_mul, mean, scale, sub
 
 FROZEN_BACKBONE_TRAINABLE_PREFIXES = ("enc.", "msm.", "sfm.")
 
@@ -99,7 +99,7 @@ def train_loss(batch: list[TrainItem], params: dict[str, Tensor],
         eps_hat = unet_forward(Tensor(z_t), item.t, audio_to_windows(item.audio, cfg),
                                item.frames[0], params, cfg)
         diff = sub(Tensor(item.eps), eps_hat)
-        mse = mean_pool_all(ew_mul(diff, diff))
+        mse = mean(ew_mul(diff, diff))
         total = mse if total is None else total + mse
     return scale(total, 1.0 / len(batch))
 
@@ -216,6 +216,11 @@ _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
 def config_to_dict(cfg: TrainConfig) -> dict:
     return dataclasses.asdict(cfg)
+
+
+def config_to_text(cfg: TrainConfig) -> str:
+    """Render every field as a `key=value` line, in field order; parse_config_text inverts it."""
+    return "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in dataclasses.fields(TrainConfig))
 
 
 def parse_config_text(text: str) -> TrainConfig:

@@ -109,27 +109,21 @@ def idwt2_data(ll: np.ndarray, lh: np.ndarray, hl: np.ndarray, hh: np.ndarray) -
     return x
 
 
-def _band_only(g: np.ndarray, band: int) -> np.ndarray:
-    zeros = np.zeros_like(g)
-    parts = [zeros, zeros, zeros, zeros]
-    parts[band] = g
-    return idwt2_data(*parts)
-
-
 def dwt2(x: Tensor) -> SubBands:
     """Decompose the trailing two dimensions into four half-size sub-bands.
 
     Leading (batch) dimensions are carried through unchanged; trailing
-    dimensions must be even (see pad_even).
+    dimensions must be even (see pad_even).  The bands are slices of one
+    op over the stacked bands, so the backward pass runs a single inverse
+    transform of all four band gradients.
     """
     x = as_tensor(x)
-    band_data = dwt2_data(x.data)
-    outs = []
-    for i, data in enumerate(band_data):
-        def backward(g: np.ndarray, band: int = i) -> None:
-            x._accumulate(_band_only(g, band))
-        outs.append(Tensor._from_op(data, (x,), backward))
-    return SubBands(*outs)
+
+    def backward(g: np.ndarray) -> None:
+        x._accumulate(idwt2_data(*g))
+
+    stacked = Tensor._from_op(np.stack(dwt2_data(x.data)), (x,), backward)
+    return SubBands(*(stacked[i] for i in range(4)))
 
 
 def idwt2(s: SubBands) -> Tensor:
@@ -140,7 +134,7 @@ def idwt2(s: SubBands) -> Tensor:
     def backward(g: np.ndarray) -> None:
         gb = dwt2_data(g)
         for band, grad in zip(parents, gb):
-            if band.requires_grad or band._parents:
+            if band.requires_grad:
                 band._accumulate(grad)
 
     return Tensor._from_op(out_data, parents, backward)

@@ -71,6 +71,13 @@ def test_dwt_odd_input_exits_2(tmp_path, capsys):
     assert "odd" in capsys.readouterr().err
 
 
+def test_dwt_truncated_header_exits_2(tmp_path, capsys):
+    # rank 3 with no dims after it
+    (tmp_path / "x.sgtf").write_bytes(b"SGTF\x01\x00\x03\x00\x00\x00")
+    assert main(["dwt", str(tmp_path / "x.sgtf"), str(tmp_path / "b")]) == 2
+    assert "truncated header" in capsys.readouterr().err
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     assert main(["dwt", str(tmp_path / "absent.sgtf"), str(tmp_path / "b")]) == 2
 

@@ -21,6 +21,7 @@ from waveletcond.tensor import Tensor
 from waveletcond.training import (
     TrainItem,
     ablate,
+    config_to_text,
     make_synthetic_dataset,
     parse_config_text,
     report_to_json,
@@ -455,6 +456,12 @@ def test_parse_config_roundtrip():
     cfg = parse_config_text("steps=25\nlr=0.005\nuse_sfm=false\nseed=9\n# comment\n\n")
     assert cfg.steps == 25 and cfg.lr == 0.005 and cfg.use_sfm is False and cfg.seed == 9
     assert cfg.frames == 16  # untouched default
+
+
+def test_config_text_roundtrip_non_default():
+    cfg = TrainConfig(frames=3, height=12, lr=2.5e-4, seed=7, amplitude=0.3,
+                      use_msm=False, freeze_backbone=True, log_every=1)
+    assert parse_config_text(config_to_text(cfg)) == cfg
 
 
 def test_parse_config_rejects_unknown_key():

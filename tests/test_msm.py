@@ -16,7 +16,7 @@ from waveletcond.msm import (
     init_msm_params,
     msm_forward,
 )
-from waveletcond.tensor import Tensor, mean_pool_all, sigmoid, sum_all
+from waveletcond.tensor import Tensor, mean, sigmoid, sum_all
 from waveletcond.wavelet import dwt2, idwt2
 
 LATENT_SHAPE = (2, 1, 8, 4)  # (frames, channels, width, height)
@@ -251,7 +251,7 @@ def test_attention_gradients_match_finite_differences():
     audio = Tensor(r.standard_normal((3, 2)), requires_grad=True)
 
     def f():
-        return mean_pool_all(sigmoid(audio_attention(video, audio, p)))
+        return mean(sigmoid(audio_attention(video, audio, p)))
 
     params = dict(p.named(), video=video, audio=audio)
     check_gradients(f, params, h=1e-4, rtol=1e-4)

@@ -5,7 +5,7 @@ import pytest
 
 from waveletcond.gradcheck import check_gradients
 from waveletcond.sfm import SfmParams, gate_map, init_sfm_params, sfm_forward
-from waveletcond.tensor import Tensor, mean_pool_all, sigmoid, sum_all
+from waveletcond.tensor import Tensor, mean, sigmoid, sum_all
 
 FEAT_SHAPE = (2, 3, 4, 4)  # (frames, channels, height, width)
 

@@ -1,5 +1,8 @@
 """Binary tensor container round trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -66,6 +69,22 @@ def test_rejects_truncated_payload(tmp_path):
         read_tensor(path)
 
 
+def _header(rank, dims=()):
+    return b"SGTF" + struct.pack("<BBI", 1, 0, rank) + struct.pack(f"<{len(dims)}Q", *dims)
+
+
+@pytest.mark.parametrize("raw, match", [
+    pytest.param(_header(3), "truncated header", id="rank-without-dims"),
+    pytest.param(_header(2, (2**32, 2**32)), "size mismatch", id="count-wraps-int64"),
+    pytest.param(_header(65, (1,) * 65) + bytes(8), "rank 65", id="rank-65"),
+])
+def test_rejects_hostile_header(tmp_path, raw, match):
+    path = tmp_path / "x.sgtf"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=match):
+        read_tensor(path)
+
+
 def test_params_dir_roundtrip(tmp_path):
     r = np.random.default_rng(2)
     params = {
@@ -84,3 +103,14 @@ def test_load_params_requires_manifest(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(ValueError, match="manifest"):
         load_params(tmp_path / "empty")
+
+
+def test_load_params_rejects_names_outside_dir(tmp_path):
+    write_tensor(tmp_path / "secret.sgtf", np.zeros(2))
+    run = tmp_path / "run"
+    save_params(run, {"w": Tensor(np.ones(2))})
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["tensors"] = ["../secret"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="plain file name"):
+        load_params(run)

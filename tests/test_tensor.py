@@ -20,7 +20,7 @@ from waveletcond.tensor import (
     ew_mul,
     linear,
     matmul,
-    mean_pool_all,
+    mean,
     nearest_upsample2,
     permute,
     relu,
@@ -151,11 +151,11 @@ def test_sigmoid_finite_for_extreme_inputs():
 
 
 def test_mean_pool_all_small():
-    assert mean_pool_all(Tensor([[2.0, 4.0], [6.0, 8.0]])).item() == 5.0
+    assert mean(Tensor([[2.0, 4.0], [6.0, 8.0]])).item() == 5.0
 
 
 def test_mean_pool_all_constant():
-    assert mean_pool_all(Tensor(np.full((3, 5), 1.25))).item() == 1.25
+    assert mean(Tensor(np.full((3, 5), 1.25))).item() == 1.25
 
 
 def test_mean_pool_all_vs_summation_oracle():
@@ -163,7 +163,7 @@ def test_mean_pool_all_vs_summation_oracle():
     total = 0.0
     for v in x.reshape(-1):
         total += v
-    assert abs(mean_pool_all(Tensor(x)).item() - total / x.size) < 1e-12
+    assert abs(mean(Tensor(x)).item() - total / x.size) < 1e-12
 
 
 # -- backward: basics -------------------------------------------------------------
@@ -314,7 +314,8 @@ def _case_softmax(r):
 @fd_case("mean_pool_all")
 def _case_mean(r):
     x = Tensor(r.standard_normal((3, 4)), requires_grad=True)
-    return {"x": x}, lambda: mean_pool_all(sigmoid(x))
+    y = Tensor(r.standard_normal((2, 3, 4)), requires_grad=True)
+    return {"x": x, "y": y}, lambda: add(mean(sigmoid(x)), sum_all(sigmoid(mean(y, axis=(0, 2)))))
 
 
 @fd_case("reshape_permute_slice_concat")
@@ -374,7 +375,7 @@ def test_jvp_random_points_match_finite_differences():
         w = Tensor(r.standard_normal((3, 2)), requires_grad=True)
 
         def f():
-            return mean_pool_all(sigmoid(matmul(ew_mul(x, x), w)))
+            return mean(sigmoid(matmul(ew_mul(x, x), w)))
 
         x.zero_grad(), w.zero_grad()
         f().backward()
