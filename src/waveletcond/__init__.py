@@ -18,7 +18,7 @@ from .diffusion import (
 )
 from .msm import AudioEmbedding, MsmParams, init_msm_params, msm_forward
 from .sfm import SfmParams, init_sfm_params, sfm_forward
-from .tensor import Tensor, adam_step, set_default_dtype
+from .tensor import Tensor, adam_step
 from .training import ablate, make_synthetic_dataset, train, train_loss
 from .wavelet import HaarKernels, SubBands, dwt2, haar_kernels, idwt2, pad_even
 
@@ -48,7 +48,6 @@ __all__ = [
     "msm_forward",
     "pad_even",
     "sample",
-    "set_default_dtype",
     "sfm_forward",
     "train",
     "train_loss",

@@ -24,7 +24,7 @@ from .diffusion import (
 )
 from .msm import AudioEmbedding, MsmParams, msm_forward
 from .sfm import SfmParams, sfm_forward
-from .tensor import Tensor, set_default_dtype
+from .tensor import Tensor
 from .training import (
     ablate,
     config_to_text,
@@ -45,8 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=None,
                         help="override the seed used by seeded subcommands")
-    parser.add_argument("--precision", choices=("f32", "f64"), default="f64",
-                        help="default tensor precision")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dwt", help="decompose an SGTF tensor into four sub-band files")
@@ -297,7 +295,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    set_default_dtype(args.precision)
     try:
         return _COMMANDS[args.command](args)
     except DivergenceError as exc:
@@ -306,8 +303,6 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    finally:
-        set_default_dtype("f64")
 
 
 if __name__ == "__main__":

@@ -212,44 +212,38 @@ def split_dataset(records: list[ClipRecord], seed: int,
 # -- manifest I/O -----------------------------------------------------------------------
 
 
+def _write_jsonl(path, items) -> None:
+    Path(path).write_text("".join(json.dumps(item.to_json_dict()) + "\n" for item in items))
+
+
+def _read_jsonl(path, parse, what: str) -> list:
+    out = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
+        try:
+            out.append(parse(obj))
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad {what}: {exc}") from None
+    return out
+
+
 def write_manifest(path, records: list[ClipRecord]) -> None:
     """JSON-lines, one record per line, canonical field order."""
-    lines = [json.dumps(rec.to_json_dict()) for rec in records]
-    Path(path).write_text("".join(line + "\n" for line in lines))
+    _write_jsonl(path, records)
 
 
 def read_manifest(path) -> list[ClipRecord]:
-    records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
-        try:
-            records.append(ClipRecord.from_json_dict(obj))
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad record: {exc}") from None
-    return records
+    return _read_jsonl(path, ClipRecord.from_json_dict, "record")
 
 
 def write_sources(path, sources: list[SourceMeta]) -> None:
-    lines = [json.dumps(s.to_json_dict()) for s in sources]
-    Path(path).write_text("".join(line + "\n" for line in lines))
+    _write_jsonl(path, sources)
 
 
 def read_sources(path) -> list[SourceMeta]:
-    sources = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
-        try:
-            sources.append(SourceMeta.from_json_dict(obj))
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad source: {exc}") from None
-    return sources
+    return _read_jsonl(path, SourceMeta.from_json_dict, "source")

@@ -194,7 +194,7 @@ def param_count(params: dict[str, Tensor]) -> int:
 
 def encode_audio(audio_windows: np.ndarray, params: dict[str, Tensor]) -> Tensor:
     """Toy audio encoder: shared affine map per window column -> (d_audio, l)."""
-    cols = Tensor(np.asarray(audio_windows).T)  # (l, window)
+    cols = Tensor(np.asarray(audio_windows).T, dtype=params["enc.w"].dtype)  # (l, window)
     return transpose2d(linear(cols, params["enc.w"], params["enc.b"]))
 
 
@@ -223,7 +223,7 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
         conditioned = embedding
     tokens = frame_tokens(conditioned, cfg.frames)
 
-    ref = Tensor(np.broadcast_to(ref_frame, cfg.latent_shape).copy())
+    ref = Tensor(np.broadcast_to(ref_frame, cfg.latent_shape).copy(), dtype=z_t.dtype)
     x = concat([z_t, ref], axis=1)
 
     h1 = conv3x3(x, params["unet.in_w"])
@@ -253,16 +253,20 @@ def sample(params: dict[str, Tensor], audio_windows: np.ndarray, ref_frame: np.n
            sched: NoiseSchedule, cfg: TrainConfig, seed: int) -> np.ndarray:
     """Ancestral sampling from pure noise down to the z0 estimate.
 
+    The UNet runs in the dtype of the params and builds no gradient tape.
     Deterministic given the seed; raises DivergenceError (with the step
     index) if any intermediate goes non-finite.
     """
     if sched.timesteps != cfg.timesteps:
         raise ValueError(
             f"sample: schedule has {sched.timesteps} steps but config expects {cfg.timesteps}")
+    params = {k: Tensor(p.data) for k, p in params.items()}
+    dtype = params["unet.in_w"].dtype
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(cfg.latent_shape)
     for t in range(sched.timesteps, 0, -1):
-        eps_hat = unet_forward(Tensor(z), t, audio_windows, ref_frame, params, cfg).data
+        eps_hat = unet_forward(Tensor(z, dtype=dtype), t, audio_windows, ref_frame, params,
+                               cfg).data
         beta = sched.betas[t - 1]
         alpha = sched.alphas[t - 1]
         abar = sched.alpha_bars[t - 1]

@@ -73,21 +73,21 @@ def save_params(dirpath, params: dict[str, Tensor]) -> None:
     (d / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def load_params(dirpath, requires_grad: bool = True) -> dict[str, Tensor]:
-    """Load a parameter directory written by save_params."""
+def load_params(dirpath) -> dict[str, Tensor]:
+    """Load a parameter directory written by save_params, as trainable tensors."""
     d = Path(dirpath)
     manifest_path = d / "manifest.json"
     if not manifest_path.exists():
         raise ValueError(f"{dirpath}: missing manifest.json")
     manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != "sgtf-params":
+    if not isinstance(manifest, dict) or manifest.get("format") != "sgtf-params":
         raise ValueError(f"{dirpath}: not a parameter directory")
+    names = manifest.get("tensors")
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ValueError(f"{dirpath}: manifest 'tensors' must be a list of names")
     params: dict[str, Tensor] = {}
-    for name in manifest["tensors"]:
-        if not isinstance(name, str) or Path(name).name != name:
+    for name in names:
+        if Path(name).name != name:
             raise ValueError(f"{dirpath}: tensor name {name!r} is not a plain file name")
-        arr = read_tensor(d / f"{name}.sgtf")
-        t = Tensor(arr, requires_grad=requires_grad, dtype=arr.dtype)
-        t.name = name
-        params[name] = t
+        params[name] = Tensor(read_tensor(d / f"{name}.sgtf"), requires_grad=True, name=name)
     return params

@@ -13,21 +13,6 @@ from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
-DEFAULT_DTYPE = np.float64
-
-_DTYPE_NAMES = {"f64": np.float64, "f32": np.float32}
-
-
-def set_default_dtype(name: str) -> None:
-    """Set the global default precision ("f64" or "f32").
-
-    Gradient checks are only reliable at f64; f32 exists for speed.
-    """
-    global DEFAULT_DTYPE
-    if name not in _DTYPE_NAMES:
-        raise ValueError(f"unknown precision {name!r}; expected one of {sorted(_DTYPE_NAMES)}")
-    DEFAULT_DTYPE = _DTYPE_NAMES[name]
-
 
 class Tensor:
     """N-dimensional real array with shape metadata, row-major storage.
@@ -35,12 +20,17 @@ class Tensor:
     A tensor produced by an operation keeps references to its parent tensors
     and a closure that routes upstream gradients to them; `backward()` walks
     that record in reverse topological order.
+
+    Precision follows the data: f32 data stays f32 and anything else becomes
+    f64, unless `dtype` is given.  Gradient checks are only reliable at f64.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, name: str | None = None):
-        arr = np.array(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
+        arr = np.array(data, dtype=dtype)
+        if dtype is None and arr.dtype != np.float32:
+            arr = arr.astype(np.float64, copy=False)
         arr.setflags(write=False)
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -91,9 +81,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array(self.data)
 
     def __repr__(self) -> str:
         head = f"Tensor(shape={self.shape}, dtype={self.data.dtype}"
@@ -180,8 +167,8 @@ class ParamGroup:
         return cls(**{f.name: params[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls)})
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _sum_to_scalar_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -528,7 +515,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
         m_hat = m / (1.0 - beta1 ** t)
         v_hat = v / (1.0 - beta2 ** t)
         new_data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
-        fresh = Tensor(new_data, requires_grad=p.requires_grad, dtype=p.data.dtype)
+        fresh = Tensor(new_data, requires_grad=p.requires_grad)
         fresh.name = p.name
         new_params[k] = fresh
     return new_params

@@ -89,16 +89,18 @@ def train_loss(batch: list[TrainItem], params: dict[str, Tensor],
                sched: NoiseSchedule, cfg: TrainConfig) -> Tensor:
     """Noise-prediction MSE averaged over batch items and elements.
 
-    The first frame of each clip is its reference image.
+    The first frame of each clip is its reference image; latents and noise
+    take the dtype of the params.
     """
     if not batch:
         raise ValueError("train_loss: empty batch")
+    dtype = params["unet.in_w"].dtype
     total = None
     for item in batch:
         z_t = forward_diffuse(item.frames, item.t, item.eps, sched)
-        eps_hat = unet_forward(Tensor(z_t), item.t, audio_to_windows(item.audio, cfg),
-                               item.frames[0], params, cfg)
-        diff = sub(Tensor(item.eps), eps_hat)
+        eps_hat = unet_forward(Tensor(z_t, dtype=dtype), item.t,
+                               audio_to_windows(item.audio, cfg), item.frames[0], params, cfg)
+        diff = sub(Tensor(item.eps, dtype=dtype), eps_hat)
         mse = mean(ew_mul(diff, diff))
         total = mse if total is None else total + mse
     return scale(total, 1.0 / len(batch))
@@ -150,7 +152,7 @@ def train(dataset: list[Clip], cfg: TrainConfig,
 
 def validation_loss(dataset: list[Clip], params: dict[str, Tensor], cfg: TrainConfig,
                     seed: int = 1234, draws_per_clip: int = 4) -> float:
-    """Deterministic held-out loss: fixed (t, eps) draws per clip."""
+    """Deterministic held-out loss: fixed (t, eps) draws per clip; builds no gradient tape."""
     if not dataset:
         raise ValueError("validation_loss: empty dataset")
     sched = linear_schedule(cfg.timesteps)
@@ -161,7 +163,8 @@ def validation_loss(dataset: list[Clip], params: dict[str, Tensor], cfg: TrainCo
             t = int(rng.integers(1, cfg.timesteps + 1))
             eps = rng.standard_normal(clip.frames.shape)
             items.append(TrainItem(clip.frames, clip.audio, t, eps))
-    return train_loss(items, params, sched, cfg).item()
+    leaves = {k: Tensor(p.data) for k, p in params.items()}
+    return train_loss(items, leaves, sched, cfg).item()
 
 
 def split_train_val(dataset: list[Clip]) -> tuple[list[Clip], list[Clip]]:

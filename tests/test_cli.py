@@ -112,6 +112,16 @@ def test_sfm_apply_halves_at_init(tmp_path):
     assert np.max(np.abs(sgtf.read_tensor(out) - 0.5 * feats)) < 1e-9
 
 
+@pytest.mark.parametrize("manifest", ["[1, 2]", '{"format": "sgtf-params", "tensors": 5}'])
+def test_sfm_apply_bad_manifest_shape_exits_2(tmp_path, capsys, manifest):
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "manifest.json").write_text(manifest)
+    sgtf.write_tensor(tmp_path / "h.sgtf", np.zeros((2, 3, 4, 4)))
+    assert main(["sfm-apply", "--features", str(tmp_path / "h.sgtf"),
+                 "--params", str(tmp_path / "p"), "--out", str(tmp_path / "out.sgtf")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # -- training / sampling -----------------------------------------------------------------
 
 
@@ -267,7 +277,6 @@ def test_manifest_segment_crop_split(tmp_path):
 def test_precision_flag_roundtrip(tmp_path):
     x32 = rng(9).standard_normal((4, 4)).astype(np.float32)
     sgtf.write_tensor(tmp_path / "x.sgtf", x32)
-    assert main(["--precision", "f32", "dwt", str(tmp_path / "x.sgtf"),
-                 str(tmp_path / "b")]) == 0
+    assert main(["dwt", str(tmp_path / "x.sgtf"), str(tmp_path / "b")]) == 0
     band = sgtf.read_tensor(tmp_path / "b.ll.sgtf")
     assert band.dtype == np.float32

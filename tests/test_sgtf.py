@@ -114,3 +114,14 @@ def test_load_params_rejects_names_outside_dir(tmp_path):
     (run / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="plain file name"):
         load_params(run)
+
+
+@pytest.mark.parametrize("manifest", [
+    [1, 2],
+    {"format": "sgtf-params", "tensors": 5},
+    {"format": "sgtf-params", "tensors": ["w", 3]},
+])
+def test_load_params_rejects_bad_manifest_shape(tmp_path, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=str(tmp_path)):
+        load_params(tmp_path)

@@ -457,12 +457,16 @@ def test_tensors_are_immutable_after_construction():
         x.data[0] = 9.0
 
 
-def test_set_default_dtype_roundtrip():
-    T.set_default_dtype("f32")
-    try:
-        assert Tensor([1.0]).data.dtype == np.float32
-    finally:
-        T.set_default_dtype("f64")
-    assert Tensor([1.0]).data.dtype == np.float64
-    with pytest.raises(ValueError):
-        T.set_default_dtype("f16")
+def test_dtype_follows_data():
+    x32 = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    assert x32.dtype == np.float32
+    assert Tensor([1.0]).dtype == np.float64
+    assert Tensor(np.arange(3)).dtype == np.float64
+    assert Tensor(np.ones(2, dtype=np.float16)).dtype == np.float64
+    assert Tensor([1.0], dtype=np.float32).dtype == np.float32
+    assert Tensor(x32.data, dtype=np.float64).dtype == np.float64
+    # ops on f32 operands stay f32, and so do their gradients
+    y = T.mean(T.ew_mul(T.sigmoid(x32), x32))
+    assert y.dtype == np.float32
+    y.backward()
+    assert x32.grad.dtype == np.float32
