@@ -20,7 +20,6 @@ from .diffusion import (
     audio_to_windows,
     linear_schedule,
     sample,
-    unet_forward,
 )
 from .msm import AudioEmbedding, MsmParams, msm_forward
 from .sfm import SfmParams, sfm_forward

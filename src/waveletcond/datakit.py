@@ -8,7 +8,7 @@ read/write round trip verbatim.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +16,6 @@ import numpy as np
 CLIP_FPS = 25.0
 CLIP_SECONDS = 2.0
 CLIP_FRAMES = int(CLIP_FPS * CLIP_SECONDS)  # 50
-
-_RECORD_FIELDS = ("source_id", "start_frame", "end_frame", "fps", "crop_box",
-                  "landmark_path", "beats_path", "frames_path", "split")
 
 
 @dataclass
@@ -85,17 +82,8 @@ class ClipRecord:
         return f"{self.source_id}_{self.start_frame:06d}"
 
     def to_json_dict(self) -> dict:
-        d = {
-            "source_id": self.source_id,
-            "start_frame": self.start_frame,
-            "end_frame": self.end_frame,
-            "fps": self.fps,
-            "crop_box": list(self.crop_box),
-            "landmark_path": self.landmark_path,
-            "beats_path": self.beats_path,
-            "frames_path": self.frames_path,
-            "split": self.split,
-        }
+        d = {k: getattr(self, k) for k in _RECORD_FIELDS}
+        d["crop_box"] = list(self.crop_box)
         d.update(self.extra)
         return d
 
@@ -104,6 +92,9 @@ class ClipRecord:
         d = dict(d)
         known = {k: d.pop(k) for k in _RECORD_FIELDS if k in d}
         return cls(**known, extra=d)
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(ClipRecord) if f.name != "extra")
 
 
 # -- operations ---------------------------------------------------------------------

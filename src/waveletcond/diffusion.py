@@ -39,7 +39,6 @@ from .tensor import (
     permute,
     relu,
     reshape,
-    transpose2d,
     tslice,
 )
 
@@ -106,8 +105,10 @@ class TrainConfig:
     log_every: int = 10
 
     def __post_init__(self):
-        if self.frames < 1:
-            raise ValueError(f"TrainConfig: frames must be >= 1, got {self.frames}")
+        for name in ("frames", "channels", "base_channels", "samples_per_frame", "timesteps",
+                     "steps", "log_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"TrainConfig: {name} must be >= 1, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ValueError(f"TrainConfig: lr must be positive, got {self.lr}")
         if self.height % 4 or self.width % 4:
@@ -117,8 +118,6 @@ class TrainConfig:
             raise ValueError("TrainConfig: samples_per_frame must be even")
         if self.d_audio % 2:
             raise ValueError("TrainConfig: d_audio must be even")
-        if self.timesteps < 1:
-            raise ValueError("TrainConfig: timesteps must be >= 1")
 
     @property
     def latent_shape(self) -> tuple[int, int, int, int]:
@@ -183,8 +182,6 @@ def init_model_params(cfg: TrainConfig, seed: int | None = None) -> dict[str, Te
     params["unet.out_b"] = zeros(c)
     params.update(init_msm_params(cfg.latent_shape, hidden=cfg.h_msm).named("msm"))
     params.update(init_sfm_params(bott).named("sfm"))
-    for name, p in params.items():
-        p.name = name
     return params
 
 
@@ -195,7 +192,7 @@ def param_count(params: dict[str, Tensor]) -> int:
 def encode_audio(audio_windows: np.ndarray, params: dict[str, Tensor]) -> Tensor:
     """Toy audio encoder: shared affine map per window column -> (d_audio, l)."""
     cols = Tensor(np.asarray(audio_windows).T, dtype=params["enc.w"].dtype)  # (l, window)
-    return transpose2d(linear(cols, params["enc.w"], params["enc.b"]))
+    return permute(linear(cols, params["enc.w"], params["enc.b"]), (1, 0))
 
 
 def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.ndarray,

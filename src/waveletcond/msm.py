@@ -23,11 +23,11 @@ from .tensor import (
     linear,
     matmul,
     mean,
+    permute,
     relu,
     reshape,
     scale,
     softmax_rows,
-    transpose2d,
     tslice,
 )
 from .wavelet import SubBands, dwt2, idwt2
@@ -152,7 +152,7 @@ def frame_tokens(values: Tensor, frames: int) -> Tensor:
     d_a, l = values.shape
     if l % frames:
         raise ValueError(f"frame_tokens: length {l} not divisible by frames {frames}")
-    return transpose2d(mean(reshape(values, (d_a, frames, l // frames)), axis=2))
+    return permute(mean(reshape(values, (d_a, frames, l // frames)), axis=2), (1, 0))
 
 
 def audio_attention(video_tokens: Tensor, audio_tokens: Tensor, p: AttentionParams) -> Tensor:
@@ -167,6 +167,6 @@ def audio_attention(video_tokens: Tensor, audio_tokens: Tensor, p: AttentionPara
     q = matmul(video_tokens, p.q_w)
     k = matmul(audio_tokens, p.k_w)
     v = matmul(audio_tokens, p.v_w)
-    logits = scale(matmul(q, transpose2d(k)), 1.0 / np.sqrt(d))
+    logits = scale(matmul(q, permute(k, (1, 0))), 1.0 / np.sqrt(d))
     attn = softmax_rows(logits)
     return add(video_tokens, matmul(attn, v))

@@ -89,5 +89,5 @@ def load_params(dirpath) -> dict[str, Tensor]:
     for name in names:
         if Path(name).name != name:
             raise ValueError(f"{dirpath}: tensor name {name!r} is not a plain file name")
-        params[name] = Tensor(read_tensor(d / f"{name}.sgtf"), requires_grad=True, name=name)
+        params[name] = Tensor(read_tensor(d / f"{name}.sgtf"), requires_grad=True)
     return params

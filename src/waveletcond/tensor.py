@@ -1,8 +1,16 @@
 """Dense real tensors with a minimal reverse-mode gradient tape.
 
-The op set is deliberately closed: every differentiable primitive defined
-here carries a hand-written backward rule, and the test suite verifies each
-one against central finite differences.  Tensors are immutable values after
+The op set is deliberately closed.  Primitives carry a hand-written backward
+rule: `add`, `ew_mul`, `matmul`, `channel_linear`'s channel mixing,
+`sigmoid`, `relu`, `softmax_rows`, `sum_all`, `mean`, `reshape`, `permute`,
+`concat`, `tslice`, `conv3x3` and `nearest_upsample2`.  The rest are
+compositions of primitives and need no rule of their own: `scale`, `sub`,
+`linear` and `add_channel_bias`.  The test suite checks every op against
+central finite differences.
+
+`add` and `ew_mul` broadcast like numpy; each operand's gradient is summed
+back onto its own shape.  A non-tensor operand becomes a constant in the
+dtype of the tensor it meets.  Tensors are immutable values after
 construction; training replaces parameter tensors instead of mutating them.
 """
 
@@ -25,9 +33,9 @@ class Tensor:
     f64, unless `dtype` is given.  Gradient checks are only reliable at f64.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.array(data, dtype=dtype)
         if dtype is None and arr.dtype != np.float32:
             arr = arr.astype(np.float64, copy=False)
@@ -37,7 +45,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
-        self.name = name
 
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: Sequence["Tensor"],
@@ -57,7 +64,6 @@ class Tensor:
             pass  # read-only view of an already-frozen buffer
         out.data = arr
         out.grad = None
-        out.name = None
         out.requires_grad = any(p.requires_grad for p in parents)
         out._parents = tuple(parents) if out.requires_grad else ()
         out._backward_fn = backward_fn if out.requires_grad else None
@@ -83,10 +89,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        head = f"Tensor(shape={self.shape}, dtype={self.data.dtype}"
-        if self.name:
-            head += f", name={self.name!r}"
-        return head + ")"
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
     # -- gradient accumulation ----------------------------------------------
 
@@ -171,65 +174,64 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _sum_to_scalar_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Collapse a broadcast gradient back onto a single-element operand."""
-    return np.sum(g).reshape(shape).astype(g.dtype, copy=False)
+def _constant_like(x, like: Tensor) -> Tensor:
+    """A tensor operand as is; anything else as a constant in `like`'s dtype."""
+    return x if isinstance(x, Tensor) else Tensor(x, dtype=like.dtype)
 
 
-def _is_scalar_like(t: Tensor) -> bool:
-    return t.data.size == 1
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcast gradient back onto an operand of `shape`, in one reduction."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
+    return g.sum(axis=axes).reshape(shape)
 
 
 # -- elementwise & linear primitives ------------------------------------------
 
 
 def add(a: Tensor, b) -> Tensor:
-    """Elementwise sum; one operand may be a scalar (python number or 1-element tensor)."""
-    b = as_tensor(b)
-    if a.shape != b.shape and not (_is_scalar_like(a) or _is_scalar_like(b)):
-        raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    out_data = a.data + b.data
+    """Elementwise sum with numpy broadcasting."""
+    b = _constant_like(b, a)
+    try:
+        out_data = a.data + b.data
+    except ValueError:
+        raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}") from None
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(g if a.shape == g.shape else _sum_to_scalar_shape(g, a.shape))
+            a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b._accumulate(g if b.shape == g.shape else _sum_to_scalar_shape(g, b.shape))
+            b._accumulate(_unbroadcast(g, b.shape))
 
     return Tensor._from_op(out_data, (a, b), backward)
 
 
 def ew_mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; one operand may be a scalar."""
-    b = as_tensor(b)
-    if a.shape != b.shape and not (_is_scalar_like(a) or _is_scalar_like(b)):
-        raise ValueError(f"ew_mul: shape mismatch {a.shape} vs {b.shape}")
-    out_data = a.data * b.data
+    """Elementwise product with numpy broadcasting."""
+    b = _constant_like(b, a)
+    try:
+        out_data = a.data * b.data
+    except ValueError:
+        raise ValueError(f"ew_mul: shape mismatch {a.shape} vs {b.shape}") from None
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            ga = g * b.data
-            a._accumulate(ga if a.shape == ga.shape else _sum_to_scalar_shape(ga, a.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            gb = g * a.data
-            b._accumulate(gb if b.shape == gb.shape else _sum_to_scalar_shape(gb, b.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return Tensor._from_op(out_data, (a, b), backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     """Multiply by a python scalar constant (no gradient for the constant)."""
-    s = float(s)
-    out_data = a.data * s
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * s)
-
-    return Tensor._from_op(out_data, (a,), backward)
+    return ew_mul(a, float(s))
 
 
 def sub(a: Tensor, b) -> Tensor:
-    return add(a, scale(as_tensor(b), -1.0))
+    return add(a, scale(_constant_like(b, a), -1.0))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -256,17 +258,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"linear: bad ranks x{x.shape} w{w.shape} b{b.shape}")
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ValueError(f"linear: incompatible shapes x{x.shape} w{w.shape} b{b.shape}")
-    out_data = x.data @ w.data + b.data
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g @ w.data.T)
-        if w.requires_grad:
-            w._accumulate(x.data.T @ g)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
-
-    return Tensor._from_op(out_data, (x, w, b), backward)
+    return add(matmul(x, w), b)
 
 
 def channel_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -278,17 +270,15 @@ def channel_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"channel_linear: weight {w.shape} does not match channel count {c}")
     if b.shape != (w.shape[0],):
         raise ValueError(f"channel_linear: bias {b.shape} does not match weight rows {w.shape[0]}")
-    out_data = np.einsum("oc,ncij->noij", w.data, x.data) + b.data[None, :, None, None]
+    out_data = np.einsum("oc,ncij->noij", w.data, x.data)
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             x._accumulate(np.einsum("oc,noij->ncij", w.data, g))
         if w.requires_grad:
             w._accumulate(np.einsum("noij,ncij->oc", g, x.data))
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 2, 3)))
 
-    return Tensor._from_op(out_data, (x, w, b), backward)
+    return add_channel_bias(Tensor._from_op(out_data, (x, w), backward), b)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -381,10 +371,6 @@ def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
     return Tensor._from_op(out_data, (x,), backward)
 
 
-def transpose2d(x: Tensor) -> Tensor:
-    return permute(x, (1, 0))
-
-
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
@@ -451,15 +437,7 @@ def add_channel_bias(x: Tensor, v: Tensor) -> Tensor:
     """Add v[c] to every (batch, spatial) position of x: (n,c,h,w) + (c,)."""
     if x.data.ndim != 4 or v.data.ndim != 1 or x.shape[1] != v.shape[0]:
         raise ValueError(f"add_channel_bias: bad shapes x{x.shape} v{v.shape}")
-    out_data = x.data + v.data[None, :, None, None]
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g)
-        if v.requires_grad:
-            v._accumulate(g.sum(axis=(0, 2, 3)))
-
-    return Tensor._from_op(out_data, (x, v), backward)
+    return add(x, reshape(v, (-1, 1, 1)))
 
 
 def nearest_upsample2(x: Tensor) -> Tensor:
@@ -515,9 +493,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
         m_hat = m / (1.0 - beta1 ** t)
         v_hat = v / (1.0 - beta2 ** t)
         new_data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
-        fresh = Tensor(new_data, requires_grad=p.requires_grad)
-        fresh.name = p.name
-        new_params[k] = fresh
+        new_params[k] = Tensor(new_data, requires_grad=p.requires_grad)
     return new_params
 
 

@@ -161,6 +161,17 @@ def test_train_toy_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train-toy", "ablate"])
+@pytest.mark.parametrize("line", ["steps=0", "log_every=0", "channels=0", "base_channels=0",
+                                  "samples_per_frame=0"])
+def test_nonpositive_size_exits_2(tmp_path, capsys, command, line):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(TINY_CONFIG + line + "\n")
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"{line.split('=')[0]} must be >= 1" in capsys.readouterr().err
+
+
 def test_ablate_byte_identical_reports(tmp_path):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(TINY_CONFIG)

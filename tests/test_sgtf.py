@@ -1,10 +1,13 @@
 """Binary tensor container round trips."""
 
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waveletcond.sgtf import load_params, read_tensor, save_params, write_tensor
 from waveletcond.tensor import Tensor
@@ -83,6 +86,33 @@ def test_rejects_hostile_header(tmp_path, raw, match):
     path.write_bytes(raw)
     with pytest.raises(ValueError, match=match):
         read_tensor(path)
+
+
+@st.composite
+def header_shaped(draw):
+    """Magic, random version/code/rank and dims, then a payload that sometimes fits them."""
+    version = draw(st.just(1) | st.integers(0, 255))
+    code = draw(st.sampled_from([0, 1]) | st.integers(0, 255))
+    dims = draw(st.lists(st.integers(0, 4) | st.integers(0, 2**64 - 1), max_size=5))
+    rank = draw(st.just(len(dims)) | st.integers(0, 8) | st.integers(0, 2**32 - 1))
+    count = math.prod(dims)
+    fits = bytes(8 * count) if count <= 64 else b""
+    payload = draw(st.just(fits) | st.binary(max_size=64))
+    return (b"SGTF" + struct.pack("<BBI", version, code, rank)
+            + struct.pack(f"<{len(dims)}Q", *dims) + payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.binary(max_size=96) | st.binary(max_size=96).map(b"SGTF".__add__)
+       | header_shaped())
+def test_read_tensor_returns_or_raises_value_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "x.sgtf"
+    path.write_bytes(raw)
+    try:
+        out = read_tensor(path)
+    except ValueError:
+        return
+    assert isinstance(out, np.ndarray)
 
 
 def test_params_dir_roundtrip(tmp_path):

@@ -247,6 +247,13 @@ def _case_add_scalar(r):
     return {"a": a, "s": s}, lambda: sum_all(sigmoid(add(a, s)))
 
 
+@fd_case("add_broadcast_both")
+def _case_add_broadcast(r):
+    a = Tensor(r.standard_normal((3, 1)), requires_grad=True)
+    b = Tensor(r.standard_normal((1, 4)), requires_grad=True)
+    return {"a": a, "b": b}, lambda: sum_all(sigmoid(add(a, b)))
+
+
 @fd_case("ew_mul")
 def _case_mul(r):
     a = Tensor(r.standard_normal((3, 4)), requires_grad=True)
@@ -259,6 +266,13 @@ def _case_mul_scalar(r):
     a = Tensor(r.standard_normal((2, 3)), requires_grad=True)
     s = Tensor([0.7], requires_grad=True)
     return {"a": a, "s": s}, lambda: sum_all(sigmoid(ew_mul(a, s)))
+
+
+@fd_case("ew_mul_broadcast_both")
+def _case_mul_broadcast(r):
+    a = Tensor(r.standard_normal((3, 1)), requires_grad=True)
+    b = Tensor(r.standard_normal((1, 4)), requires_grad=True)
+    return {"a": a, "b": b}, lambda: sum_all(sigmoid(ew_mul(a, b)))
 
 
 @fd_case("scale")
@@ -469,4 +483,10 @@ def test_dtype_follows_data():
     y = T.mean(T.ew_mul(T.sigmoid(x32), x32))
     assert y.dtype == np.float32
     y.backward()
+    assert x32.grad.dtype == np.float32
+    # python-number operands become constants in the tensor's dtype
+    x32.zero_grad()
+    outs = [x32 + 2.0, 2.0 + x32, x32 * 2.0, 2.0 * x32, x32 - 1.0, scale(x32, 3)]
+    assert [o.dtype for o in outs] == [np.float32] * len(outs)
+    T.mean(T.concat(outs, axis=0)).backward()
     assert x32.grad.dtype == np.float32
