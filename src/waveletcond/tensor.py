@@ -8,6 +8,9 @@ compositions of primitives and need no rule of their own: `scale`, `sub`,
 `linear` and `add_channel_bias`.  The test suite checks every op against
 central finite differences.
 
+Contractions (`matmul`, `channel_linear`, `conv3x3`) go through `np.matmul`,
+so they run as BLAS matrix products.
+
 `add` and `ew_mul` broadcast like numpy; each operand's gradient is summed
 back onto its own shape.  A non-tensor operand becomes a constant in the
 dtype of the tensor it meets.  Tensors are immutable values after
@@ -188,6 +191,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=axes).reshape(shape)
 
 
+def _fold(a: np.ndarray) -> np.ndarray:
+    """(n, k, ...) -> (k, n * rest): the batch folds into the columns of a matmul operand."""
+    return np.moveaxis(a, 1, 0).reshape(a.shape[1], -1)
+
+
 # -- elementwise & linear primitives ------------------------------------------
 
 
@@ -270,13 +278,14 @@ def channel_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"channel_linear: weight {w.shape} does not match channel count {c}")
     if b.shape != (w.shape[0],):
         raise ValueError(f"channel_linear: bias {b.shape} does not match weight rows {w.shape[0]}")
-    out_data = np.einsum("oc,ncij->noij", w.data, x.data)
+    n, _, h, wd = x.shape
+    out_data = np.matmul(w.data, x.data.reshape(n, c, h * wd)).reshape(n, -1, h, wd)
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(np.einsum("oc,noij->ncij", w.data, g))
+            x._accumulate(np.matmul(w.data.T, g.reshape(n, -1, h * wd)).reshape(x.shape))
         if w.requires_grad:
-            w._accumulate(np.einsum("noij,ncij->oc", g, x.data))
+            w._accumulate(_fold(g) @ _fold(x.data).T)
 
     return add_channel_bias(Tensor._from_op(out_data, (x, w), backward), b)
 
@@ -405,7 +414,18 @@ def tslice(x: Tensor, key) -> Tensor:
 
 
 def conv3x3(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
-    """3x3 correlation with zero padding 1; stride 1 or 2. x: (n,c,h,w), w: (co,c,3,3)."""
+    """3x3 correlation with zero padding 1; stride 1 or 2. x: (n,c,h,w), w: (co,c,3,3).
+
+    A sum over the nine kernel taps.  Tap (u, v) is the strided view of the
+    padded input that meets w[:, :, u, v]; reshaped to (n, c, ho*wo) it goes
+    through one `np.matmul` with that (co, c) slice, and the products add up
+    in an (n, co, ho*wo) buffer that is already NCHW.  The backward walks the
+    same taps: the weight gradient of a tap is one (co, n*ho*wo) by
+    (n*ho*wo, c) product and its input gradient is one matmul scattered back
+    onto the tap's view.  No (n*ho*wo, c*9) column matrix is built, to keep
+    peak memory down: one tap at a time needs a ninth of it, and the closure
+    keeps only the padded input.
+    """
     if stride not in (1, 2):
         raise ValueError(f"conv3x3: stride must be 1 or 2, got {stride}")
     if x.data.ndim != 4 or w.data.ndim != 4 or w.shape[2:] != (3, 3):
@@ -413,24 +433,25 @@ def conv3x3(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     if x.shape[1] != w.shape[1]:
         raise ValueError(f"conv3x3: channel mismatch x{x.shape} w{w.shape}")
     n, c, h, wd = x.shape
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
     xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (n, c, ho, wo, 3, 3)
-    out_data = np.einsum("ncijuv,ocuv->noij", win, w.data)
-    ho, wo = out_data.shape[2], out_data.shape[3]
+    taps = [(u, v, np.s_[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride])
+            for u in range(3) for v in range(3)]
+    out = np.zeros((n, w.shape[0], ho * wo), dtype=np.result_type(xp, w.data))
+    for u, v, tap in taps:
+        out += np.matmul(w.data[:, :, u, v], xp[tap].reshape(n, c, ho * wo))
 
     def backward(g: np.ndarray) -> None:
         if w.requires_grad:
-            w._accumulate(np.einsum("noij,ncijuv->ocuv", g, win))
+            g2 = _fold(g)
+            w._accumulate(np.stack([g2 @ _fold(xp[t]).T for _, _, t in taps], -1).reshape(w.shape))
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for u in range(3):
-                for v in range(3):
-                    contrib = np.einsum("noij,oc->ncij", g, w.data[:, :, u, v])
-                    gxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += contrib
+            g3, gxp = g.reshape(n, -1, ho * wo), np.zeros_like(xp)
+            for u, v, tap in taps:
+                gxp[tap] += np.matmul(w.data[:, :, u, v].T, g3).reshape(n, c, ho, wo)
             x._accumulate(gxp[:, :, 1:1 + h, 1:1 + wd])
 
-    return Tensor._from_op(out_data, (x, w), backward)
+    return Tensor._from_op(out.reshape(n, -1, ho, wo), (x, w), backward)
 
 
 def add_channel_bias(x: Tensor, v: Tensor) -> Tensor:

@@ -157,9 +157,16 @@ def test_unet_rejects_bad_t_and_shapes():
 
 
 def np_conv3x3(x, w, stride=1):
+    """Sum over the nine taps (u-major) of w[:, :, u, v] @ the tap's view of the padded input."""
+    n, c, h, wd = x.shape
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
-    return np.einsum("ncijuv,ocuv->noij", win[:, :, ::stride, ::stride], w)
+    out = np.zeros((n, w.shape[0], ho * wo))
+    for u in range(3):
+        for v in range(3):
+            tap = xp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
+            out += np.matmul(w[:, :, u, v], tap.reshape(n, c, ho * wo))
+    return out.reshape(n, -1, ho, wo)
 
 
 def np_relu(x):
