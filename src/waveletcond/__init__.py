@@ -20,14 +20,13 @@ from .msm import AudioEmbedding, MsmParams, init_msm_params, msm_forward
 from .sfm import SfmParams, init_sfm_params, sfm_forward
 from .tensor import Tensor, adam_step
 from .training import ablate, make_synthetic_dataset, train, train_loss
-from .wavelet import HaarKernels, SubBands, dwt2, haar_kernels, idwt2, pad_even
+from .wavelet import SubBands, dwt2, idwt2, pad_even
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AudioEmbedding",
     "DivergenceError",
-    "HaarKernels",
     "MsmParams",
     "NoiseSchedule",
     "SfmParams",
@@ -38,7 +37,6 @@ __all__ = [
     "adam_step",
     "dwt2",
     "forward_diffuse",
-    "haar_kernels",
     "idwt2",
     "init_model_params",
     "init_msm_params",

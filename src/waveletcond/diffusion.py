@@ -13,7 +13,7 @@ chunks along axis 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,9 +131,6 @@ class TrainConfig:
     @property
     def audio_length(self) -> int:
         return 2 * self.frames
-
-    def with_flags(self, use_msm: bool, use_sfm: bool) -> "TrainConfig":
-        return replace(self, use_msm=use_msm, use_sfm=use_sfm)
 
 
 def audio_to_windows(samples: np.ndarray, cfg: TrainConfig) -> np.ndarray:

@@ -26,7 +26,6 @@ from .tensor import (
     permute,
     relu,
     reshape,
-    scale,
     softmax_rows,
     tslice,
 )
@@ -167,6 +166,6 @@ def audio_attention(video_tokens: Tensor, audio_tokens: Tensor, p: AttentionPara
     q = matmul(video_tokens, p.q_w)
     k = matmul(audio_tokens, p.k_w)
     v = matmul(audio_tokens, p.v_w)
-    logits = scale(matmul(q, permute(k, (1, 0))), 1.0 / np.sqrt(d))
+    logits = ew_mul(matmul(q, permute(k, (1, 0))), 1.0 / np.sqrt(d))
     attn = softmax_rows(logits)
     return add(video_tokens, matmul(attn, v))

@@ -1,20 +1,20 @@
 """Dense real tensors with a minimal reverse-mode gradient tape.
 
 The op set is deliberately closed.  Primitives carry a hand-written backward
-rule: `add`, `ew_mul`, `matmul`, `channel_linear`'s channel mixing,
-`sigmoid`, `relu`, `softmax_rows`, `sum_all`, `mean`, `reshape`, `permute`,
-`concat`, `tslice`, `conv3x3` and `nearest_upsample2`.  The rest are
-compositions of primitives and need no rule of their own: `scale`, `sub`,
-`linear` and `add_channel_bias`.  The test suite checks every op against
-central finite differences.
+rule: `add`, `ew_mul`, `matmul`, `sigmoid`, `relu`, `softmax_rows`,
+`sum_all`, `mean`, `reshape`, `permute`, `concat`, `tslice`, `conv3x3` and
+`nearest_upsample2`.  The rest are compositions of primitives and need no
+rule of their own: `sub`, `linear`, `add_channel_bias` and `channel_linear`.
+The test suite checks every op against central finite differences.
 
-Contractions (`matmul`, `channel_linear`, `conv3x3`) go through `np.matmul`,
-so they run as BLAS matrix products.
+Contractions (`matmul`, `conv3x3`) go through `np.matmul`, so they run as
+BLAS matrix products.
 
-`add` and `ew_mul` broadcast like numpy; each operand's gradient is summed
-back onto its own shape.  A non-tensor operand becomes a constant in the
-dtype of the tensor it meets.  Tensors are immutable values after
-construction; training replaces parameter tensors instead of mutating them.
+`add`, `ew_mul` and `matmul` broadcast like numpy (`matmul` over the axes
+before the last two); each operand's gradient is summed back onto its own
+shape.  A non-tensor operand becomes a constant in the dtype of the tensor
+it meets.  Tensors are immutable values after construction; training
+replaces parameter tensors instead of mutating them.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ class Tensor:
         return sub(self, other)
 
     def __neg__(self):
-        return scale(self, -1.0)
+        return ew_mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -233,29 +233,24 @@ def ew_mul(a: Tensor, b) -> Tensor:
     return Tensor._from_op(out_data, (a, b), backward)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    """Multiply by a python scalar constant (no gradient for the constant)."""
-    return ew_mul(a, float(s))
-
-
 def sub(a: Tensor, b) -> Tensor:
-    return add(a, scale(_constant_like(b, a), -1.0))
+    return add(a, ew_mul(_constant_like(b, a), -1.0))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Standard 2-D matrix product."""
+    """Matrix product of operands of rank >= 2, leading axes broadcast as in `np.matmul`."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul: expected 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ValueError(f"matmul: expected operands of rank >= 2, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner dimensions differ: {a.shape} vs {b.shape}")
-    out_data = a.data @ b.data
+    out_data = np.matmul(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return Tensor._from_op(out_data, (a, b), backward)
 
@@ -274,31 +269,19 @@ def channel_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.data.ndim != 4:
         raise ValueError(f"channel_linear: expected 4-D input, got {x.shape}")
     c = x.shape[1]
-    if w.shape != (c, c) and (w.data.ndim != 2 or w.shape[1] != c):
+    if w.data.ndim != 2 or w.shape[1] != c:
         raise ValueError(f"channel_linear: weight {w.shape} does not match channel count {c}")
     if b.shape != (w.shape[0],):
         raise ValueError(f"channel_linear: bias {b.shape} does not match weight rows {w.shape[0]}")
     n, _, h, wd = x.shape
-    out_data = np.matmul(w.data, x.data.reshape(n, c, h * wd)).reshape(n, -1, h, wd)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(np.matmul(w.data.T, g.reshape(n, -1, h * wd)).reshape(x.shape))
-        if w.requires_grad:
-            w._accumulate(_fold(g) @ _fold(x.data).T)
-
-    return add_channel_bias(Tensor._from_op(out_data, (x, w), backward), b)
+    return add_channel_bias(reshape(matmul(w, reshape(x, (n, c, h * wd))), (n, -1, h, wd)), b)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic function, numerically stable for any finite input."""
     x = as_tensor(x)
-    d = x.data
-    out_data = np.empty_like(d)
-    pos = d >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x.data))
+    out_data = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g: np.ndarray) -> None:
         x._accumulate(g * out_data * (1.0 - out_data))
@@ -491,8 +474,9 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
               eps: float = 1e-8) -> dict[str, Tensor]:
     """One bias-corrected Adam update; returns fresh parameter tensors.
 
-    Parameters missing from `grads` (or with None grad) are carried over
-    unchanged; state is advanced in place.
+    A parameter missing from `grads`, or whose grad is None, is returned as
+    is and its moments stay untouched; the step count and the other moments
+    advance in place.
     """
     if lr <= 0.0:
         raise ValueError(f"adam_step: lr must be positive, got {lr}")
@@ -502,7 +486,8 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
     for k, p in params.items():
         g = grads.get(k)
         if g is None:
-            g = np.zeros(p.shape, dtype=p.data.dtype)
+            new_params[k] = p
+            continue
         if g.shape != p.shape:
             raise ValueError(f"adam_step: grad shape {g.shape} != param shape {p.shape} for {k!r}")
         m = state.m[k]
@@ -517,10 +502,3 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
         new_params[k] = Tensor(new_data, requires_grad=p.requires_grad)
     return new_params
 
-
-def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Read accumulated gradients off parameter tensors; zeros where detached."""
-    out = {}
-    for k, p in params.items():
-        out[k] = p.grad if p.grad is not None else np.zeros(p.shape, dtype=p.data.dtype)
-    return out

@@ -23,7 +23,7 @@ from .diffusion import (
     linear_schedule,
     unet_forward,
 )
-from .tensor import AdamState, Tensor, adam_step, collect_grads, ew_mul, mean, scale, sub
+from .tensor import AdamState, Tensor, adam_step, ew_mul, mean, sub
 
 FROZEN_BACKBONE_TRAINABLE_PREFIXES = ("enc.", "msm.", "sfm.")
 
@@ -103,7 +103,7 @@ def train_loss(batch: list[TrainItem], params: dict[str, Tensor],
         diff = sub(Tensor(item.eps, dtype=dtype), eps_hat)
         mse = mean(ew_mul(diff, diff))
         total = mse if total is None else total + mse
-    return scale(total, 1.0 / len(batch))
+    return ew_mul(total, 1.0 / len(batch))
 
 
 def trainable_names(params: dict[str, Tensor], cfg: TrainConfig) -> list[str]:
@@ -142,8 +142,8 @@ def train(dataset: list[Clip], cfg: TrainConfig,
             raise DivergenceError(f"train: non-finite loss {value} at step {step}")
         losses.append(value)
         loss.backward()
-        grads = collect_grads({k: params[k] for k in train_keys})
-        updated = adam_step({k: params[k] for k in train_keys}, grads, state, lr=cfg.lr)
+        trained = {k: params[k] for k in train_keys}
+        updated = adam_step(trained, {k: p.grad for k, p in trained.items()}, state, lr=cfg.lr)
         params = dict(params, **updated)
         if on_step is not None and (step % cfg.log_every == 0 or step == cfg.steps - 1):
             on_step(step, value)
@@ -188,7 +188,7 @@ def ablate(cfg: TrainConfig, on_step=None) -> dict:
     train_clips, val_clips = split_train_val(dataset)
     rows = []
     for label, use_msm, use_sfm in ABLATION_VARIANTS:
-        variant = cfg.with_flags(use_msm, use_sfm)
+        variant = dataclasses.replace(cfg, use_msm=use_msm, use_sfm=use_sfm)
         params, losses = train(train_clips, variant, on_step=None if on_step is None
                                else (lambda s, v, lab=label: on_step(lab, s, v)))
         window = min(50, max(1, len(losses) // 2))
@@ -202,7 +202,7 @@ def ablate(cfg: TrainConfig, on_step=None) -> dict:
         "report": "module-ablation",
         "columns": ["method", *TABLE_COLUMNS, "train_loss_first", "train_loss_last", "val_loss"],
         "rows": rows,
-        "config": config_to_dict(cfg),
+        "config": dataclasses.asdict(cfg),
     }
 
 
@@ -215,10 +215,6 @@ def report_to_json(report: dict) -> str:
 
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-
-
-def config_to_dict(cfg: TrainConfig) -> dict:
-    return dataclasses.asdict(cfg)
 
 
 def config_to_text(cfg: TrainConfig) -> str:

@@ -20,33 +20,7 @@ import numpy as np
 
 from .tensor import Tensor, as_tensor
 
-_SQRT2 = np.sqrt(2.0)
-LOW_FILTER = np.array([1.0, 1.0]) / _SQRT2
-HIGH_FILTER = np.array([-1.0, 1.0]) / _SQRT2
-
 BAND_ORDER = ("ll", "lh", "hl", "hh")
-
-
-@dataclass(frozen=True)
-class HaarKernels:
-    """The four 2x2 analysis kernels, k_XY[i][j] = X[i] * Y[j]."""
-
-    k_ll: np.ndarray
-    k_lh: np.ndarray
-    k_hl: np.ndarray
-    k_hh: np.ndarray
-
-    def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (self.k_ll, self.k_lh, self.k_hl, self.k_hh)
-
-
-def haar_kernels() -> HaarKernels:
-    return HaarKernels(
-        k_ll=np.outer(LOW_FILTER, LOW_FILTER),
-        k_lh=np.outer(LOW_FILTER, HIGH_FILTER),
-        k_hl=np.outer(HIGH_FILTER, LOW_FILTER),
-        k_hh=np.outer(HIGH_FILTER, HIGH_FILTER),
-    )
 
 
 @dataclass

@@ -17,7 +17,6 @@ from waveletcond.tensor import (
     add,
     add_channel_bias,
     channel_linear,
-    collect_grads,
     concat,
     conv3x3,
     ew_mul,
@@ -28,7 +27,6 @@ from waveletcond.tensor import (
     permute,
     relu,
     reshape,
-    scale,
     sigmoid,
     softmax_rows,
     sum_all,
@@ -193,12 +191,16 @@ def test_backward_requires_scalar_loss():
 
 
 def test_detached_parameter_gets_zero_gradient():
+    # a parameter off the loss's tape gets no gradient, and Adam leaves it as is
     x = Tensor([1.0], requires_grad=True)
     unused = Tensor([5.0], requires_grad=True)
     loss = sum_all(ew_mul(x, x))
     loss.backward()
-    grads = collect_grads({"x": x, "unused": unused})
-    np.testing.assert_array_equal(grads["unused"], [0.0])
+    assert unused.grad is None
+    params = {"x": x, "unused": unused}
+    out = adam_step(params, {k: p.grad for k, p in params.items()}, AdamState(params), lr=0.1)
+    assert out["unused"] is unused
+    assert out["x"].data[0] != 1.0
 
 
 def test_backward_sum_of_independent_subgraphs_is_concat_of_grads():
@@ -285,7 +287,7 @@ def _case_mul_broadcast(r):
 @fd_case("scale")
 def _case_scale(r):
     a = Tensor(r.standard_normal((4,)), requires_grad=True)
-    return {"a": a}, lambda: sum_all(sigmoid(scale(a, -2.5)))
+    return {"a": a}, lambda: sum_all(sigmoid(ew_mul(a, -2.5)))
 
 
 @fd_case("matmul")
@@ -293,6 +295,17 @@ def _case_matmul(r):
     a = Tensor(r.standard_normal((3, 4)), requires_grad=True)
     b = Tensor(r.standard_normal((4, 2)), requires_grad=True)
     return {"a": a, "b": b}, lambda: sum_all(sigmoid(matmul(a, b)))
+
+
+@fd_case("matmul_broadcast")
+def _case_matmul_broadcast(r):
+    # leading axes broadcast on either side, so both gradients are summed back
+    a = Tensor(r.standard_normal((3, 4)), requires_grad=True)
+    b = Tensor(r.standard_normal((2, 4, 5)), requires_grad=True)
+    c = Tensor(r.standard_normal((2, 1, 3, 4)), requires_grad=True)
+    d = Tensor(r.standard_normal((5, 4, 2)), requires_grad=True)
+    return ({"a": a, "b": b, "c": c, "d": d},
+            lambda: add(sum_all(sigmoid(matmul(a, b))), sum_all(sigmoid(matmul(c, d)))))
 
 
 @fd_case("linear")
@@ -492,6 +505,18 @@ def test_adam_zero_grad_leaves_params_unchanged():
     np.testing.assert_array_equal(out["w"].data, [1.0, -2.0, 3.0])
 
 
+def test_adam_missing_grad_leaves_param_and_moments():
+    params = {"w": Tensor(np.array([0.9, -0.4]), requires_grad=True)}
+    state = AdamState(params)
+    params = adam_step(params, {"w": np.array([0.5, -1.5])}, state, lr=0.1)
+    m, v = state.m["w"].copy(), state.v["w"].copy()
+    for grads in ({}, {"w": None}):
+        out = adam_step(params, grads, state, lr=0.1)
+        assert out["w"] is params["w"]
+        np.testing.assert_array_equal(state.m["w"], m)
+        np.testing.assert_array_equal(state.v["w"], v)
+
+
 def _adam_reference(theta, gs, lr, b1=0.9, b2=0.999, eps=1e-8):
     """Textbook recurrence, scalar-per-element, kept independent of the implementation."""
     m = np.zeros_like(theta)
@@ -565,7 +590,7 @@ def test_dtype_follows_data():
     assert x32.grad.dtype == np.float32
     # python-number operands become constants in the tensor's dtype
     x32.zero_grad()
-    outs = [x32 + 2.0, 2.0 + x32, x32 * 2.0, 2.0 * x32, x32 - 1.0, scale(x32, 3)]
+    outs = [x32 + 2.0, 2.0 + x32, x32 * 2.0, 2.0 * x32, x32 - 1.0, ew_mul(x32, 3)]
     assert [o.dtype for o in outs] == [np.float32] * len(outs)
     T.mean(T.concat(outs, axis=0)).backward()
     assert x32.grad.dtype == np.float32

@@ -1,4 +1,4 @@
-"""Haar transform: kernel construction, analysis/synthesis, invariants."""
+"""Haar transform: kernels, analysis/synthesis, invariants."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from waveletcond.gradcheck import check_gradients
 from waveletcond.tensor import Tensor, ew_mul, sigmoid, sum_all
 from waveletcond.wavelet import (
-    HaarKernels,
     SubBands,
     crop_to,
     dwt2,
     dwt2_batched,
     dwt2_data,
-    haar_kernels,
     idwt2,
     idwt2_batched,
     pad_even,
@@ -25,11 +23,17 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def naive_dwt2(x, kernels: HaarKernels):
+LOW = np.array([1.0, 1.0]) / np.sqrt(2.0)
+HIGH = np.array([-1.0, 1.0]) / np.sqrt(2.0)
+# k_XY[i][j] = X[i] * Y[j], in band order ll, lh, hl, hh
+KERNELS = tuple(np.outer(a, b) for a, b in ((LOW, LOW), (LOW, HIGH), (HIGH, LOW), (HIGH, HIGH)))
+
+
+def naive_dwt2(x):
     """Brute-force 2x2 kernel correlation over non-overlapping blocks."""
     h, w = x.shape
     bands = []
-    for k in kernels.as_tuple():
+    for k in KERNELS:
         out = np.zeros((h // 2, w // 2))
         for i in range(h // 2):
             for j in range(w // 2):
@@ -41,16 +45,23 @@ def naive_dwt2(x, kernels: HaarKernels):
 # -- kernels -----------------------------------------------------------------
 
 
+def impulse_responses():
+    """Row k is band k of dwt2_data on the four unit 2x2 impulses: its kernel, flattened."""
+    return np.stack([np.ravel(dwt2_data(e.reshape(2, 2))) for e in np.eye(4)], axis=1)
+
+
 def test_kernel_ll_is_all_halves():
-    np.testing.assert_allclose(haar_kernels().k_ll, np.full((2, 2), 0.5), atol=1e-15)
+    np.testing.assert_allclose(impulse_responses()[0].reshape(2, 2), np.full((2, 2), 0.5),
+                               atol=1e-15)
 
 
 def test_kernel_hh():
-    np.testing.assert_allclose(haar_kernels().k_hh, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
+    np.testing.assert_allclose(impulse_responses()[3].reshape(2, 2), [[0.5, -0.5], [-0.5, 0.5]],
+                               atol=1e-15)
 
 
 def test_kernel_gram_matrix_is_identity():
-    flat = np.stack([k.reshape(-1) for k in haar_kernels().as_tuple()])
+    flat = impulse_responses()
     np.testing.assert_allclose(flat @ flat.T, np.eye(4), atol=1e-12)
 
 
@@ -76,7 +87,7 @@ def test_single_block_vector():
 def test_dwt2_vs_naive_loop_oracle():
     x = rng(5).standard_normal((8, 8))
     got = dwt2(Tensor(x))
-    want = naive_dwt2(x, haar_kernels())
+    want = naive_dwt2(x)
     for g, w in zip(got.bands(), want):
         assert np.max(np.abs(g.data - w)) < 1e-12
 
