@@ -20,7 +20,7 @@ from .msm import AudioEmbedding, MsmParams, init_msm_params, msm_forward
 from .sfm import SfmParams, init_sfm_params, sfm_forward
 from .tensor import Tensor, adam_step
 from .training import ablate, make_synthetic_dataset, train, train_loss
-from .wavelet import SubBands, dwt2, idwt2, pad_even
+from .wavelet import dwt2, idwt2, pad_even
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "MsmParams",
     "NoiseSchedule",
     "SfmParams",
-    "SubBands",
     "Tensor",
     "TrainConfig",
     "ablate",

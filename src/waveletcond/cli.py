@@ -32,7 +32,7 @@ from .training import (
     report_to_json,
     train,
 )
-from .wavelet import BAND_ORDER, SubBands, dwt2, idwt2
+from .wavelet import BAND_ORDER, dwt2_data, idwt2_data
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -115,16 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_dwt(args) -> int:
-    x = Tensor(sgtf.read_tensor(args.input))
-    bands = dwt2(x)
-    for name, band in zip(BAND_ORDER, bands.bands()):
+    bands = dwt2_data(sgtf.read_tensor(args.input))
+    for name, band in zip(BAND_ORDER, bands):
         sgtf.write_tensor(f"{args.out_prefix}.{name}.sgtf", band)
     return EXIT_OK
 
 
 def cmd_idwt(args) -> int:
-    bands = [Tensor(sgtf.read_tensor(f"{args.in_prefix}.{name}.sgtf")) for name in BAND_ORDER]
-    sgtf.write_tensor(args.output, idwt2(SubBands(*bands)))
+    bands = [sgtf.read_tensor(f"{args.in_prefix}.{name}.sgtf") for name in BAND_ORDER]
+    sgtf.write_tensor(args.output, idwt2_data(np.stack(bands)))
     return EXIT_OK
 
 

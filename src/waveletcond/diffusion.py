@@ -170,15 +170,15 @@ def init_model_params(cfg: TrainConfig, seed: int | None = None) -> dict[str, Te
     params["unet.down_b"] = zeros(mid)
     params["unet.mid1_w"] = conv_w(mid, mid)
     params["unet.mid1_b"] = zeros(mid)
-    params.update(init_attention_params(mid, cfg.d_audio, rng).named("att"))
+    params.update(init_attention_params(mid, cfg.d_audio, rng).named())
     params["unet.mid2_w"] = conv_w(mid, mid)
     params["unet.mid2_b"] = zeros(mid)
     params["unet.up_w"] = conv_w(base, mid + base)
     params["unet.up_b"] = zeros(base)
     params["unet.out_w"] = zeros((c, base, 3, 3))
     params["unet.out_b"] = zeros(c)
-    params.update(init_msm_params(cfg.latent_shape, hidden=cfg.h_msm).named("msm"))
-    params.update(init_sfm_params(bott).named("sfm"))
+    params.update(init_msm_params(cfg.latent_shape, hidden=cfg.h_msm).named())
+    params.update(init_sfm_params(bott).named())
     return params
 
 

@@ -27,9 +27,8 @@ from .tensor import (
     relu,
     reshape,
     softmax_rows,
-    tslice,
 )
-from .wavelet import SubBands, dwt2, idwt2
+from .wavelet import dwt2, idwt2
 
 
 @dataclass
@@ -62,7 +61,7 @@ class MsmParams(ParamGroup):
     bias) the module is an exact identity on the audio embedding.
     """
 
-    default_prefix = "msm"
+    prefix = "msm"
 
     w: Tensor        # same shape as the latent, init 1.0
     fc1_w: Tensor    # (4, hidden)
@@ -109,25 +108,20 @@ def chunk_weights(z_t: Tensor, p: MsmParams) -> Tensor:
     return reshape(out, (4,))
 
 
-def apply_spectral_weights(s: SubBands, weights: Tensor) -> SubBands:
-    """Scale the four sub-bands by the (ll, lh, hl, hh)-ordered weights."""
-    if weights.shape != (4,):
-        raise ValueError(f"apply_spectral_weights: weights must have shape (4,), got {weights.shape}")
-    scaled = [ew_mul(band, tslice(weights, i)) for i, band in enumerate(s.bands())]
-    return SubBands(*scaled)
-
-
 def msm_forward(audio: AudioEmbedding, z_t: Tensor, p: MsmParams) -> Tensor:
-    """Condition the audio embedding on the latent: decompose, reweight, reconstruct."""
+    """Condition the audio embedding on the latent: decompose, reweight, reconstruct.
+
+    Band k of the (4, d_a/2, l/2) sub-band stack is scaled by weight k.
+    """
     weights = chunk_weights(z_t, p)
-    return idwt2(apply_spectral_weights(dwt2(audio.values), weights))
+    return idwt2(ew_mul(dwt2(audio.values), reshape(weights, (4, 1, 1))))
 
 
 @dataclass
 class AttentionParams(ParamGroup):
     """Projections for single-head cross-attention (video queries, audio keys/values)."""
 
-    default_prefix = "att"
+    prefix = "att"
 
     q_w: Tensor  # (d_video, d_video)
     k_w: Tensor  # (d_audio, d_video)

@@ -1,8 +1,9 @@
 """Self-adaptive filtering of encoder bottleneck features.
 
-Features are wavelet-decomposed, each sub-band rescaled by a tunable
-per-element weight tensor, and reconstructed; a sigmoid gate computed from
-the raw features by a channel-mixing layer then modulates the result.  At
+Features are wavelet-decomposed, the (4, f, c, h/2, w/2) sub-band stack
+rescaled by a tunable per-element weight tensor of the same shape, and
+reconstructed; a sigmoid gate computed from the raw features by a
+channel-mixing layer then modulates the result.  At
 the default initialization (unit sub-band weights, zero gate layer) the
 output is exactly half the input: the wavelet path is the identity and
 sigmoid(0) = 0.5.
@@ -15,24 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import ParamGroup, Tensor, as_tensor, channel_linear, ew_mul, sigmoid
-from .wavelet import SubBands, dwt2_batched, idwt2_batched
+from .wavelet import dwt2_batched, idwt2_batched
 
 
 @dataclass
 class SfmParams(ParamGroup):
     """Per-element sub-band weights plus the channel-mixing gate layer."""
 
-    default_prefix = "sfm"
+    prefix = "sfm"
 
-    w_ll: Tensor   # (f, c, h/2, w/2), init 1.0
-    w_lh: Tensor
-    w_hl: Tensor
-    w_hh: Tensor
+    w: Tensor       # (4, f, c, h/2, w/2): one slice per band in BAND_ORDER, init 1.0
     gate_w: Tensor  # (c, c), init 0
     gate_b: Tensor  # (c,), init 0
-
-    def band_weights(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        return (self.w_ll, self.w_lh, self.w_hl, self.w_hh)
 
 
 def init_sfm_params(feature_shape: tuple[int, ...]) -> SfmParams:
@@ -42,12 +37,8 @@ def init_sfm_params(feature_shape: tuple[int, ...]) -> SfmParams:
     f, c, h, w = feature_shape
     if h % 2 or w % 2:
         raise ValueError(f"init_sfm_params: spatial dims must be even, got {feature_shape}")
-    half = (f, c, h // 2, w // 2)
     return SfmParams(
-        w_ll=Tensor(np.ones(half), requires_grad=True),
-        w_lh=Tensor(np.ones(half), requires_grad=True),
-        w_hl=Tensor(np.ones(half), requires_grad=True),
-        w_hh=Tensor(np.ones(half), requires_grad=True),
+        w=Tensor(np.ones((4, f, c, h // 2, w // 2)), requires_grad=True),
         gate_w=Tensor(np.zeros((c, c)), requires_grad=True),
         gate_b=Tensor(np.zeros(c), requires_grad=True),
     )
@@ -71,10 +62,7 @@ def sfm_forward(h_t: Tensor, p: SfmParams) -> Tensor:
     """Filter bottleneck features: reweight sub-bands, reconstruct, gate."""
     h_t = as_tensor(h_t)
     bands = dwt2_batched(h_t)
-    for name, w, band in zip(("w_ll", "w_lh", "w_hl", "w_hh"), p.band_weights(), bands.bands()):
-        if w.shape != band.shape:
-            raise ValueError(
-                f"sfm_forward: {name} shape {w.shape} does not match sub-band shape {band.shape}")
-    weighted = SubBands(*[ew_mul(w, band) for w, band in zip(p.band_weights(), bands.bands())])
-    reconstructed = idwt2_batched(weighted)
-    return ew_mul(gate_map(h_t, p), reconstructed)
+    if p.w.shape != bands.shape:
+        raise ValueError(
+            f"sfm_forward: w shape {p.w.shape} does not match sub-band shape {bands.shape}")
+    return ew_mul(gate_map(h_t, p), idwt2_batched(ew_mul(p.w, bands)))

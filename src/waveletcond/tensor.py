@@ -161,16 +161,14 @@ class ParamGroup:
     Names and their order follow the dataclass fields.
     """
 
-    default_prefix: ClassVar[str]
+    prefix: ClassVar[str]
 
-    def named(self, prefix: str | None = None) -> dict[str, Tensor]:
-        prefix = self.default_prefix if prefix is None else prefix
-        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in dataclasses.fields(self)}
+    def named(self) -> dict[str, Tensor]:
+        return {f"{self.prefix}.{f.name}": getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
-    def from_named(cls, params: dict[str, Tensor], prefix: str | None = None):
-        prefix = cls.default_prefix if prefix is None else prefix
-        return cls(**{f.name: params[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls)})
+    def from_named(cls, params: dict[str, Tensor]):
+        return cls(**{f.name: params[f"{cls.prefix}.{f.name}"] for f in dataclasses.fields(cls)})
 
 
 def as_tensor(x) -> Tensor:
@@ -461,12 +459,12 @@ def nearest_upsample2(x: Tensor) -> Tensor:
 
 
 class AdamState:
-    """First/second moment accumulators for one parameter set."""
+    """First/second moment accumulators and update counts for one parameter set."""
 
     def __init__(self, params: dict[str, Tensor]):
         self.m = {k: np.zeros(p.shape, dtype=p.data.dtype) for k, p in params.items()}
         self.v = {k: np.zeros(p.shape, dtype=p.data.dtype) for k, p in params.items()}
-        self.step = 0
+        self.step = dict.fromkeys(params, 0)
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState,
@@ -475,13 +473,12 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
     """One bias-corrected Adam update; returns fresh parameter tensors.
 
     A parameter missing from `grads`, or whose grad is None, is returned as
-    is and its moments stay untouched; the step count and the other moments
-    advance in place.
+    is and its moments and step count stay untouched; those of the other
+    parameters advance in place.  Each parameter's bias correction uses its
+    own step count, so skipped steps do not count.
     """
     if lr <= 0.0:
         raise ValueError(f"adam_step: lr must be positive, got {lr}")
-    state.step += 1
-    t = state.step
     new_params: dict[str, Tensor] = {}
     for k, p in params.items():
         g = grads.get(k)
@@ -490,6 +487,8 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
             continue
         if g.shape != p.shape:
             raise ValueError(f"adam_step: grad shape {g.shape} != param shape {p.shape} for {k!r}")
+        state.step[k] += 1
+        t = state.step[k]
         m = state.m[k]
         v = state.v[k]
         m *= beta1

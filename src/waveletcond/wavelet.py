@@ -7,14 +7,13 @@ acts along the vertical (row) axis, the second along the horizontal
 (column) axis.  The kernels are orthonormal, so the transform preserves
 energy and the adjoint reconstruction is the exact inverse.
 
-Both directions are recorded as linear autodiff ops: the gradient of the
-forward transform is the inverse transform of the upstream sub-band
-gradients, and vice versa.
+The four sub-bands travel as one stack: the leading axis of length 4 holds
+ll, lh, hl, hh in BAND_ORDER.  Both directions are recorded as linear
+autodiff ops on that stack: the gradient of the forward transform is the
+inverse transform of the upstream stack gradient, and vice versa.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,26 +22,8 @@ from .tensor import Tensor, as_tensor
 BAND_ORDER = ("ll", "lh", "hl", "hh")
 
 
-@dataclass
 class SubBands:
-    """Same-shaped wavelet components of 2-D slices: coarse ll plus lh/hl/hh detail."""
-
-    ll: Tensor
-    lh: Tensor
-    hl: Tensor
-    hh: Tensor
-
-    def __post_init__(self):
-        shapes = {b.shape for b in self.bands()}
-        if len(shapes) != 1:
-            raise ValueError(f"SubBands: shapes differ: {[b.shape for b in self.bands()]}")
-
-    def bands(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        return (self.ll, self.lh, self.hl, self.hh)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.ll.shape
+    """Empty: the sub-bands are one stacked tensor.  perfbench/spans.py imports this name."""
 
 
 def _check_even(shape: tuple[int, ...]) -> None:
@@ -55,27 +36,26 @@ def _check_even(shape: tuple[int, ...]) -> None:
         raise ValueError(f"dwt2: trailing column dimension {w} is odd (shape {shape})")
 
 
-def dwt2_data(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Numpy core: correlate each non-overlapping 2x2 block with the four kernels."""
+def dwt2_data(x: np.ndarray) -> np.ndarray:
+    """Numpy core: correlate each non-overlapping 2x2 block with the four kernels.
+
+    Returns the bands stacked as (4, *lead, h/2, w/2), in BAND_ORDER.
+    """
     _check_even(x.shape)
     a = x[..., 0::2, 0::2]
     b = x[..., 0::2, 1::2]
     c = x[..., 1::2, 0::2]
     d = x[..., 1::2, 1::2]
-    ll = (a + b + c + d) * 0.5
-    lh = (-a + b - c + d) * 0.5
-    hl = (-a - b + c + d) * 0.5
-    hh = (a - b - c + d) * 0.5
-    return ll, lh, hl, hh
+    return np.stack([(a + b + c + d) * 0.5, (-a + b - c + d) * 0.5,
+                     (-a - b + c + d) * 0.5, (a - b - c + d) * 0.5])
 
 
-def idwt2_data(ll: np.ndarray, lh: np.ndarray, hl: np.ndarray, hh: np.ndarray) -> np.ndarray:
-    """Numpy core: adjoint reconstruction, exact inverse of dwt2_data."""
-    shapes = {ll.shape, lh.shape, hl.shape, hh.shape}
-    if len(shapes) != 1:
-        raise ValueError(f"idwt2: sub-band shapes differ: {sorted(map(str, shapes))}")
-    out_shape = ll.shape[:-2] + (2 * ll.shape[-2], 2 * ll.shape[-1])
-    x = np.empty(out_shape, dtype=ll.dtype)
+def idwt2_data(s: np.ndarray) -> np.ndarray:
+    """Numpy core: adjoint reconstruction from a band stack, exact inverse of dwt2_data."""
+    if s.ndim < 3 or s.shape[0] != 4:
+        raise ValueError(f"idwt2: expected a (4, ..., h, w) sub-band stack, got shape {s.shape}")
+    ll, lh, hl, hh = s
+    x = np.empty(ll.shape[:-2] + (2 * ll.shape[-2], 2 * ll.shape[-1]), dtype=s.dtype)
     x[..., 0::2, 0::2] = (ll - lh - hl + hh) * 0.5
     x[..., 0::2, 1::2] = (ll + lh - hl - hh) * 0.5
     x[..., 1::2, 0::2] = (ll - lh + hl - hh) * 0.5
@@ -83,39 +63,32 @@ def idwt2_data(ll: np.ndarray, lh: np.ndarray, hl: np.ndarray, hh: np.ndarray) -
     return x
 
 
-def dwt2(x: Tensor) -> SubBands:
-    """Decompose the trailing two dimensions into four half-size sub-bands.
+def dwt2(x: Tensor) -> Tensor:
+    """Decompose the trailing two dimensions into a (4, *lead, h/2, w/2) band stack.
 
     Leading (batch) dimensions are carried through unchanged; trailing
-    dimensions must be even (see pad_even).  The bands are slices of one
-    op over the stacked bands, so the backward pass runs a single inverse
-    transform of all four band gradients.
+    dimensions must be even (see pad_even).
     """
     x = as_tensor(x)
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(idwt2_data(*g))
+        x._accumulate(idwt2_data(g))
 
-    stacked = Tensor._from_op(np.stack(dwt2_data(x.data)), (x,), backward)
-    return SubBands(*(stacked[i] for i in range(4)))
+    return Tensor._from_op(dwt2_data(x.data), (x,), backward)
 
 
-def idwt2(s: SubBands) -> Tensor:
-    """Reconstruct the signal from four sub-bands (exact inverse of dwt2)."""
-    parents = s.bands()
-    out_data = idwt2_data(*(b.data for b in parents))
+def idwt2(s: Tensor) -> Tensor:
+    """Reconstruct the signal from a (4, ...) band stack (exact inverse of dwt2)."""
+    s = as_tensor(s)
 
     def backward(g: np.ndarray) -> None:
-        gb = dwt2_data(g)
-        for band, grad in zip(parents, gb):
-            if band.requires_grad:
-                band._accumulate(grad)
+        s._accumulate(dwt2_data(g))
 
-    return Tensor._from_op(out_data, parents, backward)
+    return Tensor._from_op(idwt2_data(s.data), (s,), backward)
 
 
 # Batched aliases: the cores already apply per 2-D slice across all leading
-# dimensions, so these are the same operations under the contract names.
+# dimensions.  sfm calls through them because perfbench/spans.py binds these names.
 dwt2_batched = dwt2
 idwt2_batched = idwt2
 

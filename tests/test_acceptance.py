@@ -45,7 +45,7 @@ from waveletcond.training import (
     train,
     train_loss,
 )
-from waveletcond.wavelet import SubBands, dwt2, dwt2_data, idwt2
+from waveletcond.wavelet import dwt2, dwt2_data, idwt2
 
 from test_metrics import naive_ssim
 
@@ -70,8 +70,8 @@ def test_c1_wavelet_correctness():
     flat = np.stack([np.ravel(dwt2_data(e.reshape(2, 2))) for e in np.eye(4)], axis=1)
     assert np.max(np.abs(flat @ flat.T - np.eye(4))) < 1e-12
     s = dwt2(Tensor(np.full((16, 16), 2.7)))
-    for band in (s.lh, s.hl, s.hh):
-        assert np.all(band.data == 0.0)
+    for band in s.data[1:]:
+        assert np.all(band == 0.0)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"criterion 1 runtime {elapsed:.2f}s >= 1s"
     print(f"\n[criterion 1] wavelet correctness: PASS ({elapsed:.2f}s)")
@@ -80,7 +80,7 @@ def test_c1_wavelet_correctness():
 def test_c2_energy_preservation():
     for x in corpus():
         s = dwt2(Tensor(x))
-        total = sum(float(np.sum(b.data ** 2)) for b in s.bands())
+        total = sum(float(np.sum(b ** 2)) for b in s.data)
         ref = float(np.sum(x ** 2))
         assert abs(ref - total) / ref < 1e-10
     print("\n[criterion 2] energy preservation: PASS")
@@ -117,10 +117,7 @@ def test_c3_gradient_suite():
     feat_shape = (2, 3, 4, 4)
     half = (2, 3, 2, 2)
     sfm_p = SfmParams(
-        w_ll=Tensor(r.standard_normal(half), requires_grad=True),
-        w_lh=Tensor(r.standard_normal(half), requires_grad=True),
-        w_hl=Tensor(r.standard_normal(half), requires_grad=True),
-        w_hh=Tensor(r.standard_normal(half), requires_grad=True),
+        w=Tensor(np.stack([r.standard_normal(half) for _ in range(4)]), requires_grad=True),
         gate_w=Tensor(r.standard_normal((3, 3)), requires_grad=True),
         gate_b=Tensor(r.standard_normal(3), requires_grad=True),
     )

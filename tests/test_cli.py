@@ -8,10 +8,12 @@ import pytest
 from waveletcond import sgtf
 from waveletcond.cli import main, parse_index_spec
 from waveletcond.datakit import ClipRecord, SourceMeta, write_manifest, write_sources
-from waveletcond.diffusion import TrainConfig
+from waveletcond.diffusion import TrainConfig, init_model_params
 from waveletcond.metrics import save_beats, save_landmarks_csv
 from waveletcond.msm import init_msm_params
 from waveletcond.sfm import init_sfm_params
+from waveletcond.tensor import Tensor
+from waveletcond.training import parse_config_text
 from waveletcond.wavelet import dwt2_data, idwt2_data
 
 
@@ -69,6 +71,19 @@ def test_dwt_odd_input_exits_2(tmp_path, capsys):
     sgtf.write_tensor(tmp_path / "x.sgtf", np.zeros((5, 5)))
     assert main(["dwt", str(tmp_path / "x.sgtf"), str(tmp_path / "b")]) == 2
     assert "odd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shapes", [
+    [(2, 2), (2, 3), (2, 2), (2, 2)],  # bands of different shapes
+    [(3,)] * 4,                        # 1-D bands: no rows to interleave
+], ids=["mismatched", "rank1"])
+def test_idwt_bad_bands_exit_2(tmp_path, capsys, shapes):
+    for name, shape in zip(("ll", "lh", "hl", "hh"), shapes):
+        sgtf.write_tensor(tmp_path / f"b.{name}.sgtf", np.zeros(shape))
+    assert main(["idwt", str(tmp_path / "b"), str(tmp_path / "x.sgtf")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "x.sgtf").exists()
 
 
 def test_dwt_truncated_header_exits_2(tmp_path, capsys):
@@ -152,6 +167,23 @@ def test_train_toy_and_sample(tmp_path, capsys):
     main(["sample", "--params", str(run), "--audio", str(tmp_path / "a.sgtf"),
           "--ref", str(tmp_path / "r.sgtf"), "--seed", "3", "--out", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_sample_on_per_band_sfm_params_exits_2(tmp_path, capsys):
+    # a run directory saved with the four per-band SFM weights, sfm.w_ll ... sfm.w_hh
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "config.txt").write_text(TINY_CONFIG)
+    params = init_model_params(parse_config_text(TINY_CONFIG))
+    stacked = params.pop("sfm.w")
+    for name, band in zip(("ll", "lh", "hl", "hh"), stacked.data):
+        params[f"sfm.w_{name}"] = Tensor(band)
+    sgtf.save_params(run / "params", params)
+    sgtf.write_tensor(tmp_path / "a.sgtf", np.zeros(8))
+    sgtf.write_tensor(tmp_path / "r.sgtf", np.zeros((1, 8, 8)))
+    assert main(["sample", "--params", str(run), "--audio", str(tmp_path / "a.sgtf"),
+                 "--ref", str(tmp_path / "r.sgtf"), "--out", str(tmp_path / "c.sgtf")]) == 2
+    assert "sfm.w" in capsys.readouterr().err
 
 
 def test_train_toy_unknown_config_key_exits_2(tmp_path, capsys):

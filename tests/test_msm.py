@@ -1,5 +1,7 @@
 """Spectral conditioning module: weight head, sub-band scaling, attention."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from waveletcond.msm import (
     AttentionParams,
     AudioEmbedding,
     MsmParams,
-    apply_spectral_weights,
     audio_attention,
     chunk_weights,
     frame_tokens,
@@ -17,7 +18,7 @@ from waveletcond.msm import (
     msm_forward,
 )
 from waveletcond.tensor import Tensor, mean, sigmoid, sum_all
-from waveletcond.wavelet import dwt2, idwt2
+from waveletcond.wavelet import dwt2, dwt2_data, idwt2, idwt2_data
 
 LATENT_SHAPE = (2, 1, 8, 4)  # (frames, channels, width, height)
 
@@ -106,26 +107,29 @@ def test_chunk_weights_rejects_shape_mismatch():
         chunk_weights(Tensor(np.zeros((2, 1, 8, 8))), p)
 
 
-# -- apply_spectral_weights -----------------------------------------------------
+# -- sub-band scaling --------------------------------------------------------------
+
+
+def weighted_msm(values: Tensor, weights) -> Tensor:
+    """msm_forward with zero FC weights and fc2_b = weights: chunk_weights returns them exactly."""
+    p = dataclasses.replace(init_msm_params(LATENT_SHAPE), fc2_b=Tensor(weights))
+    return msm_forward(AudioEmbedding(values, frames=2), Tensor(np.zeros(LATENT_SHAPE)), p)
 
 
 def test_unit_weights_leave_subbands_unchanged():
-    s = dwt2(Tensor(rng(8).standard_normal((6, 6))))
-    out = apply_spectral_weights(s, Tensor(np.ones(4)))
-    for a, b in zip(out.bands(), s.bands()):
-        np.testing.assert_array_equal(a.data, b.data)
+    x = Tensor(rng(8).standard_normal((6, 6)))
+    out = weighted_msm(x, np.ones(4))
+    np.testing.assert_array_equal(out.data, idwt2(dwt2(x)).data)
 
 
 def test_zero_weights_zero_subbands():
-    s = dwt2(Tensor(rng(9).standard_normal((4, 4))))
-    out = apply_spectral_weights(s, Tensor(np.zeros(4)))
-    for band in out.bands():
-        np.testing.assert_array_equal(band.data, np.zeros((2, 2)))
+    out = weighted_msm(Tensor(rng(9).standard_normal((4, 4))), np.zeros(4))
+    np.testing.assert_array_equal(dwt2_data(out.data), np.zeros((4, 2, 2)))
 
 
 def test_ll_only_doubling_on_constant_embedding():
     const = Tensor(np.full((4, 8), 1.5))
-    out = idwt2(apply_spectral_weights(dwt2(const), Tensor([2.0, 0.0, 0.0, 0.0])))
+    out = weighted_msm(const, [2.0, 0.0, 0.0, 0.0])
     np.testing.assert_allclose(out.data, np.full((4, 8), 3.0), atol=1e-12)
 
 
@@ -151,20 +155,19 @@ def test_zeroed_head_gives_zero_output():
 
 def test_forward_vs_stage_composition_oracle():
     # fixed weights [2,3,5,7] through an independent composition of the stages
-    from waveletcond.wavelet import dwt2_data, idwt2_data
     vals = rng(14).standard_normal((6, 10))
     weights = np.array([2.0, 3.0, 5.0, 7.0])
     bands = dwt2_data(vals)
-    want = idwt2_data(*(w * b for w, b in zip(weights, bands)))
-    got = idwt2(apply_spectral_weights(dwt2(Tensor(vals)), Tensor(weights)))
+    want = idwt2_data(np.stack([w * b for w, b in zip(weights, bands)]))
+    got = weighted_msm(Tensor(vals), weights)
     assert np.max(np.abs(got.data - want)) < 1e-10
 
 
 def test_homogeneity_in_weights():
     vals = Tensor(rng(15).standard_normal((4, 8)))
     w = Tensor(np.array([0.3, -1.2, 0.9, 2.0]))
-    base = idwt2(apply_spectral_weights(dwt2(vals), w)).data
-    scaled = idwt2(apply_spectral_weights(dwt2(vals), Tensor(2.5 * w.data))).data
+    base = weighted_msm(vals, w.data).data
+    scaled = weighted_msm(vals, 2.5 * w.data).data
     np.testing.assert_allclose(scaled, 2.5 * base, atol=1e-10)
 
 

@@ -19,10 +19,7 @@ def random_sfm_params(seed=0, shape=FEAT_SHAPE):
     f, c, h, w = shape
     half = (f, c, h // 2, w // 2)
     return SfmParams(
-        w_ll=Tensor(r.standard_normal(half), requires_grad=True),
-        w_lh=Tensor(r.standard_normal(half), requires_grad=True),
-        w_hl=Tensor(r.standard_normal(half), requires_grad=True),
-        w_hh=Tensor(r.standard_normal(half), requires_grad=True),
+        w=Tensor(np.stack([r.standard_normal(half) for _ in range(4)]), requires_grad=True),
         gate_w=Tensor(r.standard_normal((c, c)), requires_grad=True),
         gate_b=Tensor(r.standard_normal(c), requires_grad=True),
     )
@@ -39,8 +36,7 @@ def test_gate_zero_params_is_half_everywhere():
 
 def test_gate_identity_weights_zero_input():
     p = init_sfm_params(FEAT_SHAPE)
-    p = SfmParams(w_ll=p.w_ll, w_lh=p.w_lh, w_hl=p.w_hl, w_hh=p.w_hh,
-                  gate_w=Tensor(np.eye(3), requires_grad=True), gate_b=p.gate_b)
+    p = SfmParams(w=p.w, gate_w=Tensor(np.eye(3), requires_grad=True), gate_b=p.gate_b)
     h = Tensor(np.zeros(FEAT_SHAPE))
     np.testing.assert_array_equal(gate_map(h, p).data, np.full(FEAT_SHAPE, 0.5))
 
@@ -88,12 +84,8 @@ def test_init_params_give_exactly_half_input():
 
 def test_doubling_band_weights_doubles_output():
     p = init_sfm_params(FEAT_SHAPE)
-    doubled = SfmParams(
-        w_ll=Tensor(2.0 * p.w_ll.data, requires_grad=True),
-        w_lh=Tensor(2.0 * p.w_lh.data, requires_grad=True),
-        w_hl=Tensor(2.0 * p.w_hl.data, requires_grad=True),
-        w_hh=Tensor(2.0 * p.w_hh.data, requires_grad=True),
-        gate_w=p.gate_w, gate_b=p.gate_b)
+    doubled = SfmParams(w=Tensor(2.0 * p.w.data, requires_grad=True),
+                        gate_w=p.gate_w, gate_b=p.gate_b)
     h = Tensor(rng(8).standard_normal(FEAT_SHAPE))
     np.testing.assert_allclose(sfm_forward(h, doubled).data,
                                2.0 * sfm_forward(h, p).data, atol=1e-12)
@@ -104,8 +96,7 @@ def test_gate_is_entrywise_contraction():
     p = random_sfm_params(seed=9)
     h = rng(10).standard_normal(FEAT_SHAPE)
     bands = dwt2_data(h)
-    weights = [t.data for t in p.band_weights()]
-    recon = idwt2_data(*(w * b for w, b in zip(weights, bands)))
+    recon = idwt2_data(np.stack([w * b for w, b in zip(p.w.data, bands)]))
     out = sfm_forward(Tensor(h), p).data
     assert np.max(np.abs(out)) <= np.max(np.abs(recon)) + 1e-12
     assert np.all(np.abs(out) <= np.abs(recon) + 1e-12)
@@ -114,12 +105,8 @@ def test_gate_is_entrywise_contraction():
 def test_linearity_in_band_weights_for_fixed_gate():
     h = Tensor(rng(11).standard_normal(FEAT_SHAPE))
     p1 = random_sfm_params(seed=12)
-    p2 = SfmParams(
-        w_ll=Tensor(p1.w_ll.data * -0.5, requires_grad=True),
-        w_lh=Tensor(p1.w_lh.data * -0.5, requires_grad=True),
-        w_hl=Tensor(p1.w_hl.data * -0.5, requires_grad=True),
-        w_hh=Tensor(p1.w_hh.data * -0.5, requires_grad=True),
-        gate_w=p1.gate_w, gate_b=p1.gate_b)
+    p2 = SfmParams(w=Tensor(p1.w.data * -0.5, requires_grad=True),
+                   gate_w=p1.gate_w, gate_b=p1.gate_b)
     np.testing.assert_allclose(sfm_forward(h, p2).data, -0.5 * sfm_forward(h, p1).data,
                                atol=1e-12)
 

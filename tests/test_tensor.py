@@ -552,6 +552,21 @@ def test_adam_two_steps_match_reference_recurrence():
     np.testing.assert_allclose(out["w"].data, _adam_reference(theta0, [g, g], 0.05), atol=1e-12)
 
 
+def test_adam_skipped_step_equals_two_plain_steps():
+    # each parameter's bias correction counts its own updates: a step without a
+    # gradient must not advance it
+    theta0 = np.array([1.0])
+    g = np.array([0.5])
+    params = {"w": Tensor(theta0, requires_grad=True)}
+    state = AdamState(params)
+    out = adam_step(params, {"w": g}, state, lr=0.1)
+    out = adam_step(out, {}, state, lr=0.1)
+    out = adam_step(out, {"w": g}, state, lr=0.1)
+    plain = _adam_reference(theta0, [g, g], 0.1)
+    np.testing.assert_allclose(out["w"].data, plain, atol=1e-12)
+    np.testing.assert_allclose(plain, [0.8], atol=1e-6)
+
+
 def test_adam_rejects_nonpositive_lr():
     params = {"w": Tensor([1.0], requires_grad=True)}
     state = AdamState(params)

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from waveletcond.gradcheck import check_gradients
 from waveletcond.tensor import Tensor, ew_mul, sigmoid, sum_all
 from waveletcond.wavelet import (
-    SubBands,
     crop_to,
     dwt2,
     dwt2_batched,
     dwt2_data,
     idwt2,
     idwt2_batched,
+    idwt2_data,
     pad_even,
 )
 
@@ -71,25 +71,26 @@ def test_kernel_gram_matrix_is_identity():
 def test_constant_slice():
     c = 3.25
     s = dwt2(Tensor(np.full((4, 6), c)))
-    np.testing.assert_allclose(s.ll.data, np.full((2, 3), 2 * c), atol=1e-12)
-    for band in (s.lh, s.hl, s.hh):
-        np.testing.assert_array_equal(band.data, np.zeros((2, 3)))
+    assert s.shape == (4, 2, 3)
+    np.testing.assert_allclose(s.data[0], np.full((2, 3), 2 * c), atol=1e-12)
+    for band in s.data[1:]:
+        np.testing.assert_array_equal(band, np.zeros((2, 3)))
 
 
 def test_single_block_vector():
     s = dwt2(Tensor([[1.0, 2.0], [3.0, 4.0]]))
-    assert s.ll.data[0, 0] == pytest.approx(5.0)
-    assert s.lh.data[0, 0] == pytest.approx(1.0)
-    assert s.hl.data[0, 0] == pytest.approx(2.0)
-    assert s.hh.data[0, 0] == pytest.approx(0.0)
+    assert s.data[0, 0, 0] == pytest.approx(5.0)
+    assert s.data[1, 0, 0] == pytest.approx(1.0)
+    assert s.data[2, 0, 0] == pytest.approx(2.0)
+    assert s.data[3, 0, 0] == pytest.approx(0.0)
 
 
 def test_dwt2_vs_naive_loop_oracle():
     x = rng(5).standard_normal((8, 8))
     got = dwt2(Tensor(x))
     want = naive_dwt2(x)
-    for g, w in zip(got.bands(), want):
-        assert np.max(np.abs(g.data - w)) < 1e-12
+    for g, w in zip(got.data, want):
+        assert np.max(np.abs(g - w)) < 1e-12
 
 
 def test_dwt2_rejects_odd_dims():
@@ -109,20 +110,19 @@ def test_roundtrip_random():
 
 
 def test_zero_subbands_give_zero():
-    z = Tensor(np.zeros((2, 2)))
-    out = idwt2(SubBands(z, z, z, z))
+    out = idwt2(Tensor(np.zeros((4, 2, 2))))
     np.testing.assert_array_equal(out.data, np.zeros((4, 4)))
 
 
 def test_idwt2_inverts_single_block_example():
-    s = SubBands(Tensor([[5.0]]), Tensor([[1.0]]), Tensor([[2.0]]), Tensor([[0.0]]))
+    s = Tensor([[[5.0]], [[1.0]], [[2.0]], [[0.0]]])
     np.testing.assert_allclose(idwt2(s).data, [[1.0, 2.0], [3.0, 4.0]], atol=1e-12)
 
 
 def test_idwt2_rejects_mismatched_bands():
-    with pytest.raises(ValueError, match="differ"):
-        SubBands(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))),
-                 Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))))
+    for shape in ((3, 2, 2), (5, 2, 2), (4, 2)):
+        with pytest.raises(ValueError, match="sub-band stack"):
+            idwt2(Tensor(np.zeros(shape)))
 
 
 # -- batching ---------------------------------------------------------------------
@@ -133,8 +133,8 @@ def test_batch_equals_stacked_single_slices():
     batched = dwt2_batched(Tensor(x))
     for i in range(2):
         single = dwt2(Tensor(x[i]))
-        for bb, sb in zip(batched.bands(), single.bands()):
-            np.testing.assert_array_equal(bb.data[i], sb.data)
+        for bb, sb in zip(batched.data, single.data):
+            np.testing.assert_array_equal(bb[i], sb)
 
 
 def test_batched_roundtrip():
@@ -145,7 +145,7 @@ def test_batched_roundtrip():
 
 def test_batched_vs_loop_of_single_bit_identical():
     x = rng(4).standard_normal((5, 6, 6))
-    batched = [b.data for b in dwt2_batched(Tensor(x)).bands()]
+    batched = dwt2_batched(Tensor(x)).data
     for i in range(5):
         single = dwt2_data(x[i])
         for bb, sb in zip(batched, single):
@@ -168,7 +168,7 @@ def test_energy_preservation():
     for seed in range(20):
         x = rng(seed).standard_normal((16, 16))
         s = dwt2(Tensor(x))
-        total = sum(float(np.sum(b.data ** 2)) for b in s.bands())
+        total = sum(float(np.sum(b ** 2)) for b in s.data)
         ref = float(np.sum(x ** 2))
         assert abs(ref - total) / ref < 1e-10
 
@@ -179,39 +179,33 @@ def test_linearity():
     alpha, beta = 1.7, -0.4
     lhs = dwt2(Tensor(alpha * x + beta * y))
     rx, ry = dwt2(Tensor(x)), dwt2(Tensor(y))
-    for l, a, b in zip(lhs.bands(), rx.bands(), ry.bands()):
-        assert np.max(np.abs(l.data - (alpha * a.data + beta * b.data))) < 1e-10
+    for l, a, b in zip(lhs.data, rx.data, ry.data):
+        assert np.max(np.abs(l - (alpha * a + beta * b))) < 1e-10
 
 
 def test_gradient_duality_dwt_backward_is_idwt():
     x = Tensor(rng(10).standard_normal((6, 6)), requires_grad=True)
-    weights = [Tensor(rng(20 + i).standard_normal((3, 3))) for i in range(4)]
+    weights = Tensor(np.stack([rng(20 + i).standard_normal((3, 3)) for i in range(4)]))
 
     def f():
-        s = dwt2(x)
-        total = sum_all(ew_mul(s.ll, weights[0]))
-        for band, w in zip((s.lh, s.hl, s.hh), weights[1:]):
-            total = total + sum_all(ew_mul(band, w))
-        return total
+        return sum_all(ew_mul(dwt2(x), weights))
 
     check_gradients(f, {"x": x}, h=1e-4, rtol=1e-4)
     # and the analytic gradient literally equals idwt2 of the upstream band grads
     x.zero_grad()
     f().backward()
-    from waveletcond.wavelet import idwt2_data
-    expected = idwt2_data(*(w.data for w in weights))
+    expected = idwt2_data(weights.data)
     np.testing.assert_allclose(x.grad, expected, atol=1e-12)
 
 
 def test_idwt2_gradients_match_finite_differences():
     r = rng(12)
-    bands = {n: Tensor(r.standard_normal((3, 3)), requires_grad=True)
-             for n in ("ll", "lh", "hl", "hh")}
+    bands = Tensor(np.stack([r.standard_normal((3, 3)) for _ in range(4)]), requires_grad=True)
 
     def f():
-        return sum_all(sigmoid(idwt2(SubBands(**bands))))
+        return sum_all(sigmoid(idwt2(bands)))
 
-    check_gradients(f, bands, h=1e-4, rtol=1e-4)
+    check_gradients(f, {"bands": bands}, h=1e-4, rtol=1e-4)
 
 
 # -- padding helpers ---------------------------------------------------------------
