@@ -43,12 +43,27 @@ def gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
     return w / w.sum()
 
 
+def gaussian_taps(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+    """The 1-D factor of `gaussian_window`: its row sums, whose outer product is the window."""
+    return gaussian_window(size, sigma).sum(axis=1)
+
+
+def _window_matrix(n: int, taps: np.ndarray) -> np.ndarray:
+    """Banded (n - size + 1, n) matrix whose row i holds `taps` at columns i ... i + size - 1."""
+    rows = np.arange(n - taps.size + 1)[:, None]
+    k = np.zeros((rows.size, n))
+    k[rows, rows + np.arange(taps.size)] = taps
+    return k
+
+
 def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0, window_size: int = 11,
          sigma: float = 1.5, k1: float = 0.01, k2: float = 0.03) -> float:
     """Mean local SSIM over all valid window positions of two 2-D images.
 
     Gaussian-weighted window statistics, the standard stabilizing constants
-    C1 = (k1 peak)^2 and C2 = (k2 peak)^2.
+    C1 = (k1 peak)^2 and C2 = (k2 peak)^2.  The window is separable, so each
+    windowed mean of an image X is K_h @ X @ K_w.T with banded 1-D tap
+    matrices, taken for a, b, a^2, b^2 and ab in one stacked product.
     """
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -57,14 +72,9 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0, window_size: int = 11,
         raise ValueError(f"ssim: expected 2-D images, got shape {a.shape}")
     if min(a.shape) < window_size:
         raise ValueError(f"ssim: image {a.shape} smaller than window {window_size}")
-    w = gaussian_window(window_size, sigma)
-    wa = np.lib.stride_tricks.sliding_window_view(a, (window_size, window_size))
-    wb = np.lib.stride_tricks.sliding_window_view(b, (window_size, window_size))
-    mu_a = np.einsum("ijuv,uv->ij", wa, w)
-    mu_b = np.einsum("ijuv,uv->ij", wb, w)
-    e_aa = np.einsum("ijuv,uv->ij", wa * wa, w)
-    e_bb = np.einsum("ijuv,uv->ij", wb * wb, w)
-    e_ab = np.einsum("ijuv,uv->ij", wa * wb, w)
+    taps = gaussian_taps(window_size, sigma)
+    kh, kw = (_window_matrix(n, taps) for n in a.shape)
+    mu_a, mu_b, e_aa, e_bb, e_ab = kh @ np.stack([a, b, a * a, b * b, a * b]) @ kw.T
     var_a = e_aa - mu_a ** 2
     var_b = e_bb - mu_b ** 2
     cov = e_ab - mu_a * mu_b
@@ -292,6 +302,9 @@ class ClipAssets:
 def _frame_pairs(pred: np.ndarray, gt: np.ndarray):
     if pred.shape != gt.shape:
         raise ValueError(f"clip shapes differ: {pred.shape} vs {gt.shape}")
+    if pred.ndim < 2 or pred.size == 0:
+        raise ValueError(f"clip frames must be (..., h, w) with at least one non-empty frame, "
+                         f"got shape {pred.shape}")
     flat_p = pred.reshape(-1, pred.shape[-2], pred.shape[-1])
     flat_g = gt.reshape(-1, gt.shape[-2], gt.shape[-1])
     return zip(flat_p, flat_g)

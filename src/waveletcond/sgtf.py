@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -25,41 +26,51 @@ _CODE_DTYPE = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
 
 
 def write_tensor(path, tensor) -> None:
-    """Write a Tensor or ndarray to an SGTF file."""
+    """Write a Tensor or ndarray to an SGTF file, streaming the element data without a copy."""
     arr = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor)
     if arr.dtype not in _DTYPE_CODE:
         raise ValueError(f"SGTF supports f64/f32 only, got dtype {arr.dtype}")
     code = _DTYPE_CODE[arr.dtype]
     header = MAGIC + struct.pack("<BBI", VERSION, code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
-    payload = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-    Path(path).write_bytes(header + payload)
+    payload = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload)
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read an SGTF file back into a numpy array."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 10 or raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not an SGTF file (bad magic)")
-    version, code, rank = struct.unpack_from("<BBI", raw, 4)
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported SGTF version {version}")
-    if code not in _CODE_DTYPE:
-        raise ValueError(f"{path}: unknown dtype code {code}")
-    if rank > MAX_RANK:
-        raise ValueError(f"{path}: rank {rank} exceeds the maximum of {MAX_RANK}")
-    offset = 10 + 8 * rank
-    if len(raw) < offset:
-        raise ValueError(f"{path}: truncated header, rank {rank} needs {offset} bytes, "
-                         f"got {len(raw)}")
-    dims = struct.unpack_from(f"<{rank}Q", raw, 10)
-    dtype = _CODE_DTYPE[code]
-    count = math.prod(dims)  # exact: np.prod would wrap on large u64 dims
-    expected = offset + count * dtype.itemsize
-    if len(raw) != expected:
-        raise ValueError(f"{path}: size mismatch, expected {expected} bytes, got {len(raw)}")
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-    return data.reshape(dims).astype(dtype.newbyteorder("="), copy=True)
+    """Read an SGTF file back into a numpy array.
+
+    The element data is read straight into the returned array, so a file
+    never sits in memory twice.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(10)
+        if len(head) < 10 or head[:4] != MAGIC:
+            raise ValueError(f"{path}: not an SGTF file (bad magic)")
+        version, code, rank = struct.unpack_from("<BBI", head, 4)
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported SGTF version {version}")
+        if code not in _CODE_DTYPE:
+            raise ValueError(f"{path}: unknown dtype code {code}")
+        if rank > MAX_RANK:
+            raise ValueError(f"{path}: rank {rank} exceeds the maximum of {MAX_RANK}")
+        offset = 10 + 8 * rank
+        if size < offset:
+            raise ValueError(f"{path}: truncated header, rank {rank} needs {offset} bytes, "
+                             f"got {size}")
+        dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
+        dtype = _CODE_DTYPE[code]
+        count = math.prod(dims)  # exact: np.prod would wrap on large u64 dims
+        expected = offset + count * dtype.itemsize
+        if size != expected:
+            raise ValueError(f"{path}: size mismatch, expected {expected} bytes, got {size}")
+        data = np.empty(dims, dtype=dtype)
+        if fh.readinto(data) != data.nbytes:
+            raise ValueError(f"{path}: file shrank while being read")
+    return data.astype(dtype.newbyteorder("="), copy=False)
 
 
 def save_params(dirpath, params: dict[str, Tensor]) -> None:

@@ -168,7 +168,14 @@ class ParamGroup:
 
     @classmethod
     def from_named(cls, params: dict[str, Tensor]):
-        return cls(**{f.name: params[f"{cls.prefix}.{f.name}"] for f in dataclasses.fields(cls)})
+        try:
+            return cls(**{f.name: params[f"{cls.prefix}.{f.name}"] for f in dataclasses.fields(cls)})
+        except KeyError:
+            wanted = [f"{cls.prefix}.{f.name}" for f in dataclasses.fields(cls)]
+            missing = [name for name in wanted if name not in params]
+            held = [name for name in params if name.startswith(f"{cls.prefix}.")]
+            raise ValueError(f"{cls.__name__}: missing parameters {missing}; "
+                             f"parameters under '{cls.prefix}.': {held}") from None
 
 
 def as_tensor(x) -> Tensor:

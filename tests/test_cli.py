@@ -278,6 +278,21 @@ def test_metrics_missing_manifest_exits_2(tmp_path):
                  "--report", str(tmp_path / "r.json")]) == 2
 
 
+@pytest.mark.parametrize("shape", [(16,), (0, 16, 16)], ids=["rank1", "zero_frames"])
+def test_metrics_hostile_frame_shapes_exit_2(tmp_path, capsys, shape):
+    manifest, pred, gt = build_metrics_tree(tmp_path, n_clips=1)
+    rec_frames = json.loads(manifest.read_text().splitlines()[0])["frames_path"]
+    for root in (pred, gt):
+        sgtf.write_tensor(root / rec_frames, np.zeros(shape))
+    report_path = tmp_path / "report.json"
+    assert main(["metrics", "--pred", str(pred), "--gt", str(gt),
+                 "--manifest", str(manifest), "--report", str(report_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(shape) in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not report_path.exists()
+
+
 def test_parse_index_spec():
     assert parse_index_spec("48-51") == [48, 49, 50, 51]
     assert parse_index_spec("1,3,5-7") == [1, 3, 5, 6, 7]

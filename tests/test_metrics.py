@@ -15,6 +15,7 @@ from waveletcond.metrics import (
     bas_from_beats,
     diversity,
     evaluate_clip,
+    gaussian_taps,
     gaussian_window,
     json_safe,
     lmd,
@@ -124,6 +125,35 @@ def test_ssim_window_normalized():
     w = gaussian_window()
     assert w.shape == (11, 11)
     assert abs(w.sum() - 1.0) < 1e-12
+
+
+def _einsum_ssim(a, b, peak, size=11, sigma=1.5, k1=0.01, k2=0.03):
+    """SSIM from five einsums over the sliding-window view, the formula before separability."""
+    w = gaussian_window(size, sigma)
+    wa = np.lib.stride_tricks.sliding_window_view(a, (size, size))
+    wb = np.lib.stride_tricks.sliding_window_view(b, (size, size))
+    mu_a = np.einsum("ijuv,uv->ij", wa, w)
+    mu_b = np.einsum("ijuv,uv->ij", wb, w)
+    var_a = np.einsum("ijuv,uv->ij", wa * wa, w) - mu_a ** 2
+    var_b = np.einsum("ijuv,uv->ij", wb * wb, w) - mu_b ** 2
+    cov = np.einsum("ijuv,uv->ij", wa * wb, w) - mu_a * mu_b
+    c1, c2 = (k1 * peak) ** 2, (k2 * peak) ** 2
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+    den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
+    return float(np.mean(num / den))
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (11, 11), (14, 15)], ids=["64x64", "11x11", "14x15"])
+@pytest.mark.parametrize("peak", [1.0, 255.0])
+def test_ssim_matches_window_einsum_reference(shape, peak):
+    taps = gaussian_taps()
+    assert taps.shape == (11,)
+    np.testing.assert_allclose(np.outer(taps, taps), gaussian_window(), rtol=0, atol=1e-15)
+    r = rng(10)
+    for _ in range(3):
+        a = peak * r.random(shape)
+        b = np.clip(a + 0.1 * peak * r.standard_normal(shape), 0, peak)
+        assert abs(ssim(a, b, peak=peak) - _einsum_ssim(a, b, peak)) < 1e-12
 
 
 # -- LMD ----------------------------------------------------------------------

@@ -60,3 +60,30 @@ def test_wavelet_spans_one_backward_per_forward():
     assert names.count("wavelet.idwt2") == 2
     assert names.count("wavelet.dwt2.bwd") == names.count("wavelet.dwt2")
     assert names.count("wavelet.idwt2.bwd") == names.count("wavelet.idwt2")
+
+
+def test_metrics_spans_one_ssim_and_psnr_per_frame_pair():
+    """evaluate_clip scores each frame pair through the module-level names the tracer binds.
+
+    Fails when SSIM or PSNR is routed around `metrics.ssim` / `metrics.psnr`,
+    which would leave `score.metrics.ssim_ms` reading zero.
+    """
+    import numpy as np
+
+    from waveletcond import metrics
+
+    r = np.random.default_rng(0)
+    frames = r.random((3, 16, 16))
+    landmarks = r.random((3, 2, 2))
+    assets = metrics.ClipAssets(clip_id="c", pred_frames=frames, gt_frames=frames[::-1],
+                                pred_landmarks=landmarks, gt_landmarks=landmarks,
+                                beats=metrics.BeatTrack(np.array([0.04])))
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+        metrics.evaluate_clip(assets)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("metrics.ssim") == 3
+    assert names.count("metrics.psnr") == 3

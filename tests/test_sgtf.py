@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,24 @@ def test_roundtrip_scalar_rank0(tmp_path):
     back = read_tensor(path)
     assert back.shape == ()
     assert back == 3.5
+
+
+def test_io_copies_no_payload(tmp_path):
+    arr = np.random.default_rng(2).standard_normal((50, 1, 64, 64))  # one score clip, 1.6 MB
+    path = tmp_path / "clip.sgtf"
+    tracemalloc.start()
+    try:
+        write_tensor(path, arr)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        got = read_tensor(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, arr)
+    assert got.flags.writeable and got.flags.c_contiguous
+    assert write_peak < 0.25 * arr.nbytes   # no bytes copy of the payload
+    assert read_peak < 1.25 * arr.nbytes    # the returned array only
 
 
 def test_header_layout(tmp_path):

@@ -1,5 +1,6 @@
 """Tensor primitives, the gradient tape, and the Adam update."""
 
+import dataclasses
 import zlib
 
 import numpy as np
@@ -490,6 +491,26 @@ def test_channel_linear_matches_einsum_reference():
 
     x32, w32, b32 = (Tensor(t.data.astype(np.float32)) for t in (x, w, b))
     assert channel_linear(x32, w32, b32).dtype == np.float32
+
+
+@dataclasses.dataclass
+class _PairParams(T.ParamGroup):
+    prefix = "pair"
+
+    w: Tensor
+    b: Tensor
+
+
+def test_from_named_missing_parameters_names_group_and_held_names():
+    params = {"pair.w_old": Tensor(np.zeros(2)), "pair.x": Tensor(np.zeros(1)),
+              "other.w": Tensor(np.zeros(1))}
+    with pytest.raises(ValueError) as info:
+        _PairParams.from_named(params)
+    assert str(info.value) == ("_PairParams: missing parameters ['pair.w', 'pair.b']; "
+                               "parameters under 'pair.': ['pair.w_old', 'pair.x']")
+    params.update({"pair.w": Tensor(np.ones(2)), "pair.b": Tensor(np.ones(1))})
+    got = _PairParams.from_named(params)
+    assert got.w is params["pair.w"] and got.b is params["pair.b"]
 
 
 # -- Adam -----------------------------------------------------------------------
