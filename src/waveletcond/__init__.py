@@ -20,7 +20,7 @@ from .msm import AudioEmbedding, MsmParams, init_msm_params, msm_forward
 from .sfm import SfmParams, init_sfm_params, sfm_forward
 from .tensor import Tensor, adam_step
 from .training import ablate, make_synthetic_dataset, train, train_loss
-from .wavelet import dwt2, idwt2, pad_even
+from .wavelet import dwt2, idwt2
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "linear_schedule",
     "make_synthetic_dataset",
     "msm_forward",
-    "pad_even",
     "sample",
     "sfm_forward",
     "train",

@@ -23,7 +23,6 @@ from .diffusion import (
 )
 from .msm import AudioEmbedding, MsmParams, msm_forward
 from .sfm import SfmParams, sfm_forward
-from .tensor import Tensor
 from .training import (
     ablate,
     config_to_text,
@@ -133,8 +132,8 @@ def cmd_msm_apply(args) -> int:
     latent = sgtf.read_tensor(args.latent)
     if latent.ndim != 4:
         raise ValueError(f"msm-apply: latent must be 4-D, got shape {latent.shape}")
-    embedding = AudioEmbedding(Tensor(audio), frames=latent.shape[0])
-    out = msm_forward(embedding, Tensor(latent), MsmParams.from_named(params))
+    embedding = AudioEmbedding(audio, frames=latent.shape[0])
+    out = msm_forward(embedding, latent, MsmParams.from_named(params))
     sgtf.write_tensor(args.out, out)
     return EXIT_OK
 
@@ -142,7 +141,7 @@ def cmd_msm_apply(args) -> int:
 def cmd_sfm_apply(args) -> int:
     params = sgtf.load_params(args.params)
     features = sgtf.read_tensor(args.features)
-    out = sfm_forward(Tensor(features), SfmParams.from_named(params))
+    out = sfm_forward(features, SfmParams.from_named(params))
     sgtf.write_tensor(args.out, out)
     return EXIT_OK
 

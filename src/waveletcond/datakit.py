@@ -172,6 +172,9 @@ def split_dataset(records: list[ClipRecord], seed: int,
     """
     if not records:
         raise ValueError("split_dataset: empty record list")
+    if train_parts < 0 or test_parts < 0 or train_parts + test_parts == 0:
+        raise ValueError(f"split_dataset: ratio parts must be non-negative with a positive sum, "
+                         f"got {train_parts}:{test_parts}")
     order: list[str] = []
     by_source: dict[str, list[ClipRecord]] = {}
     for rec in records:
@@ -216,6 +219,8 @@ def _read_jsonl(path, parse, what: str) -> list:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}:{lineno}: bad {what}: expected a JSON object")
         try:
             out.append(parse(obj))
         except (TypeError, KeyError, ValueError) as exc:

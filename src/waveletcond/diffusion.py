@@ -13,6 +13,7 @@ chunks along axis 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +110,10 @@ class TrainConfig:
                      "steps", "log_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"TrainConfig: {name} must be >= 1, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ValueError(f"TrainConfig: lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"TrainConfig: lr must be positive and finite, got {self.lr}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"TrainConfig: amplitude must be finite, got {self.amplitude}")
         if self.height % 4 or self.width % 4:
             raise ValueError(
                 f"TrainConfig: height/width must be divisible by 4, got {self.height}x{self.width}")
@@ -188,7 +191,7 @@ def param_count(params: dict[str, Tensor]) -> int:
 
 def encode_audio(audio_windows: np.ndarray, params: dict[str, Tensor]) -> Tensor:
     """Toy audio encoder: shared affine map per window column -> (d_audio, l)."""
-    cols = Tensor(np.asarray(audio_windows).T, dtype=params["enc.w"].dtype)  # (l, window)
+    cols = np.asarray(audio_windows).T  # (l, window)
     return permute(linear(cols, params["enc.w"], params["enc.b"]), (1, 0))
 
 
@@ -197,9 +200,10 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
     """Predict the noise in z_t; output shape equals input shape.
 
     use_msm=False feeds the raw audio embedding to the attention block;
-    use_sfm=False passes bottleneck features through untouched.
+    use_sfm=False passes bottleneck features through untouched.  A latent
+    given as an array runs in the dtype of the params.
     """
-    z_t = as_tensor(z_t)
+    z_t = as_tensor(z_t, params["unet.in_w"])
     if z_t.shape != cfg.latent_shape:
         raise ValueError(f"unet_forward: latent shape {z_t.shape} != {cfg.latent_shape}")
     if not 1 <= t <= cfg.timesteps:
@@ -217,8 +221,7 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
         conditioned = embedding
     tokens = frame_tokens(conditioned, cfg.frames)
 
-    ref = Tensor(np.broadcast_to(ref_frame, cfg.latent_shape).copy(), dtype=z_t.dtype)
-    x = concat([z_t, ref], axis=1)
+    x = concat([z_t, np.broadcast_to(ref_frame, cfg.latent_shape)], axis=1)
 
     h1 = conv3x3(x, params["unet.in_w"])
     h1 = add_channel_bias(h1, params["unet.in_b"])
@@ -247,9 +250,11 @@ def sample(params: dict[str, Tensor], audio_windows: np.ndarray, ref_frame: np.n
            sched: NoiseSchedule, cfg: TrainConfig, seed: int) -> np.ndarray:
     """Ancestral sampling from pure noise down to the z0 estimate.
 
-    The UNet runs in the dtype of the params and builds no gradient tape.
-    Deterministic given the seed; raises DivergenceError (with the step
-    index) if any intermediate goes non-finite.
+    The UNet, the latent and the returned clip are in the dtype of the
+    params, and no gradient tape is built.  The noise is drawn in f64 and
+    then cast, so f32 and f64 runs share one noise sequence.  Deterministic
+    given the seed; raises DivergenceError (with the step index) if any
+    intermediate goes non-finite.
     """
     if sched.timesteps != cfg.timesteps:
         raise ValueError(
@@ -257,18 +262,16 @@ def sample(params: dict[str, Tensor], audio_windows: np.ndarray, ref_frame: np.n
     params = {k: Tensor(p.data) for k, p in params.items()}
     dtype = params["unet.in_w"].dtype
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(cfg.latent_shape)
+    z = rng.standard_normal(cfg.latent_shape).astype(dtype, copy=False)
     for t in range(sched.timesteps, 0, -1):
-        eps_hat = unet_forward(Tensor(z, dtype=dtype), t, audio_windows, ref_frame, params,
-                               cfg).data
-        beta = sched.betas[t - 1]
-        alpha = sched.alphas[t - 1]
-        abar = sched.alpha_bars[t - 1]
-        mean = (z - beta / np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(alpha)
+        eps_hat = unet_forward(z, t, audio_windows, ref_frame, params, cfg).data
+        # Python floats: numpy f64 scalars would promote an f32 latent
+        beta, alpha, abar = (float(v[t - 1]) for v in (sched.betas, sched.alphas, sched.alpha_bars))
+        mean = (z - beta / math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(alpha)
         if t > 1:
-            abar_prev = sched.alpha_bars[t - 2]
-            var = beta * (1.0 - abar_prev) / (1.0 - abar)
-            z = mean + np.sqrt(var) * rng.standard_normal(cfg.latent_shape)
+            var = beta * (1.0 - float(sched.alpha_bars[t - 2])) / (1.0 - abar)
+            noise = rng.standard_normal(cfg.latent_shape).astype(dtype, copy=False)
+            z = mean + math.sqrt(var) * noise
         else:
             z = mean
         if not np.all(np.isfinite(z)):

@@ -12,9 +12,13 @@ BLAS matrix products.
 
 `add`, `ew_mul` and `matmul` broadcast like numpy (`matmul` over the axes
 before the last two); each operand's gradient is summed back onto its own
-shape.  A non-tensor operand becomes a constant in the dtype of the tensor
-it meets.  Tensors are immutable values after construction; training
-replaces parameter tensors instead of mutating them.
+shape.  One lifting rule, `as_tensor(x, like)`, turns every non-tensor
+operand of a multi-operand op into a constant in the dtype of the tensor it
+meets: either side of `add`, `ew_mul`, `sub` and `matmul`, every `concat`
+entry (lifted like the first entry), and `linear`'s input (lifted like its
+weight).  So an f32 tensor never meets a promoting f64 array.  A lone
+operand follows `Tensor`'s rule instead.  Tensors are immutable values after
+construction; training replaces parameter tensors instead of mutating them.
 """
 
 from __future__ import annotations
@@ -178,13 +182,15 @@ class ParamGroup:
                              f"parameters under '{cls.prefix}.': {held}") from None
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def as_tensor(x, like=None) -> Tensor:
+    """A tensor as is; anything else as a constant in `like`'s dtype.
 
-
-def _constant_like(x, like: Tensor) -> Tensor:
-    """A tensor operand as is; anything else as a constant in `like`'s dtype."""
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=like.dtype)
+    With no tensor `like`, a constant follows `Tensor`'s rule: f32 stays f32
+    and anything else becomes f64.
+    """
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(x, dtype=like.dtype if isinstance(like, Tensor) else None)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -206,7 +212,7 @@ def _fold(a: np.ndarray) -> np.ndarray:
 
 def add(a: Tensor, b) -> Tensor:
     """Elementwise sum with numpy broadcasting."""
-    b = _constant_like(b, a)
+    a, b = as_tensor(a, b), as_tensor(b, a)
     try:
         out_data = a.data + b.data
     except ValueError:
@@ -223,7 +229,7 @@ def add(a: Tensor, b) -> Tensor:
 
 def ew_mul(a: Tensor, b) -> Tensor:
     """Elementwise product with numpy broadcasting."""
-    b = _constant_like(b, a)
+    a, b = as_tensor(a, b), as_tensor(b, a)
     try:
         out_data = a.data * b.data
     except ValueError:
@@ -239,12 +245,12 @@ def ew_mul(a: Tensor, b) -> Tensor:
 
 
 def sub(a: Tensor, b) -> Tensor:
-    return add(a, ew_mul(_constant_like(b, a), -1.0))
+    return add(a, ew_mul(as_tensor(b, a), -1.0))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of operands of rank >= 2, leading axes broadcast as in `np.matmul`."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = as_tensor(a, b), as_tensor(b, a)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError(f"matmul: expected operands of rank >= 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -261,7 +267,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map on rows: x[n,k] @ w[k,m] + b[m]."""
+    """Affine map on rows: x[n,k] @ w[k,m] + b[m]; a non-tensor x is lifted like w."""
+    x = as_tensor(x, w)
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise ValueError(f"linear: bad ranks x{x.shape} w{w.shape} b{b.shape}")
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
@@ -369,9 +376,10 @@ def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise ValueError("concat: empty input list")
+    first = as_tensor(tensors[0])
+    tensors = [as_tensor(t, first) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)

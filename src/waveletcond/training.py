@@ -94,13 +94,12 @@ def train_loss(batch: list[TrainItem], params: dict[str, Tensor],
     """
     if not batch:
         raise ValueError("train_loss: empty batch")
-    dtype = params["unet.in_w"].dtype
     total = None
     for item in batch:
         z_t = forward_diffuse(item.frames, item.t, item.eps, sched)
-        eps_hat = unet_forward(Tensor(z_t, dtype=dtype), item.t,
-                               audio_to_windows(item.audio, cfg), item.frames[0], params, cfg)
-        diff = sub(Tensor(item.eps, dtype=dtype), eps_hat)
+        eps_hat = unet_forward(z_t, item.t, audio_to_windows(item.audio, cfg), item.frames[0],
+                               params, cfg)
+        diff = sub(eps_hat, item.eps)
         mse = mean(ew_mul(diff, diff))
         total = mse if total is None else total + mse
     return ew_mul(total, 1.0 / len(batch))

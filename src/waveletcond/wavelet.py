@@ -67,7 +67,7 @@ def dwt2(x: Tensor) -> Tensor:
     """Decompose the trailing two dimensions into a (4, *lead, h/2, w/2) band stack.
 
     Leading (batch) dimensions are carried through unchanged; trailing
-    dimensions must be even (see pad_even).
+    dimensions must be even.
     """
     x = as_tensor(x)
 
@@ -92,30 +92,3 @@ def idwt2(s: Tensor) -> Tensor:
 dwt2_batched = dwt2
 idwt2_batched = idwt2
 
-
-def pad_even(x: Tensor) -> tuple[Tensor, tuple[int, int]]:
-    """Zero-pad the trailing dimensions up to even sizes.
-
-    Returns the padded tensor and the original (rows, cols) so the result of
-    a later idwt2 can be cropped back with crop_to.
-    """
-    x = as_tensor(x)
-    if x.data.ndim < 2:
-        raise ValueError(f"pad_even: need at least 2 dimensions, got shape {x.shape}")
-    h, w = x.shape[-2], x.shape[-1]
-    ph, pw = h % 2, w % 2
-    if not ph and not pw:
-        return x, (h, w)
-    widths = [(0, 0)] * (x.data.ndim - 2) + [(0, ph), (0, pw)]
-    out_data = np.pad(x.data, widths)
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(g[..., :h, :w])
-
-    return Tensor._from_op(out_data, (x,), backward), (h, w)
-
-
-def crop_to(x: Tensor, size: tuple[int, int]) -> Tensor:
-    """Crop the trailing dimensions back to the pre-pad size."""
-    h, w = size
-    return x[..., :h, :w]

@@ -204,6 +204,17 @@ def test_nonpositive_size_exits_2(tmp_path, capsys, command, line):
     assert f"{line.split('=')[0]} must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train-toy", "ablate"])
+@pytest.mark.parametrize("line", ["lr=nan", "lr=inf", "amplitude=nan", "amplitude=-inf"])
+def test_nonfinite_config_exits_2(tmp_path, capsys, command, line):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(TINY_CONFIG + line + "\n")
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{line.split('=')[0]} must be" in err and "finite" in err
+
+
 def test_ablate_byte_identical_reports(tmp_path):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(TINY_CONFIG)
@@ -330,6 +341,34 @@ def test_manifest_segment_crop_split(tmp_path):
     m4 = tmp_path / "m4.jsonl"
     main(["--seed", "4", "manifest", "split", "--manifest", str(m2), "--out", str(m4)])
     assert m3.read_bytes() == m4.read_bytes()
+
+
+@pytest.mark.parametrize("ratio", ["0:0", "2:-2", "-1:3"])
+def test_manifest_split_bad_ratio_exits_2(tmp_path, capsys, ratio):
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(manifest, [ClipRecord(source_id="s0", start_frame=0, end_frame=50)])
+    assert main(["manifest", "split", "--manifest", str(manifest), "--out",
+                 str(tmp_path / "out.jsonl"), f"--ratio={ratio}"]) == 2
+    err = capsys.readouterr().err
+    assert "ratio parts" in err and "Traceback" not in err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"abc"', "7"])
+@pytest.mark.parametrize("command", ["segment", "crop"])
+def test_manifest_non_object_source_line_exits_2(tmp_path, capsys, command, line):
+    src_path = tmp_path / "sources.jsonl"
+    write_sources(src_path, [SourceMeta(source_id="s0", duration_s=2.0, fps=25.0, width=64,
+                                        height=64)])
+    src_path.write_text(src_path.read_text() + line + "\n")
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(manifest, [ClipRecord(source_id="s0", start_frame=0, end_frame=50)])
+    argv = ["manifest", command, "--sources", str(src_path), "--out", str(tmp_path / "o.jsonl")]
+    if command == "crop":
+        argv += ["--manifest", str(manifest)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{src_path}:2: bad source" in err and "Traceback" not in err
 
 
 def test_precision_flag_roundtrip(tmp_path):

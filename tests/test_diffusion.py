@@ -435,6 +435,7 @@ def test_f32_training_and_sampling_track_f64():
     np.testing.assert_allclose(losses32, losses64, rtol=1e-5)
     z64 = sample(trained64, win, clip.frames[0], sched, cfg, seed=3)
     z32 = sample(trained32, win, clip.frames[0], sched, cfg, seed=3)
+    assert z32.dtype == np.float32
     np.testing.assert_allclose(z32, z64, rtol=0, atol=1e-5 * np.max(np.abs(z64)))
 
 

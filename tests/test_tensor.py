@@ -630,3 +630,16 @@ def test_dtype_follows_data():
     assert [o.dtype for o in outs] == [np.float32] * len(outs)
     T.mean(T.concat(outs, axis=0)).backward()
     assert x32.grad.dtype == np.float32
+    # so do f64 arrays met by matmul (either side), concat and linear's input
+    m32 = Tensor(np.ones((3, 3), dtype=np.float32), requires_grad=True)
+    b32 = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    a64 = np.full((3, 3), 0.5)
+    outs = [T.matmul(m32, a64), T.matmul(a64, m32), T.concat([m32, a64], 0),
+            T.linear(a64, m32, b32)]
+    assert [o.dtype for o in outs] == [np.float32] * len(outs)
+    for out in outs:
+        m32.zero_grad()
+        b32.zero_grad()
+        T.mean(out).backward()
+        assert m32.grad.dtype == np.float32
+    assert b32.grad.dtype == np.float32

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from waveletcond.gradcheck import check_gradients
 from waveletcond.tensor import Tensor, ew_mul, sigmoid, sum_all
 from waveletcond.wavelet import (
-    crop_to,
     dwt2,
     dwt2_batched,
     dwt2_data,
     idwt2,
     idwt2_batched,
     idwt2_data,
-    pad_even,
 )
 
 
@@ -207,31 +205,3 @@ def test_idwt2_gradients_match_finite_differences():
 
     check_gradients(f, {"bands": bands}, h=1e-4, rtol=1e-4)
 
-
-# -- padding helpers ---------------------------------------------------------------
-
-
-def test_pad_even_roundtrip():
-    x = rng(13).standard_normal((5, 7))
-    padded, orig = pad_even(Tensor(x))
-    assert padded.shape == (6, 8)
-    assert orig == (5, 7)
-    back = crop_to(idwt2(dwt2(padded)), orig)
-    assert np.max(np.abs(back.data - x)) < 1e-10
-
-
-def test_pad_even_noop_for_even_dims():
-    x = Tensor(rng(14).standard_normal((4, 4)))
-    padded, orig = pad_even(x)
-    assert padded is x
-    assert orig == (4, 4)
-
-
-def test_pad_even_gradient_flows():
-    x = Tensor(rng(15).standard_normal((3, 3)), requires_grad=True)
-
-    def f():
-        padded, _ = pad_even(x)
-        return sum_all(sigmoid(idwt2(dwt2(padded))))
-
-    check_gradients(f, {"x": x}, h=1e-4, rtol=1e-4)
