@@ -106,8 +106,8 @@ class TrainConfig:
     log_every: int = 10
 
     def __post_init__(self):
-        for name in ("frames", "channels", "base_channels", "samples_per_frame", "timesteps",
-                     "steps", "log_every"):
+        for name in ("frames", "height", "width", "channels", "base_channels", "h_msm", "d_audio",
+                     "samples_per_frame", "timesteps", "steps", "n_clips", "log_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"TrainConfig: {name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0):

@@ -8,7 +8,10 @@ rule of their own: `sub`, `linear`, `add_channel_bias` and `channel_linear`.
 The test suite checks every op against central finite differences.
 
 Contractions (`matmul`, `conv3x3`) go through `np.matmul`, so they run as
-BLAS matrix products.
+BLAS matrix products.  `conv3x3` is nine per-tap matmuls over shifted column
+ranges of one flat, zero-bordered, channel-major copy of its input; stride 2
+first splits that copy into its four polyphase components.  No tap is copied
+and no im2col matrix is built.
 
 `add`, `ew_mul` and `matmul` broadcast like numpy (`matmul` over the axes
 before the last two); each operand's gradient is summed back onto its own
@@ -200,11 +203,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     lead = g.ndim - len(shape)
     axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
     return g.sum(axis=axes).reshape(shape)
-
-
-def _fold(a: np.ndarray) -> np.ndarray:
-    """(n, k, ...) -> (k, n * rest): the batch folds into the columns of a matmul operand."""
-    return np.moveaxis(a, 1, 0).reshape(a.shape[1], -1)
 
 
 # -- elementwise & linear primitives ------------------------------------------
@@ -412,15 +410,16 @@ def tslice(x: Tensor, key) -> Tensor:
 def conv3x3(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     """3x3 correlation with zero padding 1; stride 1 or 2. x: (n,c,h,w), w: (co,c,3,3).
 
-    A sum over the nine kernel taps.  Tap (u, v) is the strided view of the
-    padded input that meets w[:, :, u, v]; reshaped to (n, c, ho*wo) it goes
-    through one `np.matmul` with that (co, c) slice, and the products add up
-    in an (n, co, ho*wo) buffer that is already NCHW.  The backward walks the
-    same taps: the weight gradient of a tap is one (co, n*ho*wo) by
-    (n*ho*wo, c) product and its input gradient is one matmul scattered back
-    onto the tap's view.  No (n*ho*wo, c*9) column matrix is built, to keep
-    peak memory down: one tap at a time needs a ninth of it, and the closure
-    keeps only the padded input.
+    Nine per-tap matmuls over shifted column ranges of one flat buffer; no
+    tap is copied and no (n*ho*wo, c*9) column matrix is built.  The input is
+    written once into a zeroed, channel-major (c, n, s*hq, s*wq) buffer (s the
+    stride, hq = ho + 2//s, wq = wo + 2//s), seen as s*s polyphase components of
+    shape (c, n*hq*wq): a reshape at stride 1, one transposing copy at
+    stride 2.  Column (k*hq + i)*wq + j holds output pixel (i, j) of image k,
+    and tap (u, v) reads phase (u%s, v%s) shifted by (u//s)*wq + v//s columns.
+    Columns with i >= ho or j >= wo are scratch and are cut from the output.
+    The backward walks the same taps over the output gradient laid out alike
+    with zero borders; the closure keeps only the phases.
     """
     if stride not in (1, 2):
         raise ValueError(f"conv3x3: stride must be 1 or 2, got {stride}")
@@ -428,26 +427,39 @@ def conv3x3(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
         raise ValueError(f"conv3x3: bad shapes x{x.shape} w{w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ValueError(f"conv3x3: channel mismatch x{x.shape} w{w.shape}")
+    s = stride
     n, c, h, wd = x.shape
-    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    taps = [(u, v, np.s_[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride])
-            for u in range(3) for v in range(3)]
-    out = np.zeros((n, w.shape[0], ho * wo), dtype=np.result_type(xp, w.data))
-    for u, v, tap in taps:
-        out += np.matmul(w.data[:, :, u, v], xp[tap].reshape(n, c, ho * wo))
+    co = w.shape[0]
+    ho, wo = (h - 1) // s + 1, (wd - 1) // s + 1
+    hq, wq = ho + 2 // s, wo + 2 // s
+    dtype = np.result_type(x.data, w.data)
+    buf = np.zeros((c, n, s * hq, s * wq), dtype=dtype)
+    buf[:, :, 1:1 + h, 1:1 + wd] = x.data.transpose(1, 0, 2, 3)
+    ph = buf.reshape(c, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s * s, c, -1)
+    taps = [(u, v, (u % s) * s + v % s, (u // s) * wq + v // s) for u in range(3) for v in range(3)]
+    cols = n * hq * wq
+    span = cols - taps[-1][3]  # tap (2, 2) reaches furthest
+    out = np.zeros((co, cols), dtype=dtype)
+    for u, v, p, off in taps:
+        out[:, :span] += w.data[:, :, u, v] @ ph[p, :, off:off + span]
 
     def backward(g: np.ndarray) -> None:
+        gf = np.zeros((co, n, hq, wq), dtype=g.dtype)
+        gf[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
+        gf = gf.reshape(co, cols)[:, :span]
         if w.requires_grad:
-            g2 = _fold(g)
-            w._accumulate(np.stack([g2 @ _fold(xp[t]).T for _, _, t in taps], -1).reshape(w.shape))
+            w._accumulate(np.stack([gf @ ph[p, :, off:off + span].T for _, _, p, off in taps],
+                                   -1).reshape(w.shape))
         if x.requires_grad:
-            g3, gxp = g.reshape(n, -1, ho * wo), np.zeros_like(xp)
-            for u, v, tap in taps:
-                gxp[tap] += np.matmul(w.data[:, :, u, v].T, g3).reshape(n, c, ho, wo)
-            x._accumulate(gxp[:, :, 1:1 + h, 1:1 + wd])
+            gph = np.zeros_like(ph)
+            for u, v, p, off in taps:
+                gph[p, :, off:off + span] += w.data[:, :, u, v].T @ gf
+            gbuf = gph.reshape(s, s, c, n, hq, wq).transpose(2, 3, 4, 0, 5, 1)
+            gbuf = gbuf.reshape(c, n, s * hq, s * wq)
+            x._accumulate(gbuf[:, :, 1:1 + h, 1:1 + wd].transpose(1, 0, 2, 3))
 
-    return Tensor._from_op(out.reshape(n, -1, ho, wo), (x, w), backward)
+    out = out.reshape(co, n, hq, wq)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
+    return Tensor._from_op(np.ascontiguousarray(out), (x, w), backward)
 
 
 def add_channel_bias(x: Tensor, v: Tensor) -> Tensor:

@@ -215,6 +215,16 @@ def test_nonfinite_config_exits_2(tmp_path, capsys, command, line):
     assert f"{line.split('=')[0]} must be" in err and "finite" in err
 
 
+@pytest.mark.parametrize("command", ["train-toy", "ablate"])
+@pytest.mark.parametrize("line", ["h_msm=0", "d_audio=0", "height=0", "width=-4", "n_clips=0"])
+def test_nonpositive_size_config_exits_2(tmp_path, capsys, command, line):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(TINY_CONFIG + line + "\n")
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"TrainConfig: {line.split('=')[0]} must be >= 1" in capsys.readouterr().err
+
+
 def test_ablate_byte_identical_reports(tmp_path):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(TINY_CONFIG)

@@ -1,6 +1,7 @@
 """Tensor primitives, the gradient tape, and the Adam update."""
 
 import dataclasses
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -382,6 +383,13 @@ def _case_conv2(r):
     return {"x": x, "w": w}, lambda: sum_all(sigmoid(conv3x3(x, w, stride=2)))
 
 
+@fd_case("conv3x3_stride2_odd")
+def _case_conv2_odd(r):
+    x = Tensor(r.standard_normal((1, 2, 5, 3)), requires_grad=True)
+    w = Tensor(r.standard_normal((3, 2, 3, 3)) * 0.3, requires_grad=True)
+    return {"x": x, "w": w}, lambda: sum_all(sigmoid(conv3x3(x, w, stride=2)))
+
+
 @fd_case("add_channel_bias")
 def _case_bias(r):
     x = Tensor(r.standard_normal((2, 3, 4, 4)), requires_grad=True)
@@ -455,7 +463,17 @@ def _unet_conv_shapes(cfg):
 @pytest.mark.parametrize("xs, ws, stride", _unet_conv_shapes(TrainConfig()) + [
     ((2, 3, 5, 7), (4, 3, 3, 3), 2),   # odd spatial size at stride 2
     ((2, 3, 5, 7), (1, 3, 3, 3), 1),   # a single output channel
-], ids=["in", "down", "mid1", "mid2", "up", "out", "odd_stride2", "c_out_1"])
+    ((1, 3, 6, 5), (4, 3, 3, 3), 1),   # a single image
+    ((2, 3, 1, 1), (4, 3, 3, 3), 1),   # 1x1 to 3x3 images at both strides:
+    ((2, 3, 1, 1), (4, 3, 3, 3), 2),   # a flat layout off by one reads the
+    ((2, 3, 2, 2), (4, 3, 3, 3), 1),   # next image's first row
+    ((2, 3, 2, 2), (4, 3, 3, 3), 2),
+    ((2, 3, 3, 3), (4, 3, 3, 3), 1),
+    ((2, 3, 3, 3), (4, 3, 3, 3), 2),
+    ((3, 4, 5, 4), (2, 4, 3, 3), 2),   # odd height, even width at stride 2
+], ids=["in", "down", "mid1", "mid2", "up", "out", "odd_stride2", "c_out_1", "n_1",
+        "1x1_stride1", "1x1_stride2", "2x2_stride1", "2x2_stride2", "3x3_stride1", "3x3_stride2",
+        "odd_h_even_w_stride2"])
 def test_conv3x3_matches_einsum_reference(xs, ws, stride):
     r = rng(5)
     x = Tensor(r.standard_normal(xs), requires_grad=True)
@@ -473,6 +491,44 @@ def test_conv3x3_matches_einsum_reference(xs, ws, stride):
     out32 = conv3x3(x32, w32, stride=stride)
     assert out32.dtype == np.float32
     np.testing.assert_allclose(out32.data, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
+
+    xg, wg = (Tensor(t.data.astype(np.float32), requires_grad=True) for t in (x, w))
+    sum_all(ew_mul(conv3x3(xg, wg, stride=stride), g.astype(np.float32))).backward()
+    assert xg.grad.dtype == np.float32 and wg.grad.dtype == np.float32
+    np.testing.assert_allclose(xg.grad, want_gx, rtol=1e-4, atol=1e-4 * np.abs(want_gx).max())
+    np.testing.assert_allclose(wg.grad, want_gw, rtol=1e-4, atol=1e-4 * np.abs(want_gw).max())
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv3x3_permuted_input_matches_einsum_reference(stride):
+    # unet_forward feeds mid2 a permute view (NHWC storage) after attention
+    r = rng(8)
+    base = Tensor(r.standard_normal((3, 5, 6, 4)), requires_grad=True)
+    x = permute(base, (0, 3, 1, 2))
+    assert not x.data.flags.c_contiguous
+    w = Tensor(r.standard_normal((2, 4, 3, 3)), requires_grad=True)
+    out = conv3x3(x, w, stride=stride)
+    g = r.standard_normal(out.shape)
+    sum_all(ew_mul(out, g)).backward()
+    want, want_gx, want_gw = _einsum_conv3x3(x.data, w.data, g, stride)
+    base_gx = want_gx.transpose(0, 2, 3, 1)
+    for got, ref in ((out.data, want), (base.grad, base_gx), (w.grad, want_gw)):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_conv3x3_peak_memory_stays_near_input_size():
+    # the UNet `up` conv at the default config; its input is 0.79 MB, and an
+    # (n*h*w, 9*c) im2col column matrix alone would add 7 MB
+    r = rng(9)
+    x = Tensor(r.standard_normal((16, 24, 16, 16)), requires_grad=True)
+    w = Tensor(r.standard_normal((8, 24, 3, 3)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        sum_all(conv3x3(x, w)).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5e6
 
 
 def test_channel_linear_matches_einsum_reference():
