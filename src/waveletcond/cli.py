@@ -193,18 +193,18 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def parse_index_spec(spec: str) -> list[int]:
-    """Comma list with ranges: "48-67" or "1,3,5-8"."""
+def parse_index_spec(spec: str, count: int) -> list[int]:
+    """Comma list with ranges, "48-67" or "1,3,5-8", of indices in [0, count)."""
     out: list[int] = []
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo, _, hi = part.partition("-")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        lo, dash, hi = part.partition("-")
+        lo, hi = int(lo), int(hi if dash else lo)
+        if not 0 <= lo <= hi < count:
+            raise ValueError(f"index spec {spec!r}: {part!r} is not a range within [0, {count})")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError(f"empty index spec: {spec!r}")
     return out
@@ -214,19 +214,20 @@ def cmd_metrics(args) -> int:
     records = datakit.read_manifest(args.manifest)
     if not records:
         raise ValueError(f"metrics: empty manifest {args.manifest}")
-    mouth = np.asarray(parse_index_spec(args.mouth_indices)) if args.mouth_indices else None
     pred_dir, gt_dir = Path(args.pred), Path(args.gt)
     rows = []
     for rec in records:
+        pred_lm = metrics.load_landmarks_csv(pred_dir / rec.landmark_path)
         assets = metrics.ClipAssets(
             clip_id=rec.clip_id,
             pred_frames=sgtf.read_tensor(pred_dir / rec.frames_path),
             gt_frames=sgtf.read_tensor(gt_dir / rec.frames_path),
-            pred_landmarks=metrics.load_landmarks_csv(pred_dir / rec.landmark_path),
+            pred_landmarks=pred_lm,
             gt_landmarks=metrics.load_landmarks_csv(gt_dir / rec.landmark_path),
             beats=metrics.load_beats(gt_dir / rec.beats_path),
             fps=rec.fps,
-            mouth_indices=mouth,
+            mouth_indices=(parse_index_spec(args.mouth_indices, pred_lm.shape[1])
+                           if args.mouth_indices else None),
         )
         rows.append(metrics.evaluate_clip(assets, peak=args.peak))
     report = metrics.json_safe({

@@ -8,6 +8,7 @@ read/write round trip verbatim.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -76,6 +77,12 @@ class ClipRecord:
                 f"[{self.start_frame}, {self.end_frame})")
         if self.split not in ("", "train", "test"):
             raise ValueError(f"ClipRecord {self.source_id}: bad split {self.split!r}")
+        for name in ("landmark_path", "beats_path", "frames_path"):
+            rel = getattr(self, name)
+            if not isinstance(rel, str) or os.path.isabs(rel) or \
+                    os.path.normpath(rel).split(os.sep)[0] == os.pardir:
+                raise ValueError(f"ClipRecord {self.source_id}: {name} must be a path inside "
+                                 f"the data root, got {rel!r}")
 
     @property
     def clip_id(self) -> str:

@@ -185,10 +185,6 @@ def init_model_params(cfg: TrainConfig, seed: int | None = None) -> dict[str, Te
     return params
 
 
-def param_count(params: dict[str, Tensor]) -> int:
-    return sum(p.size for p in params.values())
-
-
 def encode_audio(audio_windows: np.ndarray, params: dict[str, Tensor]) -> Tensor:
     """Toy audio encoder: shared affine map per window column -> (d_audio, l)."""
     cols = np.asarray(audio_windows).T  # (l, window)

@@ -9,7 +9,7 @@ standard column layout.
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,23 +36,20 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    ax = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    g = np.exp(-(ax ** 2) / (2.0 * sigma ** 2))
-    w = np.outer(g, g)
-    return w / w.sum()
-
-
 def gaussian_taps(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    """The 1-D factor of `gaussian_window`: its row sums, whose outer product is the window."""
-    return gaussian_window(size, sigma).sum(axis=1)
+    """Normalised 1-D Gaussian taps; their outer product is the separable SSIM window."""
+    g = np.exp(-((np.arange(size) - (size - 1) / 2.0) ** 2) / (2.0 * sigma ** 2))
+    w = np.outer(g, g)  # row sums of the 2-D window: `g / g.sum()` moves SSIM's last digit
+    return (w / w.sum()).sum(axis=1)
 
 
-def _window_matrix(n: int, taps: np.ndarray) -> np.ndarray:
-    """Banded (n - size + 1, n) matrix whose row i holds `taps` at columns i ... i + size - 1."""
-    rows = np.arange(n - taps.size + 1)[:, None]
+@functools.lru_cache(maxsize=16)
+def _window_matrix(n: int, window_size: int, sigma: float) -> np.ndarray:
+    """Read-only banded (n - size + 1, n) matrix, row i holding the taps from column i on."""
+    rows = np.arange(n - window_size + 1)[:, None]
     k = np.zeros((rows.size, n))
-    k[rows, rows + np.arange(taps.size)] = taps
+    k[rows, rows + np.arange(window_size)] = gaussian_taps(window_size, sigma)
+    k.flags.writeable = False
     return k
 
 
@@ -72,8 +69,7 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0, window_size: int = 11,
         raise ValueError(f"ssim: expected 2-D images, got shape {a.shape}")
     if min(a.shape) < window_size:
         raise ValueError(f"ssim: image {a.shape} smaller than window {window_size}")
-    taps = gaussian_taps(window_size, sigma)
-    kh, kw = (_window_matrix(n, taps) for n in a.shape)
+    kh, kw = (_window_matrix(n, window_size, sigma) for n in a.shape)
     mu_a, mu_b, e_aa, e_bb, e_ab = kh @ np.stack([a, b, a * a, b * b, a * b]) @ kw.T
     var_a = e_aa - mu_a ** 2
     var_b = e_bb - mu_b ** 2
@@ -229,35 +225,34 @@ def bas(audio_beats: BeatTrack, motion: LandmarkSequence, sigma: float | None = 
 
 
 def save_landmarks_csv(path, frames: np.ndarray) -> None:
-    """Header `frame,x0,y0,...,x{k-1},y{k-1}`, one row per frame."""
+    """Header `frame,x0,y0,...,x{k-1},y{k-1}`, one row per frame; commas, no quoting, CRLF."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3 or frames.shape[2] != 2:
         raise ValueError(f"save_landmarks_csv: expected (n, k, 2), got {frames.shape}")
-    k = frames.shape[1]
-    header = ["frame"] + [f"{axis}{i}" for i in range(k) for axis in ("x", "y")]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for idx, frame in enumerate(frames):
-            writer.writerow([idx] + [repr(float(v)) for v in frame.reshape(-1)])
+    header = ["frame"] + [f"{axis}{i}" for i in range(frames.shape[1]) for axis in ("x", "y")]
+    rows = [[str(i)] + [repr(float(v)) for v in f.reshape(-1)] for i, f in enumerate(frames)]
+    Path(path).write_text("".join(",".join(row) + "\r\n" for row in [header] + rows), newline="")
 
 
 def load_landmarks_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty landmark file") from None
-        if not header or header[0] != "frame" or (len(header) - 1) % 2:
-            raise ValueError(f"{path}: malformed landmark header {header!r}")
-        k = (len(header) - 1) // 2
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 1 + 2 * k:
-                raise ValueError(f"{path}:{lineno}: expected {1 + 2 * k} columns, got {len(row)}")
-            rows.append([float(v) for v in row[1:]])
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), k, 2)
+    """Read `save_landmarks_csv` output; every data line must hold exactly 1 + 2k cells."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty landmark file")
+    header = lines[0].split(",")
+    if header[0] != "frame" or len(header) % 2 == 0:
+        raise ValueError(f"{path}: malformed landmark header {header!r}")
+    k, rows = len(header) // 2, lines[1:]
+    for lineno, line in enumerate(rows, start=2):
+        if line.count(",") != 2 * k:
+            raise ValueError(f"{path}:{lineno}: expected {2 * k + 1} columns, "
+                             f"got {line.count(',') + 1}")
+    try:
+        data = (np.loadtxt(rows, delimiter=",", usecols=range(1, 1 + 2 * k), comments=None, ndmin=2)
+                if rows else np.zeros((0, 2 * k)))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return data.reshape(len(rows), k, 2)
 
 
 def save_beats(path, timestamps) -> None:

@@ -22,7 +22,7 @@ from waveletcond.datakit import (
     split_dataset,
     write_manifest,
 )
-from waveletcond.diffusion import TrainConfig, init_model_params, linear_schedule, param_count
+from waveletcond.diffusion import TrainConfig, init_model_params, linear_schedule
 from waveletcond.gradcheck import check_gradients
 from waveletcond.metrics import (
     BeatTrack,
@@ -133,7 +133,7 @@ def test_c3_gradient_suite():
     params = init_model_params(GRAD_CFG, seed=11)
     params = {k: Tensor(r.standard_normal(p.shape) * 0.3, requires_grad=True)
               for k, p in params.items()}
-    n_params = param_count(params)
+    n_params = sum(p.size for p in params.values())
     assert n_params <= 5000, f"gradient-check model has {n_params} params"
     clip = make_synthetic_dataset(1, GRAD_CFG.frames, GRAD_CFG.height, GRAD_CFG.width,
                                   seed=1, samples_per_frame=4)[0]

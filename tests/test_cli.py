@@ -315,10 +315,71 @@ def test_metrics_hostile_frame_shapes_exit_2(tmp_path, capsys, shape):
 
 
 def test_parse_index_spec():
-    assert parse_index_spec("48-51") == [48, 49, 50, 51]
-    assert parse_index_spec("1,3,5-7") == [1, 3, 5, 6, 7]
+    assert parse_index_spec("48-51", 68) == [48, 49, 50, 51]
+    assert parse_index_spec("1,3,5-7", 8) == [1, 3, 5, 6, 7]
     with pytest.raises(ValueError):
-        parse_index_spec(",")
+        parse_index_spec(",", 68)
+
+
+@pytest.mark.parametrize("spec", ["0-10000000000", "10000000000", "60-68", "68", "7-5", "5-"])
+def test_parse_index_spec_rejects_indices_past_count_before_expanding(spec):
+    with pytest.raises(ValueError):
+        parse_index_spec(spec, 68)
+
+
+def test_metrics_mouth_indices_past_landmark_count_exit_2(tmp_path, capsys):
+    manifest, pred, gt = build_metrics_tree(tmp_path, n_clips=1)
+    report_path = tmp_path / "report.json"
+    assert main(["metrics", "--pred", str(pred), "--gt", str(gt), "--manifest", str(manifest),
+                 "--report", str(report_path), "--mouth-indices", "0-10000000000"]) == 2
+    err = capsys.readouterr().err
+    assert "[0, 2)" in err and "Traceback" not in err
+    assert not report_path.exists()
+
+
+def _rewrite_record(manifest, **fields):
+    rec = json.loads(manifest.read_text())
+    rec.update(fields)
+    manifest.write_text(json.dumps(rec) + "\n")
+
+
+@pytest.mark.parametrize("field, where", [
+    ("frames_path", "absolute"), ("landmark_path", "absolute"),
+    ("beats_path", "parent"), ("frames_path", "parent"),
+])
+def test_metrics_rejects_asset_paths_outside_roots(tmp_path, capsys, field, where):
+    manifest, pred, gt = build_metrics_tree(tmp_path, n_clips=1)
+    rec = json.loads(manifest.read_text())
+    # A readable copy of the asset outside both roots: reading it would succeed.
+    outside = tmp_path / "outside" / rec[field]
+    outside.parent.mkdir(parents=True)
+    outside.write_bytes((gt / rec[field]).read_bytes())
+    rel = str(outside) if where == "absolute" else f"../outside/{rec[field]}"
+    _rewrite_record(manifest, **{field: rel})
+    report_path = tmp_path / "report.json"
+    assert main(["metrics", "--pred", str(pred), "--gt", str(gt),
+                 "--manifest", str(manifest), "--report", str(report_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}:1: bad record" in err and field in err and "Traceback" not in err
+    assert not report_path.exists()
+
+
+def test_metrics_keeps_dotdot_paths_that_stay_inside_root(tmp_path):
+    manifest, pred, gt = build_metrics_tree(tmp_path, n_clips=1)
+    rec = json.loads(manifest.read_text())
+    _rewrite_record(manifest, beats_path=f"s0/../{rec['beats_path']}")
+    assert main(["metrics", "--pred", str(pred), "--gt", str(gt), "--manifest", str(manifest),
+                 "--report", str(tmp_path / "report.json")]) == 0
+
+
+@pytest.mark.parametrize("field", ["frames_path", "landmark_path", "beats_path"])
+def test_metrics_non_string_path_exits_2(tmp_path, capsys, field):
+    manifest, pred, gt = build_metrics_tree(tmp_path, n_clips=1)
+    _rewrite_record(manifest, **{field: 5})
+    assert main(["metrics", "--pred", str(pred), "--gt", str(gt), "--manifest", str(manifest),
+                 "--report", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}:1: bad record" in err and field in err and "Traceback" not in err
 
 
 # -- manifest commands ----------------------------------------------------------------------

@@ -256,6 +256,19 @@ def test_clip_record_validates_fps():
         ClipRecord(source_id="x", start_frame=0, end_frame=50, fps=30.0)
 
 
+@pytest.mark.parametrize("value", [5, None, ["a"], "/etc/hostname", "..", "../gt/c.beats",
+                                   "a/../../b"])
+def test_clip_record_rejects_paths_that_are_not_inside_a_root(value):
+    for field in ("landmark_path", "beats_path", "frames_path"):
+        with pytest.raises(ValueError, match=field):
+            ClipRecord(source_id="x", start_frame=0, end_frame=50, **{field: value})
+
+
+def test_clip_record_accepts_relative_paths_inside_a_root():
+    for value in ("", "a.csv", "s/a.csv", "s/../a.csv", "./a.csv", "..a/b.csv"):
+        ClipRecord(source_id="x", start_frame=0, end_frame=50, landmark_path=value)
+
+
 def test_clip_record_validates_split_label():
     with pytest.raises(ValueError, match="split"):
         ClipRecord(source_id="x", start_frame=0, end_frame=50, split="val")

@@ -14,7 +14,6 @@ from waveletcond.diffusion import (
     forward_diffuse,
     init_model_params,
     linear_schedule,
-    param_count,
     sample,
     unet_forward,
 )

@@ -1,9 +1,14 @@
 """Metric oracles: PSNR, windowed SSIM, landmark distance, diversity, beat alignment."""
 
+import csv
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from waveletcond.metrics import (
     BeatTrack,
@@ -15,8 +20,8 @@ from waveletcond.metrics import (
     bas_from_beats,
     diversity,
     evaluate_clip,
+    _window_matrix,
     gaussian_taps,
-    gaussian_window,
     json_safe,
     lmd,
     load_beats,
@@ -66,6 +71,14 @@ def test_psnr_rejects_shape_mismatch():
 
 
 # -- SSIM ---------------------------------------------------------------------
+
+
+def gaussian_window(size=11, sigma=1.5):
+    """The normalised 2-D Gaussian window, built directly from its definition."""
+    ax = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
+    g = np.exp(-(ax ** 2) / (2.0 * sigma ** 2))
+    w = np.outer(g, g)
+    return w / w.sum()
 
 
 def naive_ssim(a, b, peak=1.0, size=11, sigma=1.5, k1=0.01, k2=0.03):
@@ -141,6 +154,42 @@ def _einsum_ssim(a, b, peak, size=11, sigma=1.5, k1=0.01, k2=0.03):
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))
+
+
+def test_gaussian_taps_are_window_row_sums_bit_for_bit():
+    for size, sigma in [(11, 1.5), (7, 1.0), (5, 0.8)]:
+        want = gaussian_window(size, sigma).sum(axis=1)
+        assert gaussian_taps(size, sigma).tobytes() == want.tobytes()
+
+
+def _oracle_window_ssim(a, b, peak, size=11, sigma=1.5, k1=0.01, k2=0.03):
+    """The separable formula fed by per-call tap matrices from the 2-D window oracle."""
+    taps = gaussian_window(size, sigma).sum(axis=1)
+    kh, kw = (np.stack([np.pad(taps, (i, n - size - i)) for i in range(n - size + 1)])
+              for n in a.shape)
+    mu_a, mu_b, e_aa, e_bb, e_ab = kh @ np.stack([a, b, a * a, b * b, a * b]) @ kw.T
+    c1, c2 = (k1 * peak) ** 2, (k2 * peak) ** 2
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * (e_ab - mu_a * mu_b) + c2)
+    den = (mu_a ** 2 + mu_b ** 2 + c1) * (e_aa - mu_a ** 2 + e_bb - mu_b ** 2 + c2)
+    return float(np.mean(num / den))
+
+
+def test_ssim_within_1e15_of_window_oracle():
+    r = rng(12)
+    for shape in [(64, 64), (11, 11), (14, 15), (64, 64)]:
+        a = r.random(shape)
+        b = np.clip(a + 0.05 * r.standard_normal(shape), 0, 1)
+        assert abs(ssim(a, b) - _oracle_window_ssim(a, b, 1.0)) <= 1e-15
+
+
+def test_window_matrix_built_once_and_read_only():
+    k = _window_matrix(64, 11, 1.5)
+    assert _window_matrix(64, 11, 1.5) is k
+    assert k.shape == (54, 64) and not k.flags.writeable
+    with pytest.raises(ValueError):
+        k[0, 0] = 1.0
+    np.testing.assert_array_equal(k[3, 3:14], gaussian_taps())
+    assert _window_matrix(64, 7, 1.5) is not k
 
 
 @pytest.mark.parametrize("shape", [(64, 64), (11, 11), (14, 15)], ids=["64x64", "11x11", "14x15"])
@@ -344,6 +393,57 @@ def test_landmark_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("frame,x0\n0,1.0\n")
     with pytest.raises(ValueError, match="header"):
+        load_landmarks_csv(path)
+
+
+def csv_oracle(path):
+    """Independent reader: `csv.reader` rows, one Python `float` per cell."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    k = (len(rows[0]) - 1) // 2
+    assert all(len(row) == 1 + 2 * k for row in rows[1:])
+    return np.asarray([[float(v) for v in row[1:]] for row in rows[1:]],
+                      dtype=np.float64).reshape(len(rows) - 1, k, 2)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+           1.7976931348623157e308, math.nan, math.inf, -math.inf, 0.1, -1 / 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=3, max_dims=3, min_side=0, max_side=6)
+                  .map(lambda s: s[:2] + (2,)),
+                  elements=st.one_of(st.floats(width=64), st.sampled_from(SPECIAL))))
+@example(np.asarray(SPECIAL + [1.0]).reshape(1, 7, 2))
+def test_landmark_csv_loader_matches_oracle_bytes(frames):
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/lm.csv"
+        save_landmarks_csv(path, frames)
+        got, want = load_landmarks_csv(path), csv_oracle(path)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape == frames.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_landmark_csv_header_only_is_empty(tmp_path):
+    path = tmp_path / "lm.csv"
+    save_landmarks_csv(path, np.zeros((0, 3, 2)))
+    assert load_landmarks_csv(path).shape == (0, 3, 2)
+
+
+@pytest.mark.parametrize("body, match", [
+    ("frame,x0,y0\n0,1.0,2.0\n1,1.0\n", r"lm\.csv:3: expected 3 columns, got 2"),
+    ("frame,x0,y0\n0,1.0,2.0\n1,1.0,2.0,3.0\n", r"lm\.csv:3: expected 3 columns, got 4"),
+    ("frame,x0,y0\n0,1.0,abc\n", r"lm\.csv: could not convert string 'abc'"),
+    ("frame,x0,y0\n0,1.0,2.0\n\n1,1.0,2.0\n", r"lm\.csv:3: expected 3 columns, got 1"),
+    ("frame,x0,y0\n0,1.0,#2.0\n", r"lm\.csv: could not convert string '#2.0'"),
+    ('frame,x0,y0\n0,"1.0",2.0\n', r"lm\.csv: could not convert string '\"1.0\"'"),
+    ("", r"lm\.csv: empty landmark file"),
+], ids=["short_row", "long_row", "non_numeric", "blank_line", "hash_cell", "quoted_cell", "empty"])
+def test_landmark_csv_rejects_bad_body(tmp_path, body, match):
+    path = tmp_path / "lm.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=match):
         load_landmarks_csv(path)
 
 
