@@ -48,25 +48,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dwt", help="decompose an SGTF tensor into four sub-band files")
     p.add_argument("input")
     p.add_argument("out_prefix")
+    p.set_defaults(func=cmd_dwt)
 
     p = sub.add_parser("idwt", help="reassemble a tensor from four sub-band files")
     p.add_argument("in_prefix")
     p.add_argument("output")
+    p.set_defaults(func=cmd_idwt)
 
     p = sub.add_parser("msm-apply", help="condition an audio embedding on a latent")
     p.add_argument("--audio", required=True)
     p.add_argument("--latent", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_msm_apply)
 
     p = sub.add_parser("sfm-apply", help="filter bottleneck features")
     p.add_argument("--features", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_sfm_apply)
 
     p = sub.add_parser("train-toy", help="train the toy harness on synthetic clips")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("sample", help="generate a clip from a trained run directory")
     p.add_argument("--params", required=True, help="run directory from train-toy")
@@ -74,10 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True, help="reference frame (SGTF, c x h x w)")
     p.add_argument("--seed", type=int, default=0, dest="sample_seed")
     p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("ablate", help="train all module-ablation variants and report")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="report path (default: stdout)")
+    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("metrics", help="score predicted clips against ground truth")
     p.add_argument("--pred", required=True)
@@ -87,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peak", type=float, default=1.0)
     p.add_argument("--mouth-indices", default=None,
                    help="comma/range list of mouth landmark indices, e.g. 48-67")
+    p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("manifest", help="dataset manifest tooling")
     msub = p.add_subparsers(dest="manifest_command", required=True)
@@ -95,17 +103,20 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--sources", required=True)
     m.add_argument("--out", required=True)
     m.add_argument("--ratio", type=float, default=0.8)
+    m.set_defaults(func=cmd_manifest_segment)
 
     m = msub.add_parser("crop", help="recompute crop boxes at a given face ratio")
     m.add_argument("--sources", required=True)
     m.add_argument("--manifest", required=True)
     m.add_argument("--out", required=True)
     m.add_argument("--ratio", type=float, default=0.8)
+    m.set_defaults(func=cmd_manifest_crop)
 
     m = msub.add_parser("split", help="assign subject-disjoint train/test labels")
     m.add_argument("--manifest", required=True)
     m.add_argument("--out", required=True)
     m.add_argument("--ratio", default="4:1")
+    m.set_defaults(func=cmd_manifest_split)
 
     return parser
 
@@ -236,65 +247,54 @@ def cmd_metrics(args) -> int:
         "aggregate": metrics.aggregate_rows(rows),
         "per_clip": rows,
     })
-    Path(args.report).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    Path(args.report).write_text(report_to_json(report))
     print(f"scored {len(rows)} clips -> {args.report}")
     return EXIT_OK
 
 
-def cmd_manifest(args) -> int:
-    if args.manifest_command == "segment":
-        sources = datakit.read_sources(args.sources)
-        records = [rec for src in sources for rec in datakit.segment_clips(src, ratio=args.ratio)]
-        datakit.write_manifest(args.out, records)
-        print(f"segmented {len(sources)} sources into {len(records)} clips -> {args.out}")
-        return EXIT_OK
-    if args.manifest_command == "crop":
-        sources = {s.source_id: s for s in datakit.read_sources(args.sources)}
-        records = datakit.read_manifest(args.manifest)
-        out = []
-        for rec in records:
-            src = sources.get(rec.source_id)
-            if src is None:
-                raise ValueError(f"manifest crop: no source metadata for {rec.source_id}")
-            box = datakit.bbox_for_frame(src, rec.start_frame)
-            crop = (datakit.crop_box(box, src.width, src.height, ratio=args.ratio)
-                    if box else rec.crop_box)
-            out.append(dataclasses.replace(rec, crop_box=crop))
-        datakit.write_manifest(args.out, out)
-        print(f"recomputed {len(out)} crop boxes at ratio {args.ratio} -> {args.out}")
-        return EXIT_OK
-    if args.manifest_command == "split":
-        train_parts, _, test_parts = args.ratio.partition(":")
-        records = datakit.read_manifest(args.manifest)
-        seed = 0 if args.seed is None else args.seed
-        labelled = datakit.split_dataset(records, seed=seed,
-                                         train_parts=int(train_parts),
-                                         test_parts=int(test_parts or 1))
-        datakit.write_manifest(args.out, labelled)
-        n_train = sum(1 for r in labelled if r.split == "train")
-        print(f"split {len(labelled)} clips: {n_train} train / {len(labelled) - n_train} test "
-              f"-> {args.out}")
-        return EXIT_OK
-    raise ValueError(f"unknown manifest command {args.manifest_command!r}")
+def cmd_manifest_segment(args) -> int:
+    sources = datakit.read_sources(args.sources)
+    records = [rec for src in sources for rec in datakit.segment_clips(src, ratio=args.ratio)]
+    datakit.write_manifest(args.out, records)
+    print(f"segmented {len(sources)} sources into {len(records)} clips -> {args.out}")
+    return EXIT_OK
 
 
-_COMMANDS = {
-    "dwt": cmd_dwt,
-    "idwt": cmd_idwt,
-    "msm-apply": cmd_msm_apply,
-    "sfm-apply": cmd_sfm_apply,
-    "train-toy": cmd_train_toy,
-    "sample": cmd_sample,
-    "ablate": cmd_ablate,
-    "metrics": cmd_metrics,
-    "manifest": cmd_manifest,
-}
+def cmd_manifest_crop(args) -> int:
+    sources = {s.source_id: s for s in datakit.read_sources(args.sources)}
+    records = datakit.read_manifest(args.manifest)
+    out = []
+    for rec in records:
+        src = sources.get(rec.source_id)
+        if src is None:
+            raise ValueError(f"manifest crop: no source metadata for {rec.source_id}")
+        box = datakit.bbox_for_frame(src, rec.start_frame)
+        crop = (datakit.crop_box(box, src.width, src.height, ratio=args.ratio)
+                if box else rec.crop_box)
+        out.append(dataclasses.replace(rec, crop_box=crop))
+    datakit.write_manifest(args.out, out)
+    print(f"recomputed {len(out)} crop boxes at ratio {args.ratio} -> {args.out}")
+    return EXIT_OK
+
+
+def cmd_manifest_split(args) -> int:
+    train_parts, _, test_parts = args.ratio.partition(":")
+    records = datakit.read_manifest(args.manifest)
+    seed = 0 if args.seed is None else args.seed
+    labelled = datakit.split_dataset(records, seed=seed,
+                                     train_parts=int(train_parts),
+                                     test_parts=int(test_parts or 1))
+    datakit.write_manifest(args.out, labelled)
+    n_train = sum(1 for r in labelled if r.split == "train")
+    print(f"split {len(labelled)} clips: {n_train} train / {len(labelled) - n_train} test "
+          f"-> {args.out}")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except DivergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -8,6 +8,7 @@ read/write round trip verbatim.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -31,8 +32,9 @@ class SourceMeta:
     face_bboxes: list[tuple[int, tuple[int, int, int, int]]] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValueError(f"SourceMeta {self.source_id}: duration must be positive")
+        for name in ("duration_s", "fps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"SourceMeta {self.source_id}: {name} must be finite and positive")
         for frame, (x, y, w, h) in self.face_bboxes:
             if x < 0 or y < 0 or x + w > self.width or y + h > self.height:
                 raise ValueError(

@@ -58,13 +58,15 @@ class NoiseSchedule:
     alpha_bars: np.ndarray
 
 
-def linear_schedule(timesteps: int = 50, beta_start: float = 1e-4,
-                    beta_end: float = 0.02) -> NoiseSchedule:
+# The DDPM linear beta schedule's end points (Ho et al. 2020, arXiv 2006.11239).
+BETA_START = 1e-4
+BETA_END = 0.02
+
+
+def linear_schedule(timesteps: int = 50) -> NoiseSchedule:
     if timesteps < 1:
         raise ValueError(f"linear_schedule: timesteps must be >= 1, got {timesteps}")
-    betas = np.linspace(beta_start, beta_end, timesteps)
-    if np.any(betas <= 0.0) or np.any(betas >= 1.0):
-        raise ValueError("linear_schedule: betas must lie strictly in (0, 1)")
+    betas = np.linspace(BETA_START, BETA_END, timesteps)
     alphas = 1.0 - betas
     return NoiseSchedule(timesteps=timesteps, betas=betas, alphas=alphas,
                          alpha_bars=np.cumprod(alphas))
@@ -204,6 +206,8 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
         raise ValueError(f"unet_forward: latent shape {z_t.shape} != {cfg.latent_shape}")
     if not 1 <= t <= cfg.timesteps:
         raise ValueError(f"unet_forward: t={t} outside [1, {cfg.timesteps}]")
+    if params["unet.temb"].shape[0] < cfg.timesteps:
+        raise ValueError(f"unet_forward: unet.temb has fewer than {cfg.timesteps} timestep rows")
     ref_frame = np.asarray(ref_frame)
     if ref_frame.shape != cfg.latent_shape[1:]:
         raise ValueError(

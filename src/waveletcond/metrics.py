@@ -18,6 +18,11 @@ from pathlib import Path
 import numpy as np
 
 PSNR_INFINITE = math.inf
+# SSIM's Gaussian window and stabilizing constants (Wang et al. 2004, IEEE TIP).
+SSIM_WINDOW = 11
+SSIM_SIGMA = 1.5
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
 
 
 # -- frame quality -------------------------------------------------------------
@@ -28,54 +33,53 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"psnr: shape mismatch {a.shape} vs {b.shape}")
-    if peak <= 0:
-        raise ValueError(f"psnr: peak must be positive, got {peak}")
+    if not 0.0 < peak < math.inf:
+        raise ValueError(f"psnr: peak must be finite and positive, got {peak}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return PSNR_INFINITE
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def gaussian_taps(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+def gaussian_taps() -> np.ndarray:
     """Normalised 1-D Gaussian taps; their outer product is the separable SSIM window."""
-    g = np.exp(-((np.arange(size) - (size - 1) / 2.0) ** 2) / (2.0 * sigma ** 2))
+    g = np.exp(-((np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0) ** 2) / (2.0 * SSIM_SIGMA ** 2))
     w = np.outer(g, g)  # row sums of the 2-D window: `g / g.sum()` moves SSIM's last digit
     return (w / w.sum()).sum(axis=1)
 
 
 @functools.lru_cache(maxsize=16)
-def _window_matrix(n: int, window_size: int, sigma: float) -> np.ndarray:
-    """Read-only banded (n - size + 1, n) matrix, row i holding the taps from column i on."""
-    rows = np.arange(n - window_size + 1)[:, None]
+def _window_matrix(n: int) -> np.ndarray:
+    """Read-only banded (n - SSIM_WINDOW + 1, n) matrix; row i holds the taps from column i."""
+    rows = np.arange(n - SSIM_WINDOW + 1)[:, None]
     k = np.zeros((rows.size, n))
-    k[rows, rows + np.arange(window_size)] = gaussian_taps(window_size, sigma)
+    k[rows, rows + np.arange(SSIM_WINDOW)] = gaussian_taps()
     k.flags.writeable = False
     return k
 
 
-def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0, window_size: int = 11,
-         sigma: float = 1.5, k1: float = 0.01, k2: float = 0.03) -> float:
+def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     """Mean local SSIM over all valid window positions of two 2-D images.
 
-    Gaussian-weighted window statistics, the standard stabilizing constants
-    C1 = (k1 peak)^2 and C2 = (k2 peak)^2.  The window is separable, so each
-    windowed mean of an image X is K_h @ X @ K_w.T with banded 1-D tap
-    matrices, taken for a, b, a^2, b^2 and ab in one stacked product.
+    Gaussian-weighted window statistics, stabilizing constants C1 = (SSIM_K1 peak)^2
+    and C2 = (SSIM_K2 peak)^2.  The window is separable, so each windowed mean
+    of an image X is K_h @ X @ K_w.T with banded 1-D tap matrices, taken for
+    a, b, a^2, b^2 and ab in one stacked product.
     """
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"ssim: shape mismatch {a.shape} vs {b.shape}")
     if a.ndim != 2:
         raise ValueError(f"ssim: expected 2-D images, got shape {a.shape}")
-    if min(a.shape) < window_size:
-        raise ValueError(f"ssim: image {a.shape} smaller than window {window_size}")
-    kh, kw = (_window_matrix(n, window_size, sigma) for n in a.shape)
+    if min(a.shape) < SSIM_WINDOW:
+        raise ValueError(f"ssim: image {a.shape} smaller than window {SSIM_WINDOW}")
+    kh, kw = (_window_matrix(n) for n in a.shape)
     mu_a, mu_b, e_aa, e_bb, e_ab = kh @ np.stack([a, b, a * a, b * b, a * b]) @ kw.T
     var_a = e_aa - mu_a ** 2
     var_b = e_bb - mu_b ** 2
     cov = e_ab - mu_a * mu_b
-    c1 = (k1 * peak) ** 2
-    c2 = (k2 * peak) ** 2
+    c1 = (SSIM_K1 * peak) ** 2
+    c2 = (SSIM_K2 * peak) ** 2
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))
@@ -205,20 +209,18 @@ def bas_from_beats(audio_times: np.ndarray, motion_times: np.ndarray,
     return float(np.mean(np.exp(-(offsets ** 2) / (2.0 * sigma ** 2))))
 
 
-def bas(audio_beats: BeatTrack, motion: LandmarkSequence, sigma: float | None = None) -> float:
+def bas(audio_beats: BeatTrack, motion: LandmarkSequence) -> float:
     """Beat alignment score in (0, 1]; motion beats come from displacement minima.
 
-    sigma defaults to 3 frames converted to seconds by the sequence fps.
-    When no motion beat is extractable the score is 0.0 by definition and a
-    RuntimeWarning flags it.
+    The Gaussian's sigma is 3 frames, converted to seconds by the sequence
+    fps.  When no motion beat is extractable the score is 0.0 by definition
+    and a RuntimeWarning flags it.
     """
-    if sigma is None:
-        sigma = 3.0 / motion.fps
     times = motion_beat_times(motion)
     if times.size == 0:
         warnings.warn("bas: no extractable motion beat; score defined as 0.0", RuntimeWarning)
         return 0.0
-    return bas_from_beats(audio_beats.timestamps, times, sigma)
+    return bas_from_beats(audio_beats.timestamps, times, 3.0 / motion.fps)
 
 
 # -- file formats ---------------------------------------------------------------------

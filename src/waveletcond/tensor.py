@@ -1,10 +1,10 @@
 """Dense real tensors with a minimal reverse-mode gradient tape.
 
 The op set is deliberately closed.  Primitives carry a hand-written backward
-rule: `add`, `ew_mul`, `matmul`, `sigmoid`, `relu`, `softmax_rows`,
-`sum_all`, `mean`, `reshape`, `permute`, `concat`, `tslice`, `conv3x3` and
-`nearest_upsample2`.  The rest are compositions of primitives and need no
-rule of their own: `sub`, `linear`, `add_channel_bias` and `channel_linear`.
+rule: `add`, `ew_mul`, `matmul`, `sigmoid`, `relu`, `softmax_rows`, `mean`,
+`reshape`, `permute`, `concat`, `tslice`, `conv3x3` and `nearest_upsample2`.
+The rest are compositions of primitives and need no rule of their own:
+`sub`, `linear`, `add_channel_bias` and `channel_linear`.
 The test suite checks every op against central finite differences.
 
 Contractions (`matmul`, `conv3x3`) go through `np.matmul`, so they run as
@@ -151,15 +151,6 @@ class Tensor:
 
     def __sub__(self, other):
         return sub(self, other)
-
-    def __neg__(self):
-        return ew_mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return tslice(self, key)
 
 
 class ParamGroup:
@@ -326,15 +317,6 @@ def softmax_rows(x: Tensor) -> Tensor:
 # -- reductions ---------------------------------------------------------------
 
 
-def sum_all(x: Tensor) -> Tensor:
-    out_data = np.asarray(x.data.sum())
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(np.full(x.data.shape, float(g), dtype=x.data.dtype))
-
-    return Tensor._from_op(out_data, (x,), backward)
-
-
 def mean(x: Tensor, axis: int | tuple[int, ...] | None = None) -> Tensor:
     """Arithmetic mean over `axis` (an int or a tuple); over every entry when None."""
     x = as_tensor(x)
@@ -484,6 +466,11 @@ def nearest_upsample2(x: Tensor) -> Tensor:
 
 # -- optimizer ----------------------------------------------------------------
 
+# Adam's published defaults (Kingma & Ba 2015, arXiv 1412.6980).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class AdamState:
     """First/second moment accumulators and update counts for one parameter set."""
@@ -495,9 +482,8 @@ class AdamState:
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> dict[str, Tensor]:
-    """One bias-corrected Adam update; returns fresh parameter tensors.
+              lr: float) -> dict[str, Tensor]:
+    """One bias-corrected Adam update (the ADAM_* constants); returns fresh tensors.
 
     A parameter missing from `grads`, or whose grad is None, is returned as
     is and its moments and step count stay untouched; those of the other
@@ -518,13 +504,13 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
         t = state.step[k]
         m = state.m[k]
         v = state.v[k]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        new_data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        new_data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_params[k] = Tensor(new_data, requires_grad=p.requires_grad)
     return new_params
 

@@ -36,6 +36,9 @@ ABLATION_VARIANTS = (
 
 TABLE_COLUMNS = ("Diversity", "BAS", "LMD", "FVD")
 
+VALIDATION_SEED = 1234
+VALIDATION_DRAWS = 4
+
 
 @dataclass
 class Clip:
@@ -149,16 +152,15 @@ def train(dataset: list[Clip], cfg: TrainConfig,
     return params, losses
 
 
-def validation_loss(dataset: list[Clip], params: dict[str, Tensor], cfg: TrainConfig,
-                    seed: int = 1234, draws_per_clip: int = 4) -> float:
-    """Deterministic held-out loss: fixed (t, eps) draws per clip; builds no gradient tape."""
+def validation_loss(dataset: list[Clip], params: dict[str, Tensor], cfg: TrainConfig) -> float:
+    """Deterministic held-out loss over VALIDATION_DRAWS (t, eps) draws per clip; no tape."""
     if not dataset:
         raise ValueError("validation_loss: empty dataset")
     sched = linear_schedule(cfg.timesteps)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VALIDATION_SEED)
     items = []
     for clip in dataset:
-        for _ in range(draws_per_clip):
+        for _ in range(VALIDATION_DRAWS):
             t = int(rng.integers(1, cfg.timesteps + 1))
             eps = rng.standard_normal(clip.frames.shape)
             items.append(TrainItem(clip.frames, clip.audio, t, eps))
@@ -174,7 +176,7 @@ def split_train_val(dataset: list[Clip]) -> tuple[list[Clip], list[Clip]]:
     return dataset[:-n_val], dataset[-n_val:]
 
 
-def ablate(cfg: TrainConfig, on_step=None) -> dict:
+def ablate(cfg: TrainConfig) -> dict:
     """Train {w/o MSM, w/o SFM, w/o both, full} under one seed and report.
 
     Rows follow the ablation-table shape; metric columns that need
@@ -188,8 +190,7 @@ def ablate(cfg: TrainConfig, on_step=None) -> dict:
     rows = []
     for label, use_msm, use_sfm in ABLATION_VARIANTS:
         variant = dataclasses.replace(cfg, use_msm=use_msm, use_sfm=use_sfm)
-        params, losses = train(train_clips, variant, on_step=None if on_step is None
-                               else (lambda s, v, lab=label: on_step(lab, s, v)))
+        params, losses = train(train_clips, variant)
         window = min(50, max(1, len(losses) // 2))
         row = {"method": label}
         row.update({col: "n/a" for col in TABLE_COLUMNS})
@@ -240,14 +241,14 @@ def parse_config_text(text: str) -> TrainConfig:
 
 def _parse_value(key: str, val: str, lineno: int):
     kind = _CONFIG_FIELDS[key]
-    if kind in ("bool", bool):
+    if kind == "bool":
         low = val.lower()
         if low in ("true", "1", "yes"):
             return True
         if low in ("false", "0", "no"):
             return False
         raise ValueError(f"config line {lineno}: bad boolean {val!r} for {key}")
-    if kind in ("int", int):
+    if kind == "int":
         return int(val)
     return float(val)
 

@@ -36,7 +36,7 @@ from waveletcond.metrics import (
 )
 from waveletcond.msm import AudioEmbedding, MsmParams, init_msm_params, msm_forward
 from waveletcond.sfm import SfmParams, init_sfm_params, sfm_forward
-from waveletcond.tensor import Tensor, sigmoid, sum_all
+from waveletcond.tensor import Tensor, sigmoid
 from waveletcond.training import (
     TrainItem,
     ablate,
@@ -48,6 +48,7 @@ from waveletcond.training import (
 from waveletcond.wavelet import dwt2, dwt2_data, idwt2
 
 from test_metrics import naive_ssim
+from test_tensor import total
 
 
 def corpus(n=100, max_side=64, seed=2024):
@@ -109,7 +110,7 @@ def test_c3_gradient_suite():
 
     def msm_loss():
         out = msm_forward(AudioEmbedding(audio_vals, frames=2), z, msm_p)
-        return sum_all(sigmoid(out * probe_a))
+        return total(sigmoid(out * probe_a))
 
     check_gradients(msm_loss, dict(msm_p.named(), audio=audio_vals), h=1e-4, rtol=1e-4)
 
@@ -125,7 +126,7 @@ def test_c3_gradient_suite():
     probe_f = Tensor(r.standard_normal(feat_shape))
 
     def sfm_loss():
-        return sum_all(sigmoid(sfm_forward(feats, sfm_p) * probe_f))
+        return total(sigmoid(sfm_forward(feats, sfm_p) * probe_f))
 
     check_gradients(sfm_loss, dict(sfm_p.named(), features=feats), h=1e-4, rtol=1e-4)
 

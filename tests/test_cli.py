@@ -448,3 +448,173 @@ def test_precision_flag_roundtrip(tmp_path):
     assert main(["dwt", str(tmp_path / "x.sgtf"), str(tmp_path / "b")]) == 0
     band = sgtf.read_tensor(tmp_path / "b.ll.sgtf")
     assert band.dtype == np.float32
+
+
+# -- hostile inputs to every subcommand ------------------------------------------------------
+
+
+GARBAGE = b"\x00\xffnot a tensor, config or JSON line {\n"
+GARBAGE_TEXT = GARBAGE.decode("latin-1")
+
+
+def put(path, content):
+    """Write an SGTF tensor (array), text (str) or raw bytes to path; return the path string."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif isinstance(content, str):
+        path.write_text(content)
+    else:
+        sgtf.write_tensor(path, np.asarray(content, dtype=np.float64))
+    return str(path)
+
+
+def params_dir(path, params, drop=None, **replace):
+    """Save params without `drop` and with entries replaced by arrays; return the path string."""
+    params = {k: Tensor(replace.get(k, p.data)) for k, p in params.items() if k != drop}
+    sgtf.save_params(path, params)
+    return str(path)
+
+
+def run_dir(d, config=TINY_CONFIG, drop=None, **replace):
+    """A run directory for `sample`: `config` as config.txt, TINY_CONFIG's init params."""
+    run = d / "run"
+    run.mkdir()
+    put(run / "config.txt", config)
+    params_dir(run / "params", init_model_params(parse_config_text(TINY_CONFIG)), drop, **replace)
+    return str(run)
+
+
+def sample_argv(d, run, audio=np.zeros(8), ref=np.zeros((1, 8, 8))):
+    return ["sample", "--params", run, "--audio", put(d / "a.sgtf", audio),
+            "--ref", put(d / "r.sgtf", ref), "--out", str(d / "c.sgtf")]
+
+
+def idwt_argv(d, ll):
+    for name in ("lh", "hl", "hh"):
+        put(d / f"b.{name}.sgtf", np.zeros((2, 2)))
+    if ll is not None:
+        put(d / "b.ll.sgtf", ll)
+    return ["idwt", str(d / "b"), str(d / "x.sgtf")]
+
+
+MSM_LATENT = (2, 1, 8, 8)
+
+
+def msm_argv(d, audio=np.zeros((4, 8)), latent=np.zeros(MSM_LATENT), drop=None, **replace):
+    params = init_msm_params(MSM_LATENT, hidden=4).named()
+    return ["msm-apply", "--audio", put(d / "a.sgtf", audio),
+            "--latent", put(d / "z.sgtf", latent),
+            "--params", params_dir(d / "p", params, drop, **replace), "--out", str(d / "o.sgtf")]
+
+
+def sfm_argv(d, features=np.zeros((2, 3, 4, 4)), drop=None, **replace):
+    params = init_sfm_params((2, 3, 4, 4)).named()
+    return ["sfm-apply", "--features", put(d / "h.sgtf", features),
+            "--params", params_dir(d / "p", params, drop, **replace), "--out", str(d / "o.sgtf")]
+
+
+def config_argv(command, d, config):
+    return [command, "--config", put(d / "cfg.txt", config), "--out", str(d / "out")]
+
+
+def jsonl_line(obj):
+    """A str goes in as the raw line, anything else as its JSON."""
+    return (obj if isinstance(obj, str) else json.dumps(obj)) + "\n"
+
+
+def metrics_argv(d, *extra, asset=None, content=None, record=None):
+    """metrics over one tiny clip; the pred file of manifest field `asset` is
+    overwritten with `content`, and `record` maps the manifest line to a new one."""
+    manifest, pred, gt = build_metrics_tree(d, n_clips=1)
+    rec = json.loads(manifest.read_text())
+    if asset is not None:
+        put(pred / rec[asset], content)
+    if record is not None:
+        put(manifest, jsonl_line(record(rec)))
+    return ["metrics", "--pred", str(pred), "--gt", str(gt), "--manifest", str(manifest),
+            "--report", str(d / "report.json"), *extra]
+
+
+SOURCE = {"source_id": "s0", "duration_s": 2.0, "fps": 25.0, "width": 64, "height": 64,
+          "face_bboxes": [[0, [8, 8, 16, 16]]]}
+RECORD = {"source_id": "s0", "start_frame": 0, "end_frame": 50}
+
+
+def manifest_argv(command, d, source=SOURCE, record=RECORD):
+    """`manifest <command>` over one source line and one record line."""
+    sources = put(d / "sources.jsonl", jsonl_line(source))
+    manifest = put(d / "m.jsonl", jsonl_line(record))
+    out = str(d / "o.jsonl")
+    return {"segment": ["manifest", "segment", "--sources", sources, "--out", out],
+            "crop": ["manifest", "crop", "--sources", sources, "--manifest", manifest,
+                     "--out", out],
+            "split": ["manifest", "split", "--manifest", manifest, "--out", out]}[command]
+
+
+def without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+HOSTILE_ARGV = {
+    "dwt/garbage": lambda d: ["dwt", put(d / "x.sgtf", GARBAGE), str(d / "b")],
+    "dwt/rank1": lambda d: ["dwt", put(d / "x.sgtf", np.zeros(4)), str(d / "b")],
+    "idwt/garbage": lambda d: idwt_argv(d, GARBAGE),
+    "idwt/missing_band": lambda d: idwt_argv(d, None),
+    "idwt/rank1": lambda d: idwt_argv(d, np.zeros(4)),
+    "msm-apply/garbage": lambda d: msm_argv(d, audio=GARBAGE),
+    "msm-apply/missing_key": lambda d: msm_argv(d, drop="msm.fc1_w"),
+    "msm-apply/rank1_audio": lambda d: msm_argv(d, audio=np.zeros(8)),
+    "msm-apply/rank1_param": lambda d: msm_argv(d, **{"msm.fc1_w": np.zeros(4)}),
+    "sfm-apply/garbage": lambda d: sfm_argv(d, features=GARBAGE),
+    "sfm-apply/missing_key": lambda d: sfm_argv(d, drop="sfm.gate_w"),
+    "sfm-apply/rank3": lambda d: sfm_argv(d, features=np.zeros((3, 4, 4))),
+    "sfm-apply/rank1_param": lambda d: sfm_argv(d, **{"sfm.gate_w": np.zeros(3)}),
+    "train-toy/garbage": lambda d: config_argv("train-toy", d, GARBAGE_TEXT),
+    "train-toy/missing_key": lambda d: config_argv("train-toy", d, TINY_CONFIG + "=5\n"),
+    "train-toy/missing_value": lambda d: config_argv("train-toy", d, TINY_CONFIG + "steps=\n"),
+    "sample/garbage": lambda d: sample_argv(d, run_dir(d), audio=GARBAGE),
+    "sample/garbage_config": lambda d: sample_argv(d, run_dir(d, config=GARBAGE_TEXT)),
+    "sample/missing_key": lambda d: sample_argv(d, run_dir(d, drop="unet.mid1_w")),
+    "sample/rank2_audio": lambda d: sample_argv(d, run_dir(d), audio=np.zeros((2, 4))),
+    "sample/rank2_ref": lambda d: sample_argv(d, run_dir(d), ref=np.zeros((8, 8))),
+    "sample/rank1_param": lambda d: sample_argv(d, run_dir(d, **{"unet.in_w": np.zeros(4)})),
+    "sample/timesteps_past_temb": lambda d: sample_argv(
+        d, run_dir(d, config=TINY_CONFIG.replace("timesteps=5", "timesteps=9"))),
+    "ablate/garbage": lambda d: config_argv("ablate", d, GARBAGE_TEXT),
+    "ablate/missing_key": lambda d: config_argv("ablate", d, TINY_CONFIG + "=5\n"),
+    "ablate/missing_value": lambda d: config_argv("ablate", d, TINY_CONFIG + "lr=\n"),
+    "metrics/garbage_frames": lambda d: metrics_argv(d, asset="frames_path", content=GARBAGE),
+    "metrics/garbage_landmarks": lambda d: metrics_argv(d, asset="landmark_path",
+                                                        content=GARBAGE),
+    "metrics/garbage_manifest": lambda d: metrics_argv(d, record=lambda rec: "not json"),
+    "metrics/missing_key": lambda d: metrics_argv(d, record=lambda rec: without(rec, "source_id")),
+    "metrics/rank1_frames": lambda d: metrics_argv(d, asset="frames_path", content=np.zeros(16)),
+    "metrics/peak_nan": lambda d: metrics_argv(d, "--peak", "nan"),
+    "metrics/peak_inf": lambda d: metrics_argv(d, "--peak", "inf"),
+    "segment/garbage": lambda d: manifest_argv("segment", d, source=GARBAGE_TEXT),
+    "segment/missing_key": lambda d: manifest_argv("segment", d, source=without(SOURCE, "fps")),
+    "segment/rank1_bbox": lambda d: manifest_argv("segment", d,
+                                                  source={**SOURCE, "face_bboxes": [[0, 8]]}),
+    "segment/duration_1e400": lambda d: manifest_argv(
+        "segment", d, source=json.dumps(SOURCE).replace("2.0", "1e400")),
+    "segment/duration_infinity": lambda d: manifest_argv(
+        "segment", d, source={**SOURCE, "duration_s": float("inf")}),
+    "segment/fps_nan": lambda d: manifest_argv("segment", d,
+                                               source={**SOURCE, "fps": float("nan")}),
+    "crop/garbage": lambda d: manifest_argv("crop", d, record=GARBAGE_TEXT),
+    "crop/missing_key": lambda d: manifest_argv("crop", d, record=without(RECORD, "end_frame")),
+    "crop/rank2_crop_box": lambda d: manifest_argv("crop", d,
+                                                   record={**RECORD, "crop_box": [[1, 2]]}),
+    "split/garbage": lambda d: manifest_argv("split", d, record=GARBAGE_TEXT),
+    "split/missing_key": lambda d: manifest_argv("split", d, record=without(RECORD, "source_id")),
+    "split/rank0_crop_box": lambda d: manifest_argv("split", d, record={**RECORD, "crop_box": 5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_ARGV))
+def test_hostile_input_exits_2_without_traceback(tmp_path, capsys, case):
+    # none of these is a numeric failure (exit 3): each is rejected as bad input
+    code = main(HOSTILE_ARGV[case](tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error:") and "Traceback" not in err

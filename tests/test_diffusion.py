@@ -400,8 +400,8 @@ def test_sample_and_validation_loss_build_no_tape(monkeypatch):
     monkeypatch.setattr(training, "unet_forward", recording(training.unet_forward))
     sample(params, audio_to_windows(clip.audio, TINY), clip.frames[0],
            linear_schedule(TINY.timesteps), TINY, seed=0)
-    validation_loss([clip], params, TINY, draws_per_clip=2)
-    assert len(outputs_need_grad) == TINY.timesteps + 2
+    validation_loss([clip], params, TINY)
+    assert len(outputs_need_grad) == TINY.timesteps + 4
     assert not any(outputs_need_grad)
     assert all(p.requires_grad and p.grad is None for p in params.values())
 

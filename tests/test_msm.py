@@ -17,8 +17,10 @@ from waveletcond.msm import (
     init_msm_params,
     msm_forward,
 )
-from waveletcond.tensor import Tensor, mean, sigmoid, sum_all
+from waveletcond.tensor import Tensor, mean, sigmoid
 from waveletcond.wavelet import dwt2, dwt2_data, idwt2, idwt2_data
+
+from test_tensor import total
 
 LATENT_SHAPE = (2, 1, 8, 4)  # (frames, channels, width, height)
 
@@ -180,7 +182,7 @@ def test_msm_gradients_match_finite_differences():
     def f():
         audio = AudioEmbedding(audio_vals, frames=2)
         out = msm_forward(audio, z, p)
-        return sum_all(sigmoid(out * probe))
+        return total(sigmoid(out * probe))
 
     params = dict(p.named(), **{"audio": audio_vals})
     check_gradients(f, params, h=1e-4, rtol=1e-4)

@@ -40,7 +40,7 @@ def test_wavelet_spans_one_backward_per_forward():
     import numpy as np
 
     from waveletcond import msm, sfm
-    from waveletcond.tensor import Tensor, add, sum_all
+    from waveletcond.tensor import Tensor, add, mean
 
     r = np.random.default_rng(0)
     audio = Tensor(r.standard_normal((4, 8)), requires_grad=True)
@@ -52,7 +52,7 @@ def test_wavelet_spans_one_backward_per_forward():
         out_a = msm.msm_forward(msm.AudioEmbedding(audio, frames=2), latent,
                                 msm.init_msm_params(latent.shape))
         out_f = sfm.sfm_forward(features, sfm.init_sfm_params(features.shape))
-        add(sum_all(out_a), sum_all(out_f)).backward()
+        add(mean(out_a), mean(out_f)).backward()
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]

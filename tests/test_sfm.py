@@ -5,7 +5,9 @@ import pytest
 
 from waveletcond.gradcheck import check_gradients
 from waveletcond.sfm import SfmParams, gate_map, init_sfm_params, sfm_forward
-from waveletcond.tensor import Tensor, mean, sigmoid, sum_all
+from waveletcond.tensor import Tensor, mean, sigmoid
+
+from test_tensor import total
 
 FEAT_SHAPE = (2, 3, 4, 4)  # (frames, channels, height, width)
 
@@ -129,7 +131,7 @@ def test_sfm_gradients_match_finite_differences():
     probe = Tensor(rng(17).standard_normal(FEAT_SHAPE))
 
     def f():
-        return sum_all(sigmoid(sfm_forward(h, p) * probe))
+        return total(sigmoid(sfm_forward(h, p) * probe))
 
     params = dict(p.named(), features=h)
     check_gradients(f, params, h=1e-4, rtol=1e-4)

@@ -31,13 +31,17 @@ from waveletcond.tensor import (
     reshape,
     sigmoid,
     softmax_rows,
-    sum_all,
     tslice,
 )
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def total(x):
+    """Sum of every entry, composed from `mean`; its gradient is exactly 1 per entry."""
+    return ew_mul(mean(x), float(x.size))
 
 
 # -- elementwise multiply -------------------------------------------------------
@@ -174,14 +178,14 @@ def test_mean_pool_all_vs_summation_oracle():
 
 def test_backward_square():
     x = Tensor([3.0], requires_grad=True)
-    loss = sum_all(ew_mul(x, x))
+    loss = total(ew_mul(x, x))
     loss.backward()
     np.testing.assert_allclose(x.grad, [6.0])
 
 
 def test_backward_sigmoid_sum_at_zero():
     x = Tensor(np.zeros(5), requires_grad=True)
-    loss = sum_all(sigmoid(x))
+    loss = total(sigmoid(x))
     loss.backward()
     np.testing.assert_allclose(x.grad, np.full(5, 0.25))
 
@@ -196,7 +200,7 @@ def test_detached_parameter_gets_zero_gradient():
     # a parameter off the loss's tape gets no gradient, and Adam leaves it as is
     x = Tensor([1.0], requires_grad=True)
     unused = Tensor([5.0], requires_grad=True)
-    loss = sum_all(ew_mul(x, x))
+    loss = total(ew_mul(x, x))
     loss.backward()
     assert unused.grad is None
     params = {"x": x, "unused": unused}
@@ -209,14 +213,14 @@ def test_backward_sum_of_independent_subgraphs_is_concat_of_grads():
     r = rng(11)
     a = Tensor(r.standard_normal(4), requires_grad=True)
     b = Tensor(r.standard_normal(3), requires_grad=True)
-    joint = add(sum_all(ew_mul(a, a)), sum_all(sigmoid(b)))
+    joint = add(total(ew_mul(a, a)), total(sigmoid(b)))
     joint.backward()
     ga_joint, gb_joint = a.grad.copy(), b.grad.copy()
 
     a2 = Tensor(a.data, requires_grad=True)
     b2 = Tensor(b.data, requires_grad=True)
-    sum_all(ew_mul(a2, a2)).backward()
-    sum_all(sigmoid(b2)).backward()
+    total(ew_mul(a2, a2)).backward()
+    total(sigmoid(b2)).backward()
     np.testing.assert_allclose(ga_joint, a2.grad, atol=1e-15)
     np.testing.assert_allclose(gb_joint, b2.grad, atol=1e-15)
 
@@ -248,55 +252,55 @@ def fd_case(name):
 def _case_add(r):
     a = Tensor(r.standard_normal((3, 4)), requires_grad=True)
     b = Tensor(r.standard_normal((3, 4)), requires_grad=True)
-    return {"a": a, "b": b}, lambda: sum_all(sigmoid(add(a, b)))
+    return {"a": a, "b": b}, lambda: total(sigmoid(add(a, b)))
 
 
 @fd_case("add_scalar")
 def _case_add_scalar(r):
     a = Tensor(r.standard_normal((3, 4)), requires_grad=True)
     s = Tensor(r.standard_normal(()), requires_grad=True)
-    return {"a": a, "s": s}, lambda: sum_all(sigmoid(add(a, s)))
+    return {"a": a, "s": s}, lambda: total(sigmoid(add(a, s)))
 
 
 @fd_case("add_broadcast_both")
 def _case_add_broadcast(r):
     a = Tensor(r.standard_normal((3, 1)), requires_grad=True)
     b = Tensor(r.standard_normal((1, 4)), requires_grad=True)
-    return {"a": a, "b": b}, lambda: sum_all(sigmoid(add(a, b)))
+    return {"a": a, "b": b}, lambda: total(sigmoid(add(a, b)))
 
 
 @fd_case("ew_mul")
 def _case_mul(r):
     a = Tensor(r.standard_normal((3, 4)), requires_grad=True)
     b = Tensor(r.standard_normal((3, 4)), requires_grad=True)
-    return {"a": a, "b": b}, lambda: sum_all(sigmoid(ew_mul(a, b)))
+    return {"a": a, "b": b}, lambda: total(sigmoid(ew_mul(a, b)))
 
 
 @fd_case("ew_mul_scalar")
 def _case_mul_scalar(r):
     a = Tensor(r.standard_normal((2, 3)), requires_grad=True)
     s = Tensor([0.7], requires_grad=True)
-    return {"a": a, "s": s}, lambda: sum_all(sigmoid(ew_mul(a, s)))
+    return {"a": a, "s": s}, lambda: total(sigmoid(ew_mul(a, s)))
 
 
 @fd_case("ew_mul_broadcast_both")
 def _case_mul_broadcast(r):
     a = Tensor(r.standard_normal((3, 1)), requires_grad=True)
     b = Tensor(r.standard_normal((1, 4)), requires_grad=True)
-    return {"a": a, "b": b}, lambda: sum_all(sigmoid(ew_mul(a, b)))
+    return {"a": a, "b": b}, lambda: total(sigmoid(ew_mul(a, b)))
 
 
 @fd_case("scale")
 def _case_scale(r):
     a = Tensor(r.standard_normal((4,)), requires_grad=True)
-    return {"a": a}, lambda: sum_all(sigmoid(ew_mul(a, -2.5)))
+    return {"a": a}, lambda: total(sigmoid(ew_mul(a, -2.5)))
 
 
 @fd_case("matmul")
 def _case_matmul(r):
     a = Tensor(r.standard_normal((3, 4)), requires_grad=True)
     b = Tensor(r.standard_normal((4, 2)), requires_grad=True)
-    return {"a": a, "b": b}, lambda: sum_all(sigmoid(matmul(a, b)))
+    return {"a": a, "b": b}, lambda: total(sigmoid(matmul(a, b)))
 
 
 @fd_case("matmul_broadcast")
@@ -307,7 +311,7 @@ def _case_matmul_broadcast(r):
     c = Tensor(r.standard_normal((2, 1, 3, 4)), requires_grad=True)
     d = Tensor(r.standard_normal((5, 4, 2)), requires_grad=True)
     return ({"a": a, "b": b, "c": c, "d": d},
-            lambda: add(sum_all(sigmoid(matmul(a, b))), sum_all(sigmoid(matmul(c, d)))))
+            lambda: add(total(sigmoid(matmul(a, b))), total(sigmoid(matmul(c, d)))))
 
 
 @fd_case("linear")
@@ -315,7 +319,7 @@ def _case_linear(r):
     x = Tensor(r.standard_normal((3, 4)), requires_grad=True)
     w = Tensor(r.standard_normal((4, 5)), requires_grad=True)
     b = Tensor(r.standard_normal(5), requires_grad=True)
-    return {"x": x, "w": w, "b": b}, lambda: sum_all(sigmoid(linear(x, w, b)))
+    return {"x": x, "w": w, "b": b}, lambda: total(sigmoid(linear(x, w, b)))
 
 
 @fd_case("channel_linear")
@@ -323,13 +327,13 @@ def _case_channel_linear(r):
     x = Tensor(r.standard_normal((2, 3, 4, 4)), requires_grad=True)
     w = Tensor(r.standard_normal((3, 3)), requires_grad=True)
     b = Tensor(r.standard_normal(3), requires_grad=True)
-    return {"x": x, "w": w, "b": b}, lambda: sum_all(sigmoid(channel_linear(x, w, b)))
+    return {"x": x, "w": w, "b": b}, lambda: total(sigmoid(channel_linear(x, w, b)))
 
 
 @fd_case("sigmoid")
 def _case_sigmoid(r):
     x = Tensor(r.standard_normal((5,)), requires_grad=True)
-    return {"x": x}, lambda: sum_all(ew_mul(sigmoid(x), sigmoid(x)))
+    return {"x": x}, lambda: total(ew_mul(sigmoid(x), sigmoid(x)))
 
 
 @fd_case("relu")
@@ -337,21 +341,21 @@ def _case_relu(r):
     # keep values away from the kink, where finite differences are invalid
     x = Tensor(r.standard_normal((6,)) + np.sign(r.standard_normal((6,))) * 0.5,
                requires_grad=True)
-    return {"x": x}, lambda: sum_all(sigmoid(relu(x)))
+    return {"x": x}, lambda: total(sigmoid(relu(x)))
 
 
 @fd_case("softmax_rows")
 def _case_softmax(r):
     x = Tensor(r.standard_normal((3, 5)), requires_grad=True)
     w = Tensor(r.standard_normal((3, 5)))
-    return {"x": x}, lambda: sum_all(ew_mul(softmax_rows(x), w))
+    return {"x": x}, lambda: total(ew_mul(softmax_rows(x), w))
 
 
 @fd_case("mean_pool_all")
 def _case_mean(r):
     x = Tensor(r.standard_normal((3, 4)), requires_grad=True)
     y = Tensor(r.standard_normal((2, 3, 4)), requires_grad=True)
-    return {"x": x, "y": y}, lambda: add(mean(sigmoid(x)), sum_all(sigmoid(mean(y, axis=(0, 2)))))
+    return {"x": x, "y": y}, lambda: add(mean(sigmoid(x)), total(sigmoid(mean(y, axis=(0, 2)))))
 
 
 @fd_case("reshape_permute_slice_concat")
@@ -364,7 +368,7 @@ def _case_shapes(r):
         z = permute(z, (1, 0, 2))            # (3, 2, 8)
         z = reshape(z, (3, 16))
         z = tslice(z, (slice(None), slice(2, 10)))
-        return sum_all(sigmoid(z))
+        return total(sigmoid(z))
 
     return {"x": x, "y": y}, f
 
@@ -373,34 +377,34 @@ def _case_shapes(r):
 def _case_conv1(r):
     x = Tensor(r.standard_normal((2, 3, 6, 6)), requires_grad=True)
     w = Tensor(r.standard_normal((4, 3, 3, 3)) * 0.3, requires_grad=True)
-    return {"x": x, "w": w}, lambda: sum_all(sigmoid(conv3x3(x, w, stride=1)))
+    return {"x": x, "w": w}, lambda: total(sigmoid(conv3x3(x, w, stride=1)))
 
 
 @fd_case("conv3x3_stride2")
 def _case_conv2(r):
     x = Tensor(r.standard_normal((2, 3, 6, 6)), requires_grad=True)
     w = Tensor(r.standard_normal((4, 3, 3, 3)) * 0.3, requires_grad=True)
-    return {"x": x, "w": w}, lambda: sum_all(sigmoid(conv3x3(x, w, stride=2)))
+    return {"x": x, "w": w}, lambda: total(sigmoid(conv3x3(x, w, stride=2)))
 
 
 @fd_case("conv3x3_stride2_odd")
 def _case_conv2_odd(r):
     x = Tensor(r.standard_normal((1, 2, 5, 3)), requires_grad=True)
     w = Tensor(r.standard_normal((3, 2, 3, 3)) * 0.3, requires_grad=True)
-    return {"x": x, "w": w}, lambda: sum_all(sigmoid(conv3x3(x, w, stride=2)))
+    return {"x": x, "w": w}, lambda: total(sigmoid(conv3x3(x, w, stride=2)))
 
 
 @fd_case("add_channel_bias")
 def _case_bias(r):
     x = Tensor(r.standard_normal((2, 3, 4, 4)), requires_grad=True)
     v = Tensor(r.standard_normal(3), requires_grad=True)
-    return {"x": x, "v": v}, lambda: sum_all(sigmoid(add_channel_bias(x, v)))
+    return {"x": x, "v": v}, lambda: total(sigmoid(add_channel_bias(x, v)))
 
 
 @fd_case("nearest_upsample2")
 def _case_upsample(r):
     x = Tensor(r.standard_normal((2, 3, 3, 3)), requires_grad=True)
-    return {"x": x}, lambda: sum_all(sigmoid(nearest_upsample2(x)))
+    return {"x": x}, lambda: total(sigmoid(nearest_upsample2(x)))
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
@@ -480,7 +484,7 @@ def test_conv3x3_matches_einsum_reference(xs, ws, stride):
     w = Tensor(r.standard_normal(ws), requires_grad=True)
     out = conv3x3(x, w, stride=stride)
     g = r.standard_normal(out.shape)
-    sum_all(ew_mul(out, g)).backward()
+    total(ew_mul(out, g)).backward()
     want, want_gx, want_gw = _einsum_conv3x3(x.data, w.data, g, stride)
     assert out.shape == want.shape
     np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -493,7 +497,7 @@ def test_conv3x3_matches_einsum_reference(xs, ws, stride):
     np.testing.assert_allclose(out32.data, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
 
     xg, wg = (Tensor(t.data.astype(np.float32), requires_grad=True) for t in (x, w))
-    sum_all(ew_mul(conv3x3(xg, wg, stride=stride), g.astype(np.float32))).backward()
+    total(ew_mul(conv3x3(xg, wg, stride=stride), g.astype(np.float32))).backward()
     assert xg.grad.dtype == np.float32 and wg.grad.dtype == np.float32
     np.testing.assert_allclose(xg.grad, want_gx, rtol=1e-4, atol=1e-4 * np.abs(want_gx).max())
     np.testing.assert_allclose(wg.grad, want_gw, rtol=1e-4, atol=1e-4 * np.abs(want_gw).max())
@@ -509,7 +513,7 @@ def test_conv3x3_permuted_input_matches_einsum_reference(stride):
     w = Tensor(r.standard_normal((2, 4, 3, 3)), requires_grad=True)
     out = conv3x3(x, w, stride=stride)
     g = r.standard_normal(out.shape)
-    sum_all(ew_mul(out, g)).backward()
+    total(ew_mul(out, g)).backward()
     want, want_gx, want_gw = _einsum_conv3x3(x.data, w.data, g, stride)
     base_gx = want_gx.transpose(0, 2, 3, 1)
     for got, ref in ((out.data, want), (base.grad, base_gx), (w.grad, want_gw)):
@@ -524,7 +528,7 @@ def test_conv3x3_peak_memory_stays_near_input_size():
     w = Tensor(r.standard_normal((8, 24, 3, 3)), requires_grad=True)
     tracemalloc.start()
     try:
-        sum_all(conv3x3(x, w)).backward()
+        total(conv3x3(x, w)).backward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -538,7 +542,7 @@ def test_channel_linear_matches_einsum_reference():
     b = Tensor(r.standard_normal(16), requires_grad=True)
     out = channel_linear(x, w, b)
     g = r.standard_normal(out.shape)
-    sum_all(ew_mul(out, g)).backward()
+    total(ew_mul(out, g)).backward()
     want = np.einsum("oc,ncij->noij", w.data, x.data) + b.data[:, None, None]
     want_gx = np.einsum("oc,noij->ncij", w.data, g)
     want_gw = np.einsum("noij,ncij->oc", g, x.data)

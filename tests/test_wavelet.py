@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveletcond.gradcheck import check_gradients
-from waveletcond.tensor import Tensor, ew_mul, sigmoid, sum_all
+from waveletcond.tensor import Tensor, ew_mul, sigmoid
 from waveletcond.wavelet import (
     dwt2,
     dwt2_batched,
@@ -15,6 +15,8 @@ from waveletcond.wavelet import (
     idwt2_batched,
     idwt2_data,
 )
+
+from test_tensor import total
 
 
 def rng(seed=0):
@@ -186,7 +188,7 @@ def test_gradient_duality_dwt_backward_is_idwt():
     weights = Tensor(np.stack([rng(20 + i).standard_normal((3, 3)) for i in range(4)]))
 
     def f():
-        return sum_all(ew_mul(dwt2(x), weights))
+        return total(ew_mul(dwt2(x), weights))
 
     check_gradients(f, {"x": x}, h=1e-4, rtol=1e-4)
     # and the analytic gradient literally equals idwt2 of the upstream band grads
@@ -201,7 +203,7 @@ def test_idwt2_gradients_match_finite_differences():
     bands = Tensor(np.stack([r.standard_normal((3, 3)) for _ in range(4)]), requires_grad=True)
 
     def f():
-        return sum_all(sigmoid(idwt2(bands)))
+        return total(sigmoid(idwt2(bands)))
 
     check_gradients(f, {"bands": bands}, h=1e-4, rtol=1e-4)
 
