@@ -18,6 +18,7 @@ from . import datakit, metrics, sgtf
 from .diffusion import (
     DivergenceError,
     audio_to_windows,
+    init_model_params,
     linear_schedule,
     sample,
 )
@@ -180,6 +181,9 @@ def cmd_sample(args) -> int:
     run = Path(args.params)
     cfg = load_config(run / "config.txt")
     params = sgtf.load_params(run / "params")
+    missing = [name for name in init_model_params(cfg) if name not in params]
+    if missing:
+        raise ValueError(f"sample: run directory {run} lacks parameters {missing}")
     audio = sgtf.read_tensor(args.audio)
     if audio.ndim != 1:
         raise ValueError(f"sample: audio track must be 1-D, got shape {audio.shape}")

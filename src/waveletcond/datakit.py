@@ -70,7 +70,18 @@ class ClipRecord:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.crop_box = tuple(int(v) for v in self.crop_box)
+        if not isinstance(self.source_id, str) or not self.source_id:
+            raise ValueError(f"ClipRecord: source_id must be a non-empty string, "
+                             f"got {self.source_id!r}")
+        box = self.crop_box
+        if not isinstance(box, (list, tuple)) or len(box) != 4 or not all(
+                isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in box):
+            raise ValueError(f"ClipRecord {self.source_id}: crop_box must be four "
+                             f"non-negative ints, got {box!r}")
+        if any(box) and not (box[2] > 0 and box[3] > 0):
+            raise ValueError(f"ClipRecord {self.source_id}: crop_box {list(box)} needs a positive "
+                             f"width and height (all zeros means no crop)")
+        self.crop_box = tuple(box)
         if self.fps != CLIP_FPS:
             raise ValueError(f"ClipRecord {self.source_id}: fps must be {CLIP_FPS}, got {self.fps}")
         if self.end_frame - self.start_frame != CLIP_FRAMES:

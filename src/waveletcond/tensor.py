@@ -401,7 +401,14 @@ def conv3x3(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     and tap (u, v) reads phase (u%s, v%s) shifted by (u//s)*wq + v//s columns.
     Columns with i >= ho or j >= wo are scratch and are cut from the output.
     The backward walks the same taps over the output gradient laid out alike
-    with zero borders; the closure keeps only the phases.
+    with zero borders; the closure keeps only the phases.  The weight
+    gradient is nine matmuls written into one (9, co, c) buffer.  The input
+    gradient writes each tap's product into one reused (c, span) workspace
+    and adds it onto its phase; with one output channel that product is an
+    outer product, taken by `np.multiply` (exact, and far cheaper than
+    numpy's inner-dimension-1 matmul).  At stride 2 four strided assignments
+    merge the phases back into the padded input layout.  Every gradient
+    rounds exactly as the per-tap `w.T @ gf` and `gf @ ph.T` products.
     """
     if stride not in (1, 2):
         raise ValueError(f"conv3x3: stride must be 1 or 2, got {stride}")
@@ -430,14 +437,31 @@ def conv3x3(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
         gf[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
         gf = gf.reshape(co, cols)[:, :span]
         if w.requires_grad:
-            w._accumulate(np.stack([gf @ ph[p, :, off:off + span].T for _, _, p, off in taps],
-                                   -1).reshape(w.shape))
+            gw = np.empty((9, co, c), dtype=dtype)
+            for t, (_, _, p, off) in enumerate(taps):
+                np.matmul(gf, ph[p, :, off:off + span].T, out=gw[t])
+            w._accumulate(gw.transpose(1, 2, 0).reshape(w.shape))
         if x.requires_grad:
             gph = np.zeros_like(ph)
+            tmp = np.empty((c, span), dtype=dtype)
+            # each tap's (co, c) block made contiguous: a strided operand sends
+            # matmul with out= down a slower path, and its transpose keeps the
+            # BLAS call (and the rounding) of `w.data[:, :, u, v].T @ gf`
+            wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))
             for u, v, p, off in taps:
-                gph[p, :, off:off + span] += w.data[:, :, u, v].T @ gf
-            gbuf = gph.reshape(s, s, c, n, hq, wq).transpose(2, 3, 4, 0, 5, 1)
-            gbuf = gbuf.reshape(c, n, s * hq, s * wq)
+                if co == 1:  # an outer product: numpy's k=1 matmul is far slower
+                    np.multiply(wt[u, v].T, gf, out=tmp)
+                else:
+                    np.matmul(wt[u, v].T, gf, out=tmp)
+                gph[p, :, off:off + span] += tmp
+            del tmp  # not held while the input gradient is accumulated
+            if s == 1:
+                gbuf = gph.reshape(c, n, hq, wq)
+            else:
+                gbuf = np.empty((c, n, hq, s, wq, s), dtype=dtype)
+                for p in range(s * s):
+                    gbuf[:, :, :, p // s, :, p % s] = gph[p].reshape(c, n, hq, wq)
+                gbuf = gbuf.reshape(c, n, s * hq, s * wq)
             x._accumulate(gbuf[:, :, 1:1 + h, 1:1 + wd].transpose(1, 0, 2, 3))
 
     out = out.reshape(co, n, hq, wq)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
@@ -452,14 +476,21 @@ def add_channel_bias(x: Tensor, v: Tensor) -> Tensor:
 
 
 def nearest_upsample2(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x upsampling of the trailing two dimensions."""
+    """Nearest-neighbour 2x upsampling of the trailing two dimensions.
+
+    The backward sums each 2x2 output block as (top-left + top-right) +
+    (bottom-left + bottom-right), three strided adds.  That grouping rounds
+    exactly as numpy 2.4's `reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))`
+    whenever w > 1 (at w == 1 numpy adds the four in a row) at a fraction of
+    its cost.
+    """
     if x.data.ndim != 4:
         raise ValueError(f"nearest_upsample2: expected 4-D input, got {x.shape}")
     out_data = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
-    n, c, h, wd = x.shape
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(g.reshape(n, c, h, 2, wd, 2).sum(axis=(3, 5)))
+        x._accumulate((g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2])
+                      + (g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2]))
 
     return Tensor._from_op(out_data, (x,), backward)
 

@@ -248,9 +248,10 @@ def _parse_value(key: str, val: str, lineno: int):
         if low in ("false", "0", "no"):
             return False
         raise ValueError(f"config line {lineno}: bad boolean {val!r} for {key}")
-    if kind == "int":
-        return int(val)
-    return float(val)
+    try:
+        return int(val) if kind == "int" else float(val)
+    except ValueError:
+        raise ValueError(f"config line {lineno}: bad value {val!r} for {key}") from None
 
 
 def load_config(path) -> TrainConfig:

@@ -468,14 +468,15 @@ def put(path, content):
     return str(path)
 
 
-def params_dir(path, params, drop=None, **replace):
-    """Save params without `drop` and with entries replaced by arrays; return the path string."""
-    params = {k: Tensor(replace.get(k, p.data)) for k, p in params.items() if k != drop}
+def params_dir(path, params, drop=(), **replace):
+    """Save params without the names in `drop` and with entries replaced by arrays; return the
+    path string."""
+    params = {k: Tensor(replace.get(k, p.data)) for k, p in params.items() if k not in drop}
     sgtf.save_params(path, params)
     return str(path)
 
 
-def run_dir(d, config=TINY_CONFIG, drop=None, **replace):
+def run_dir(d, config=TINY_CONFIG, drop=(), **replace):
     """A run directory for `sample`: `config` as config.txt, TINY_CONFIG's init params."""
     run = d / "run"
     run.mkdir()
@@ -500,14 +501,14 @@ def idwt_argv(d, ll):
 MSM_LATENT = (2, 1, 8, 8)
 
 
-def msm_argv(d, audio=np.zeros((4, 8)), latent=np.zeros(MSM_LATENT), drop=None, **replace):
+def msm_argv(d, audio=np.zeros((4, 8)), latent=np.zeros(MSM_LATENT), drop=(), **replace):
     params = init_msm_params(MSM_LATENT, hidden=4).named()
     return ["msm-apply", "--audio", put(d / "a.sgtf", audio),
             "--latent", put(d / "z.sgtf", latent),
             "--params", params_dir(d / "p", params, drop, **replace), "--out", str(d / "o.sgtf")]
 
 
-def sfm_argv(d, features=np.zeros((2, 3, 4, 4)), drop=None, **replace):
+def sfm_argv(d, features=np.zeros((2, 3, 4, 4)), drop=(), **replace):
     params = init_sfm_params((2, 3, 4, 4)).named()
     return ["sfm-apply", "--features", put(d / "h.sgtf", features),
             "--params", params_dir(d / "p", params, drop, **replace), "--out", str(d / "o.sgtf")]
@@ -562,11 +563,11 @@ HOSTILE_ARGV = {
     "idwt/missing_band": lambda d: idwt_argv(d, None),
     "idwt/rank1": lambda d: idwt_argv(d, np.zeros(4)),
     "msm-apply/garbage": lambda d: msm_argv(d, audio=GARBAGE),
-    "msm-apply/missing_key": lambda d: msm_argv(d, drop="msm.fc1_w"),
+    "msm-apply/missing_key": lambda d: msm_argv(d, drop=("msm.fc1_w",)),
     "msm-apply/rank1_audio": lambda d: msm_argv(d, audio=np.zeros(8)),
     "msm-apply/rank1_param": lambda d: msm_argv(d, **{"msm.fc1_w": np.zeros(4)}),
     "sfm-apply/garbage": lambda d: sfm_argv(d, features=GARBAGE),
-    "sfm-apply/missing_key": lambda d: sfm_argv(d, drop="sfm.gate_w"),
+    "sfm-apply/missing_key": lambda d: sfm_argv(d, drop=("sfm.gate_w",)),
     "sfm-apply/rank3": lambda d: sfm_argv(d, features=np.zeros((3, 4, 4))),
     "sfm-apply/rank1_param": lambda d: sfm_argv(d, **{"sfm.gate_w": np.zeros(3)}),
     "train-toy/garbage": lambda d: config_argv("train-toy", d, GARBAGE_TEXT),
@@ -574,7 +575,8 @@ HOSTILE_ARGV = {
     "train-toy/missing_value": lambda d: config_argv("train-toy", d, TINY_CONFIG + "steps=\n"),
     "sample/garbage": lambda d: sample_argv(d, run_dir(d), audio=GARBAGE),
     "sample/garbage_config": lambda d: sample_argv(d, run_dir(d, config=GARBAGE_TEXT)),
-    "sample/missing_key": lambda d: sample_argv(d, run_dir(d, drop="unet.mid1_w")),
+    "sample/missing_key": lambda d: sample_argv(d, run_dir(d, drop=("unet.mid1_w",))),
+    "sample/missing_keys": lambda d: sample_argv(d, run_dir(d, drop=("unet.in_b", "sfm.w"))),
     "sample/rank2_audio": lambda d: sample_argv(d, run_dir(d), audio=np.zeros((2, 4))),
     "sample/rank2_ref": lambda d: sample_argv(d, run_dir(d), ref=np.zeros((8, 8))),
     "sample/rank1_param": lambda d: sample_argv(d, run_dir(d, **{"unet.in_w": np.zeros(4)})),
@@ -608,6 +610,31 @@ HOSTILE_ARGV = {
     "split/garbage": lambda d: manifest_argv("split", d, record=GARBAGE_TEXT),
     "split/missing_key": lambda d: manifest_argv("split", d, record=without(RECORD, "source_id")),
     "split/rank0_crop_box": lambda d: manifest_argv("split", d, record={**RECORD, "crop_box": 5}),
+    "split/null_source_id": lambda d: manifest_argv(
+        "split", d, record={**RECORD, "source_id": None, "crop_box": [0, 0, -5, 3]}),
+    "split/empty_source_id": lambda d: manifest_argv("split", d,
+                                                     record={**RECORD, "source_id": ""}),
+    "split/int_source_id": lambda d: manifest_argv("split", d, record={**RECORD, "source_id": 7}),
+    "split/short_crop_box": lambda d: manifest_argv("split", d,
+                                                    record={**RECORD, "crop_box": [1, 2]}),
+    "split/negative_crop_box": lambda d: manifest_argv(
+        "split", d, record={**RECORD, "crop_box": [0, 0, -5, 3]}),
+    "split/float_crop_box": lambda d: manifest_argv(
+        "split", d, record={**RECORD, "crop_box": [0, 0, 2.5, 3]}),
+    "split/zero_width_crop_box": lambda d: manifest_argv(
+        "split", d, record={**RECORD, "crop_box": [4, 4, 0, 3]}),
+    "crop/zero_height_crop_box": lambda d: manifest_argv(
+        "crop", d, record={**RECORD, "crop_box": [4, 4, 3, 0]}),
+}
+
+# Cases whose error line must also say where the fault is, with {d} standing for the
+# case's directory.
+TINY_CONFIG_END = TINY_CONFIG.count("\n") + 1  # the line number of a line appended to it
+HOSTILE_ERROR_NAMES = {
+    "train-toy/missing_value": f"config line {TINY_CONFIG_END}: bad value '' for steps",
+    "ablate/missing_value": f"config line {TINY_CONFIG_END}: bad value '' for lr",
+    "sample/missing_key": "run directory {d}/run lacks parameters ['unet.mid1_w']",
+    "sample/missing_keys": "run directory {d}/run lacks parameters ['unet.in_b', 'sfm.w']",
 }
 
 
@@ -618,3 +645,5 @@ def test_hostile_input_exits_2_without_traceback(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("error:") and "Traceback" not in err
+    if case in HOSTILE_ERROR_NAMES:
+        assert HOSTILE_ERROR_NAMES[case].format(d=tmp_path) in err, err

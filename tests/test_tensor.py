@@ -394,6 +394,14 @@ def _case_conv2_odd(r):
     return {"x": x, "w": w}, lambda: total(sigmoid(conv3x3(x, w, stride=2)))
 
 
+@fd_case("conv3x3_c_out_1")
+def _case_conv_c_out_1(r):
+    # one output channel, as in the UNet's `out` conv: the input gradient is an outer product
+    x = Tensor(r.standard_normal((2, 3, 5, 6)), requires_grad=True)
+    w = Tensor(r.standard_normal((1, 3, 3, 3)) * 0.3, requires_grad=True)
+    return {"x": x, "w": w}, lambda: total(sigmoid(conv3x3(x, w, stride=1)))
+
+
 @fd_case("add_channel_bias")
 def _case_bias(r):
     x = Tensor(r.standard_normal((2, 3, 4, 4)), requires_grad=True)
@@ -467,6 +475,7 @@ def _unet_conv_shapes(cfg):
 @pytest.mark.parametrize("xs, ws, stride", _unet_conv_shapes(TrainConfig()) + [
     ((2, 3, 5, 7), (4, 3, 3, 3), 2),   # odd spatial size at stride 2
     ((2, 3, 5, 7), (1, 3, 3, 3), 1),   # a single output channel
+    ((2, 3, 5, 7), (1, 3, 3, 3), 2),
     ((1, 3, 6, 5), (4, 3, 3, 3), 1),   # a single image
     ((2, 3, 1, 1), (4, 3, 3, 3), 1),   # 1x1 to 3x3 images at both strides:
     ((2, 3, 1, 1), (4, 3, 3, 3), 2),   # a flat layout off by one reads the
@@ -475,9 +484,9 @@ def _unet_conv_shapes(cfg):
     ((2, 3, 3, 3), (4, 3, 3, 3), 1),
     ((2, 3, 3, 3), (4, 3, 3, 3), 2),
     ((3, 4, 5, 4), (2, 4, 3, 3), 2),   # odd height, even width at stride 2
-], ids=["in", "down", "mid1", "mid2", "up", "out", "odd_stride2", "c_out_1", "n_1",
-        "1x1_stride1", "1x1_stride2", "2x2_stride1", "2x2_stride2", "3x3_stride1", "3x3_stride2",
-        "odd_h_even_w_stride2"])
+], ids=["in", "down", "mid1", "mid2", "up", "out", "odd_stride2", "c_out_1", "c_out_1_stride2",
+        "n_1", "1x1_stride1", "1x1_stride2", "2x2_stride1", "2x2_stride2", "3x3_stride1",
+        "3x3_stride2", "odd_h_even_w_stride2"])
 def test_conv3x3_matches_einsum_reference(xs, ws, stride):
     r = rng(5)
     x = Tensor(r.standard_normal(xs), requires_grad=True)
@@ -520,19 +529,77 @@ def test_conv3x3_permuted_input_matches_einsum_reference(stride):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
-def test_conv3x3_peak_memory_stays_near_input_size():
+@pytest.mark.parametrize("xs, ws, stride, bound", [
     # the UNet `up` conv at the default config; its input is 0.79 MB, and an
     # (n*h*w, 9*c) im2col column matrix alone would add 7 MB
+    ((16, 24, 16, 16), (8, 24, 3, 3), 1, 6.5e6),
+    # the stride-2 `down` conv; its input is 0.26 MB and its backward peaks
+    # near 1.8 MB
+    ((16, 8, 16, 16), (16, 8, 3, 3), 2, 2.5e6),
+], ids=["up", "down"])
+def test_conv3x3_peak_memory_stays_near_input_size(xs, ws, stride, bound):
     r = rng(9)
-    x = Tensor(r.standard_normal((16, 24, 16, 16)), requires_grad=True)
-    w = Tensor(r.standard_normal((8, 24, 3, 3)), requires_grad=True)
+    x = Tensor(r.standard_normal(xs), requires_grad=True)
+    w = Tensor(r.standard_normal(ws), requires_grad=True)
     tracemalloc.start()
     try:
-        total(conv3x3(x, w)).backward()
+        total(conv3x3(x, w, stride=stride)).backward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6.5e6
+    assert peak < bound
+
+
+def _per_tap_input_grad(w, g, stride, x_shape):
+    """The conv input gradient tap by tap: `w[:, :, u, v].T @ g`, u-major, onto the padded input."""
+    n, c, h, wd = x_shape
+    co, ho, wo = w.shape[0], g.shape[2], g.shape[3]
+    gflat = g.transpose(1, 0, 2, 3).reshape(co, -1)
+    gxp = np.zeros((n, c, h + 2, wd + 2), dtype=g.dtype)
+    for u in range(3):
+        for v in range(3):
+            tap = (w[:, :, u, v].T @ gflat).reshape(c, n, ho, wo).transpose(1, 0, 2, 3)
+            gxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += tap
+    return gxp[:, :, 1:-1, 1:-1]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("xs, stride", [((16, 8, 16, 16), 1), ((2, 3, 5, 7), 1),
+                                        ((2, 3, 5, 7), 2), ((1, 4, 1, 1), 2)],
+                         ids=["out", "odd", "odd_stride2", "1x1_stride2"])
+def test_conv3x3_single_output_channel_input_grad_is_per_tap_matmul(xs, stride, dtype):
+    # with one output channel each tap's product has one rounding per entry, and
+    # the taps add up in the same order, so the two forms agree bit for bit
+    r = rng(12)
+    x = Tensor(r.standard_normal(xs).astype(dtype), requires_grad=True)
+    w = Tensor(r.standard_normal((1, xs[1], 3, 3)).astype(dtype))
+    out = conv3x3(x, w, stride=stride)
+    g = (r.standard_normal(out.shape) * 10.0 ** r.integers(-3, 4, out.shape)).astype(dtype)
+    total(ew_mul(out, g)).backward()
+    assert np.array_equal(x.grad, _per_tap_input_grad(w.data, g, stride, xs))
+
+
+def _upsample_grad_oracle(g):
+    """The nearest_upsample2 gradient as one reduction over each 2x2 block."""
+    n, c, h2, w2 = g.shape
+    return g.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("xs", [(16, 16, 8, 8), (2, 3, 3, 3), (1, 2, 5, 2), (3, 1, 1, 4)],
+                         ids=["unet_mid", "3x3", "5x2", "1x4"])
+def test_nearest_upsample2_grad_matches_reshape_sum_oracle(xs, dtype):
+    # Widths above 1 only: at width 1 numpy's reduction adds the four entries in
+    # a row, which rounds differently.  The upstream gradient is a channel slice
+    # of a concat's, as in unet_forward, so it is not contiguous.
+    r = rng(13)
+    x = Tensor(r.standard_normal(xs).astype(dtype), requires_grad=True)
+    n, c, h, wd = xs
+    skip = Tensor(r.standard_normal((n, 2, 2 * h, 2 * wd)).astype(dtype))
+    joined = concat([nearest_upsample2(x), skip], axis=1)
+    g = (r.standard_normal(joined.shape) * 10.0 ** r.integers(-3, 4, joined.shape)).astype(dtype)
+    total(ew_mul(joined, g)).backward()
+    assert np.array_equal(x.grad, _upsample_grad_oracle(g[:, :c]))
 
 
 def test_channel_linear_matches_einsum_reference():
