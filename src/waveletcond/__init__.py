@@ -16,7 +16,7 @@ from .diffusion import (
     sample,
     unet_forward,
 )
-from .msm import AudioEmbedding, MsmParams, init_msm_params, msm_forward
+from .msm import MsmParams, init_msm_params, msm_forward
 from .sfm import SfmParams, init_sfm_params, sfm_forward
 from .tensor import Tensor, adam_step
 from .training import ablate, make_synthetic_dataset, train, train_loss
@@ -25,7 +25,6 @@ from .wavelet import dwt2, idwt2
 __version__ = "0.1.0"
 
 __all__ = [
-    "AudioEmbedding",
     "DivergenceError",
     "MsmParams",
     "NoiseSchedule",

@@ -22,7 +22,7 @@ from .diffusion import (
     linear_schedule,
     sample,
 )
-from .msm import AudioEmbedding, MsmParams, msm_forward
+from .msm import MsmParams, msm_forward
 from .sfm import SfmParams, sfm_forward
 from .training import (
     ablate,
@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="run directory from train-toy")
     p.add_argument("--audio", required=True, help="raw audio sample track (SGTF, 1-D)")
     p.add_argument("--ref", required=True, help="reference frame (SGTF, c x h x w)")
-    p.add_argument("--seed", type=int, default=0, dest="sample_seed")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="sampling seed (default 0); also accepted before the subcommand")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
@@ -144,8 +145,10 @@ def cmd_msm_apply(args) -> int:
     latent = sgtf.read_tensor(args.latent)
     if latent.ndim != 4:
         raise ValueError(f"msm-apply: latent must be 4-D, got shape {latent.shape}")
-    embedding = AudioEmbedding(audio, frames=latent.shape[0])
-    out = msm_forward(embedding, latent, MsmParams.from_named(params))
+    out = msm_forward(audio, latent, MsmParams.from_named(params))
+    if latent.shape[0] < 1 or audio.shape[1] % latent.shape[0]:  # msm_forward checked the rank
+        raise ValueError(f"msm-apply: audio length {audio.shape[1]} not divisible by "
+                         f"{latent.shape[0]} latent frames")
     sgtf.write_tensor(args.out, out)
     return EXIT_OK
 
@@ -188,8 +191,9 @@ def cmd_sample(args) -> int:
     if audio.ndim != 1:
         raise ValueError(f"sample: audio track must be 1-D, got shape {audio.shape}")
     ref = sgtf.read_tensor(args.ref)
+    seed = 0 if args.seed is None else args.seed
     clip = sample(params, audio_to_windows(audio, cfg), ref,
-                  linear_schedule(cfg.timesteps), cfg, seed=args.sample_seed)
+                  linear_schedule(cfg.timesteps), cfg, seed=seed)
     sgtf.write_tensor(args.out, clip)
     print(f"sampled clip {clip.shape} -> {args.out}")
     return EXIT_OK
@@ -233,18 +237,18 @@ def cmd_metrics(args) -> int:
     rows = []
     for rec in records:
         pred_lm = metrics.load_landmarks_csv(pred_dir / rec.landmark_path)
-        assets = metrics.ClipAssets(
-            clip_id=rec.clip_id,
-            pred_frames=sgtf.read_tensor(pred_dir / rec.frames_path),
-            gt_frames=sgtf.read_tensor(gt_dir / rec.frames_path),
-            pred_landmarks=pred_lm,
-            gt_landmarks=metrics.load_landmarks_csv(gt_dir / rec.landmark_path),
-            beats=metrics.load_beats(gt_dir / rec.beats_path),
-            fps=rec.fps,
-            mouth_indices=(parse_index_spec(args.mouth_indices, pred_lm.shape[1])
-                           if args.mouth_indices else None),
-        )
-        rows.append(metrics.evaluate_clip(assets, peak=args.peak))
+        # Bound to names, so one clip's frames stay live while the next clip's are read:
+        # freed first, their pages go back to the OS and fault in again for every clip.
+        pred_frames = sgtf.read_tensor(pred_dir / rec.frames_path)
+        gt_frames = sgtf.read_tensor(gt_dir / rec.frames_path)
+        row = metrics.evaluate_clip(
+            pred_frames, gt_frames, pred_lm,
+            metrics.load_landmarks_csv(gt_dir / rec.landmark_path),
+            metrics.load_beats(gt_dir / rec.beats_path), fps=rec.fps,
+            mouth=(parse_index_spec(args.mouth_indices, pred_lm.shape[1])
+                   if args.mouth_indices else None),
+            peak=args.peak)
+        rows.append({"clip_id": rec.clip_id, **row})
     report = metrics.json_safe({
         "report": "clip-metrics",
         "columns": list(metrics.TABLE1_COLUMNS),

@@ -82,6 +82,11 @@ class ClipRecord:
             raise ValueError(f"ClipRecord {self.source_id}: crop_box {list(box)} needs a positive "
                              f"width and height (all zeros means no crop)")
         self.crop_box = tuple(box)
+        for name in ("start_frame", "end_frame"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise ValueError(f"ClipRecord {self.source_id}: {name} must be a non-negative "
+                                 f"int, got {v!r}")
         if self.fps != CLIP_FPS:
             raise ValueError(f"ClipRecord {self.source_id}: fps must be {CLIP_FPS}, got {self.fps}")
         if self.end_frame - self.start_frame != CLIP_FRAMES:
@@ -147,14 +152,15 @@ def segment_clips(meta: SourceMeta, ratio: float = 0.8) -> list[ClipRecord]:
 
 
 def bbox_for_frame(meta: SourceMeta, frame: int):
-    if not meta.face_bboxes:
+    """Box of the latest keyframe at or before `frame`, else of the earliest keyframe."""
+    keyframes = sorted(meta.face_bboxes)
+    if not keyframes:
         return None
-    chosen = meta.face_bboxes[0][1]
-    for key, box in sorted(meta.face_bboxes):
-        if key <= frame:
-            chosen = box
-        else:
+    chosen = keyframes[0][1]
+    for key, box in keyframes:
+        if key > frame:
             break
+        chosen = box
     return chosen
 
 

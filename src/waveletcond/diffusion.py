@@ -20,7 +20,6 @@ import numpy as np
 
 from .msm import (
     AttentionParams,
-    AudioEmbedding,
     MsmParams,
     audio_attention,
     frame_tokens,
@@ -215,8 +214,7 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
 
     embedding = encode_audio(audio_windows, params)
     if cfg.use_msm:
-        audio = AudioEmbedding(embedding, frames=cfg.frames)
-        conditioned = msm_forward(audio, z_t, MsmParams.from_named(params))
+        conditioned = msm_forward(embedding, z_t, MsmParams.from_named(params))
     else:
         conditioned = embedding
     tokens = frame_tokens(conditioned, cfg.frames)

@@ -90,40 +90,21 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
 
 @dataclass
 class LandmarkSequence:
-    """Per-frame 2-D landmark coordinates in pixels, with the mouth subset marked."""
+    """Per-frame 2-D landmark coordinates in pixels, all finite."""
 
     frames: np.ndarray          # (n_frames, k_points, 2)
-    fps: float = 25.0
-    mouth_indices: np.ndarray | None = None  # default: every point
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 3 or self.frames.shape[2] != 2:
             raise ValueError(f"LandmarkSequence: expected (n, k, 2), got {self.frames.shape}")
-        if self.fps <= 0:
-            raise ValueError(f"LandmarkSequence: fps must be positive, got {self.fps}")
-        k = self.frames.shape[1]
-        if self.mouth_indices is None:
-            self.mouth_indices = np.arange(k)
-        else:
-            self.mouth_indices = np.asarray(self.mouth_indices, dtype=int)
-            if self.mouth_indices.size and (
-                    self.mouth_indices.min() < 0 or self.mouth_indices.max() >= k):
-                raise ValueError(
-                    f"LandmarkSequence: mouth indices outside [0, {k}): {self.mouth_indices}")
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def n_points(self) -> int:
-        return self.frames.shape[1]
+        if not np.all(np.isfinite(self.frames)):
+            raise ValueError("LandmarkSequence: coordinates must be finite")
 
 
 @dataclass
 class BeatTrack:
-    """Strictly increasing, non-negative beat timestamps in seconds."""
+    """Strictly increasing, non-negative, finite beat timestamps in seconds."""
 
     timestamps: np.ndarray
 
@@ -131,23 +112,30 @@ class BeatTrack:
         self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
         if self.timestamps.ndim != 1:
             raise ValueError(f"BeatTrack: expected 1-D timestamps, got {self.timestamps.shape}")
+        if not np.all(np.isfinite(self.timestamps)):
+            raise ValueError("BeatTrack: timestamps must be finite")
         if self.timestamps.size and self.timestamps[0] < 0:
             raise ValueError("BeatTrack: timestamps must be non-negative")
         if np.any(np.diff(self.timestamps) <= 0):
             raise ValueError("BeatTrack: timestamps must be strictly increasing")
 
 
-def lmd(a: LandmarkSequence, b: LandmarkSequence) -> float:
-    """Mean Euclidean distance between corresponding mouth points, in pixels."""
-    if a.n_frames != b.n_frames:
-        raise ValueError(f"lmd: frame counts differ: {a.n_frames} vs {b.n_frames}")
-    if a.n_points != b.n_points:
-        raise ValueError(f"lmd: point counts differ: {a.n_points} vs {b.n_points}")
-    if not np.array_equal(a.mouth_indices, b.mouth_indices):
-        raise ValueError("lmd: mouth index sets differ")
-    pa = a.frames[:, a.mouth_indices, :]
-    pb = b.frames[:, b.mouth_indices, :]
-    return float(np.mean(np.sqrt(np.sum((pa - pb) ** 2, axis=2))))
+def lmd(a: LandmarkSequence, b: LandmarkSequence, mouth: np.ndarray | None = None) -> float:
+    """Mean Euclidean distance between corresponding mouth points, in pixels.
+
+    `mouth` lists the mouth landmark indices; None takes every point.
+    """
+    (n, k, _), (n_b, k_b, _) = a.frames.shape, b.frames.shape
+    if n != n_b:
+        raise ValueError(f"lmd: frame counts differ: {n} vs {n_b}")
+    if k != k_b:
+        raise ValueError(f"lmd: point counts differ: {k} vs {k_b}")
+    mouth = np.arange(k) if mouth is None else np.asarray(mouth, dtype=int)
+    if mouth.ndim != 1 or not mouth.size or mouth.min() < 0 or mouth.max() >= k:
+        raise ValueError(f"lmd: mouth indices must be a non-empty list within [0, {k}), "
+                         f"got {mouth}")
+    d = a.frames[:, mouth, :] - b.frames[:, mouth, :]
+    return float(np.mean(np.sqrt(np.sum(d ** 2, axis=2))))
 
 
 def diversity(a: LandmarkSequence) -> float:
@@ -156,8 +144,8 @@ def diversity(a: LandmarkSequence) -> float:
     Dispersion of each landmark coordinate over time (divide-by-N
     convention), then the mean over all points and both coordinates.
     """
-    if a.n_frames < 2:
-        raise ValueError(f"diversity: need at least 2 frames, got {a.n_frames}")
+    if len(a.frames) < 2:
+        raise ValueError(f"diversity: need at least 2 frames, got {len(a.frames)}")
     return float(np.mean(np.std(a.frames, axis=0)))
 
 
@@ -190,8 +178,11 @@ def motion_beat_frames(motion: LandmarkSequence) -> list[int]:
     return beats
 
 
-def motion_beat_times(motion: LandmarkSequence) -> np.ndarray:
-    return np.asarray([f / motion.fps for f in motion_beat_frames(motion)])
+def motion_beat_times(motion: LandmarkSequence, fps: float) -> np.ndarray:
+    """Motion beat frames in seconds at `fps` frames per second."""
+    if not 0 < fps < math.inf:
+        raise ValueError(f"motion_beat_times: fps must be finite and positive, got {fps}")
+    return np.asarray([f / fps for f in motion_beat_frames(motion)])
 
 
 def bas_from_beats(audio_times: np.ndarray, motion_times: np.ndarray,
@@ -209,18 +200,18 @@ def bas_from_beats(audio_times: np.ndarray, motion_times: np.ndarray,
     return float(np.mean(np.exp(-(offsets ** 2) / (2.0 * sigma ** 2))))
 
 
-def bas(audio_beats: BeatTrack, motion: LandmarkSequence) -> float:
+def bas(audio_beats: BeatTrack, motion: LandmarkSequence, fps: float) -> float:
     """Beat alignment score in (0, 1]; motion beats come from displacement minima.
 
-    The Gaussian's sigma is 3 frames, converted to seconds by the sequence
+    The Gaussian's sigma is 3 frames, converted to seconds by the motion's
     fps.  When no motion beat is extractable the score is 0.0 by definition
     and a RuntimeWarning flags it.
     """
-    times = motion_beat_times(motion)
+    times = motion_beat_times(motion, fps)
     if times.size == 0:
         warnings.warn("bas: no extractable motion beat; score defined as 0.0", RuntimeWarning)
         return 0.0
-    return bas_from_beats(audio_beats.timestamps, times, 3.0 / motion.fps)
+    return bas_from_beats(audio_beats.timestamps, times, 3.0 / fps)
 
 
 # -- file formats ---------------------------------------------------------------------
@@ -282,20 +273,6 @@ TABLE1_COLUMNS = ("SSIM", "PSNR", "CPBD", "FVD", "LMD", "LSE-D", "LSE-C", "Diver
 UNSUPPORTED_COLUMNS = ("CPBD", "FVD", "LSE-D", "LSE-C")  # need pretrained scorers
 
 
-@dataclass
-class ClipAssets:
-    """Resolved inputs for scoring one clip."""
-
-    clip_id: str
-    pred_frames: np.ndarray           # (f, c, h, w) or (f, h, w)
-    gt_frames: np.ndarray
-    pred_landmarks: np.ndarray        # (n, k, 2)
-    gt_landmarks: np.ndarray
-    beats: BeatTrack
-    fps: float = 25.0
-    mouth_indices: np.ndarray | None = None
-
-
 def _frame_pairs(pred: np.ndarray, gt: np.ndarray):
     if pred.shape != gt.shape:
         raise ValueError(f"clip shapes differ: {pred.shape} vs {gt.shape}")
@@ -307,26 +284,27 @@ def _frame_pairs(pred: np.ndarray, gt: np.ndarray):
     return zip(flat_p, flat_g)
 
 
-def evaluate_clip(assets: ClipAssets, peak: float = 1.0) -> dict:
-    """Per-clip metric row with the standard column names; "n/a" where unsupported."""
+def evaluate_clip(pred_frames: np.ndarray, gt_frames: np.ndarray, pred_landmarks: np.ndarray,
+                  gt_landmarks: np.ndarray, beats: BeatTrack, fps: float,
+                  mouth: np.ndarray | None = None, peak: float = 1.0) -> dict:
+    """Per-clip metric row with the standard column names; "n/a" where unsupported.
+
+    Frames are (f, c, h, w) or (f, h, w), landmarks (n, k, 2); `mouth`
+    selects the LMD points (every point when None).
+    """
     psnr_vals, ssim_vals = [], []
-    for p, g in _frame_pairs(assets.pred_frames, assets.gt_frames):
+    for p, g in _frame_pairs(pred_frames, gt_frames):
         psnr_vals.append(psnr(p, g, peak=peak))
         ssim_vals.append(ssim(p, g, peak=peak))
-    pred_seq = LandmarkSequence(assets.pred_landmarks, fps=assets.fps,
-                                mouth_indices=assets.mouth_indices)
-    gt_seq = LandmarkSequence(assets.gt_landmarks, fps=assets.fps,
-                              mouth_indices=assets.mouth_indices)
-    row = {"clip_id": assets.clip_id}
-    row["SSIM"] = float(np.mean(ssim_vals))
-    row["PSNR"] = float(np.mean(psnr_vals))
+    pred_seq = LandmarkSequence(pred_landmarks)
+    row = {"SSIM": float(np.mean(ssim_vals)), "PSNR": float(np.mean(psnr_vals))}
     for col in UNSUPPORTED_COLUMNS:
         row[col] = "n/a"
-    row["LMD"] = lmd(pred_seq, gt_seq)
+    row["LMD"] = lmd(pred_seq, LandmarkSequence(gt_landmarks), mouth)
     row["Diversity"] = diversity(pred_seq)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        row["BAS"] = bas(assets.beats, pred_seq)
+        row["BAS"] = bas(beats, pred_seq, fps)
     return row
 
 

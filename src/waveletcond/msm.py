@@ -32,28 +32,6 @@ from .wavelet import dwt2, idwt2
 
 
 @dataclass
-class AudioEmbedding:
-    """Encoded audio: values (d_a, l) spanning `frames` video frames.
-
-    Both dimensions must be even so the Haar transform applies without
-    padding; l must be divisible by the frame count for token pooling.
-    """
-
-    values: Tensor
-    frames: int
-
-    def __post_init__(self):
-        self.values = as_tensor(self.values)
-        if self.values.data.ndim != 2:
-            raise ValueError(f"AudioEmbedding: expected 2-D values, got {self.values.shape}")
-        d_a, l = self.values.shape
-        if d_a % 2 or l % 2:
-            raise ValueError(f"AudioEmbedding: dimensions must be even, got ({d_a}, {l})")
-        if self.frames < 1 or l % self.frames:
-            raise ValueError(f"AudioEmbedding: length {l} not divisible by frames {self.frames}")
-
-
-@dataclass
 class MsmParams(ParamGroup):
     """Tunable latent-weighting matrix plus the two-layer weight head.
 
@@ -108,13 +86,17 @@ def chunk_weights(z_t: Tensor, p: MsmParams) -> Tensor:
     return reshape(out, (4,))
 
 
-def msm_forward(audio: AudioEmbedding, z_t: Tensor, p: MsmParams) -> Tensor:
-    """Condition the audio embedding on the latent: decompose, reweight, reconstruct.
+def msm_forward(audio: Tensor, z_t: Tensor, p: MsmParams) -> Tensor:
+    """Condition the (d_a, l) audio embedding on the latent: decompose, reweight, reconstruct.
 
-    Band k of the (4, d_a/2, l/2) sub-band stack is scaled by weight k.
+    Both dimensions must be even (dwt2 checks).  Band k of the
+    (4, d_a/2, l/2) sub-band stack is scaled by weight k.
     """
+    audio = as_tensor(audio)
+    if audio.data.ndim != 2:
+        raise ValueError(f"msm_forward: expected a 2-D (d_a, l) audio embedding, got {audio.shape}")
     weights = chunk_weights(z_t, p)
-    return idwt2(ew_mul(dwt2(audio.values), reshape(weights, (4, 1, 1))))
+    return idwt2(ew_mul(dwt2(audio), reshape(weights, (4, 1, 1))))
 
 
 @dataclass

@@ -169,6 +169,21 @@ def test_train_toy_and_sample(tmp_path, capsys):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_sample_seed_before_or_after_subcommand_gives_same_clip(tmp_path):
+    # `--seed 3 sample` used to parse seed=3 and then sample with the subcommand's default 0
+    run = run_dir(tmp_path)
+    clips = {}
+    for key, prefix, suffix in [("top 3", ["--seed", "3"], []), ("sub 3", [], ["--seed", "3"]),
+                                ("default", [], []), ("both", ["--seed", "3"], ["--seed", "5"]),
+                                ("sub 5", [], ["--seed", "5"])]:
+        argv = sample_argv(tmp_path, run, audio=rng(6).standard_normal(8))
+        assert main(prefix + argv[:1] + suffix + argv[1:]) == 0
+        clips[key] = (tmp_path / "c.sgtf").read_bytes()
+    assert clips["top 3"] == clips["sub 3"]
+    assert clips["both"] == clips["sub 5"]
+    assert clips["default"] != clips["sub 3"] != clips["sub 5"]
+
+
 def test_sample_on_per_band_sfm_params_exits_2(tmp_path, capsys):
     # a run directory saved with the four per-band SFM weights, sfm.w_ll ... sfm.w_hh
     run = tmp_path / "run"
@@ -502,7 +517,7 @@ MSM_LATENT = (2, 1, 8, 8)
 
 
 def msm_argv(d, audio=np.zeros((4, 8)), latent=np.zeros(MSM_LATENT), drop=(), **replace):
-    params = init_msm_params(MSM_LATENT, hidden=4).named()
+    params = init_msm_params(latent.shape, hidden=4).named()
     return ["msm-apply", "--audio", put(d / "a.sgtf", audio),
             "--latent", put(d / "z.sgtf", latent),
             "--params", params_dir(d / "p", params, drop, **replace), "--out", str(d / "o.sgtf")]
@@ -523,18 +538,22 @@ def jsonl_line(obj):
     return (obj if isinstance(obj, str) else json.dumps(obj)) + "\n"
 
 
-def metrics_argv(d, *extra, asset=None, content=None, record=None):
-    """metrics over one tiny clip; the pred file of manifest field `asset` is
-    overwritten with `content`, and `record` maps the manifest line to a new one."""
+def metrics_argv(d, *extra, asset=None, content=None, record=None, root="pred"):
+    """metrics over one tiny clip; the `root` ("pred" or "gt") file of manifest field
+    `asset` is overwritten with `content`, and `record` maps the manifest line to a new one."""
     manifest, pred, gt = build_metrics_tree(d, n_clips=1)
     rec = json.loads(manifest.read_text())
     if asset is not None:
-        put(pred / rec[asset], content)
+        put({"pred": pred, "gt": gt}[root] / rec[asset], content)
     if record is not None:
         put(manifest, jsonl_line(record(rec)))
     return ["metrics", "--pred", str(pred), "--gt", str(gt), "--manifest", str(manifest),
             "--report", str(d / "report.json"), *extra]
 
+
+# build_metrics_tree's 6 frames of 2 landmarks, with one NaN cell
+NAN_LANDMARKS = "frame,x0,y0,x1,y1\n" + "".join(
+    f"{i},{i}.0,0.0,1.0,{'nan' if i == 3 else '0.0'}\n" for i in range(6))
 
 SOURCE = {"source_id": "s0", "duration_s": 2.0, "fps": 25.0, "width": 64, "height": 64,
           "face_bboxes": [[0, [8, 8, 16, 16]]]}
@@ -566,6 +585,8 @@ HOSTILE_ARGV = {
     "msm-apply/missing_key": lambda d: msm_argv(d, drop=("msm.fc1_w",)),
     "msm-apply/rank1_audio": lambda d: msm_argv(d, audio=np.zeros(8)),
     "msm-apply/rank1_param": lambda d: msm_argv(d, **{"msm.fc1_w": np.zeros(4)}),
+    "msm-apply/rank3_audio": lambda d: msm_argv(d, audio=np.zeros((2, 4, 8))),
+    "msm-apply/indivisible_audio": lambda d: msm_argv(d, latent=np.zeros((3, 1, 8, 8))),
     "sfm-apply/garbage": lambda d: sfm_argv(d, features=GARBAGE),
     "sfm-apply/missing_key": lambda d: sfm_argv(d, drop=("sfm.gate_w",)),
     "sfm-apply/rank3": lambda d: sfm_argv(d, features=np.zeros((3, 4, 4))),
@@ -593,6 +614,10 @@ HOSTILE_ARGV = {
     "metrics/rank1_frames": lambda d: metrics_argv(d, asset="frames_path", content=np.zeros(16)),
     "metrics/peak_nan": lambda d: metrics_argv(d, "--peak", "nan"),
     "metrics/peak_inf": lambda d: metrics_argv(d, "--peak", "inf"),
+    "metrics/nan_beat": lambda d: metrics_argv(d, asset="beats_path", content="0.08\nnan\n",
+                                               root="gt"),
+    "metrics/nan_landmark": lambda d: metrics_argv(d, asset="landmark_path",
+                                                   content=NAN_LANDMARKS),
     "segment/garbage": lambda d: manifest_argv("segment", d, source=GARBAGE_TEXT),
     "segment/missing_key": lambda d: manifest_argv("segment", d, source=without(SOURCE, "fps")),
     "segment/rank1_bbox": lambda d: manifest_argv("segment", d,
@@ -623,6 +648,12 @@ HOSTILE_ARGV = {
         "split", d, record={**RECORD, "crop_box": [0, 0, 2.5, 3]}),
     "split/zero_width_crop_box": lambda d: manifest_argv(
         "split", d, record={**RECORD, "crop_box": [4, 4, 0, 3]}),
+    "split/negative_start_frame": lambda d: manifest_argv(
+        "split", d, record={**RECORD, "start_frame": -50, "end_frame": 0}),
+    "split/float_start_frame": lambda d: manifest_argv(
+        "split", d, record={**RECORD, "start_frame": 1.5, "end_frame": 51.5}),
+    "split/bool_start_frame": lambda d: manifest_argv(
+        "split", d, record={**RECORD, "start_frame": True, "end_frame": 51}),
     "crop/zero_height_crop_box": lambda d: manifest_argv(
         "crop", d, record={**RECORD, "crop_box": [4, 4, 3, 0]}),
 }
@@ -635,6 +666,13 @@ HOSTILE_ERROR_NAMES = {
     "ablate/missing_value": f"config line {TINY_CONFIG_END}: bad value '' for lr",
     "sample/missing_key": "run directory {d}/run lacks parameters ['unet.mid1_w']",
     "sample/missing_keys": "run directory {d}/run lacks parameters ['unet.in_b', 'sfm.w']",
+    "msm-apply/rank3_audio": "expected a 2-D (d_a, l) audio embedding",
+    "msm-apply/indivisible_audio": "audio length 8 not divisible by 3 latent frames",
+    "metrics/nan_beat": "timestamps must be finite",
+    "metrics/nan_landmark": "coordinates must be finite",
+    "split/negative_start_frame": "start_frame must be a non-negative int, got -50",
+    "split/float_start_frame": "start_frame must be a non-negative int, got 1.5",
+    "split/bool_start_frame": "start_frame must be a non-negative int, got True",
 }
 
 

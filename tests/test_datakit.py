@@ -76,6 +76,13 @@ def test_segment_uses_latest_keyframe_bbox():
     assert bbox_for_frame(src, 60) == (200, 200, 80, 80)
 
 
+def test_segment_falls_back_to_earliest_keyframe_not_first_listed():
+    # keyframes listed out of order: a clip before every keyframe takes the earliest one
+    src = make_source(duration=2.0, bboxes=[(100, (200, 200, 80, 80)), (50, (10, 10, 80, 80))])
+    assert bbox_for_frame(src, 0) == (10, 10, 80, 80)
+    assert segment_clips(src)[0].crop_box == crop_box((10, 10, 80, 80), 512, 512)
+
+
 def test_segment_asset_path_conventions():
     rec = segment_clips(make_source(sid="abc", duration=2.0))[0]
     assert rec.clip_id == "abc_000000"
@@ -249,6 +256,12 @@ def test_sources_roundtrip(tmp_path):
 def test_clip_record_validates_length():
     with pytest.raises(ValueError, match="50 frames"):
         ClipRecord(source_id="x", start_frame=0, end_frame=49)
+
+
+@pytest.mark.parametrize("start, end", [(-50, 0), (1.5, 51.5), (True, 51), (0, 50.0)])
+def test_clip_record_frames_are_non_negative_ints(start, end):
+    with pytest.raises(ValueError, match="_frame must be a non-negative int"):
+        ClipRecord(source_id="x", start_frame=start, end_frame=end)
 
 
 def test_clip_record_validates_fps():

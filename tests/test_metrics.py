@@ -12,9 +12,9 @@ from hypothesis.extra import numpy as hnp
 
 from waveletcond.metrics import (
     BeatTrack,
-    ClipAssets,
     LandmarkSequence,
     PSNR_INFINITE,
+    TABLE1_COLUMNS,
     aggregate_rows,
     bas,
     bas_from_beats,
@@ -205,8 +205,8 @@ def test_ssim_matches_window_einsum_reference(shape, peak):
 # -- LMD ----------------------------------------------------------------------
 
 
-def seq(frames, fps=25.0, mouth=None):
-    return LandmarkSequence(np.asarray(frames, dtype=float), fps=fps, mouth_indices=mouth)
+def seq(frames):
+    return LandmarkSequence(np.asarray(frames, dtype=float))
 
 
 def test_lmd_identical_is_zero():
@@ -233,8 +233,8 @@ def test_lmd_respects_mouth_subset():
     a = np.zeros((2, 4, 2))
     b = np.zeros((2, 4, 2))
     b[:, 3, :] = [3.0, 4.0]  # only point 3 differs
-    assert lmd(seq(a, mouth=[0, 1]), seq(b, mouth=[0, 1])) == 0.0
-    assert abs(lmd(seq(a, mouth=[3]), seq(b, mouth=[3])) - 5.0) < 1e-12
+    assert lmd(seq(a), seq(b), mouth=[0, 1]) == 0.0
+    assert abs(lmd(seq(a), seq(b), mouth=[3]) - 5.0) < 1e-12
 
 
 def test_lmd_symmetric():
@@ -248,8 +248,22 @@ def test_lmd_rejects_mismatches():
         lmd(seq(np.zeros((2, 3, 2))), seq(np.zeros((3, 3, 2))))
     with pytest.raises(ValueError, match="point counts"):
         lmd(seq(np.zeros((2, 3, 2))), seq(np.zeros((2, 4, 2))))
-    with pytest.raises(ValueError, match="mouth"):
-        lmd(seq(np.zeros((2, 3, 2)), mouth=[0]), seq(np.zeros((2, 3, 2)), mouth=[1]))
+
+
+@pytest.mark.parametrize("mouth", [[], [3], [-1], [0, 5]])
+def test_lmd_rejects_empty_or_out_of_range_mouth(mouth):
+    # an empty set used to give NaN with "Mean of empty slice"
+    a = seq(np.zeros((2, 3, 2)))
+    with pytest.raises(ValueError, match=r"mouth indices .*\[0, 3\)"):
+        lmd(a, a, mouth=mouth)
+
+
+@pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+def test_landmark_sequence_rejects_non_finite_coordinates(cell):
+    frames = np.zeros((3, 2, 2))
+    frames[1, 0, 1] = cell
+    with pytest.raises(ValueError, match="finite"):
+        LandmarkSequence(frames)
 
 
 # -- diversity -------------------------------------------------------------------
@@ -301,36 +315,36 @@ def walk_with_displacements(disp):
 
 
 def test_motion_beats_at_displacement_minima():
-    motion = seq(walk_with_displacements([2.0, 1.0, 2.0, 1.0, 2.0]), fps=10.0)
+    motion = seq(walk_with_displacements([2.0, 1.0, 2.0, 1.0, 2.0]))
     assert motion_beat_frames(motion) == [2, 4]
-    np.testing.assert_allclose(motion_beat_times(motion), [0.2, 0.4])
+    np.testing.assert_allclose(motion_beat_times(motion, fps=10.0), [0.2, 0.4])
 
 
 def test_motion_beats_plateau_earliest_frame():
-    motion = seq(walk_with_displacements([3.0, 1.0, 1.0, 1.0, 3.0, 2.0, 3.0]), fps=25.0)
+    motion = seq(walk_with_displacements([3.0, 1.0, 1.0, 1.0, 3.0, 2.0, 3.0]))
     assert motion_beat_frames(motion) == [2, 6]
 
 
 def test_motion_beats_endpoints_excluded():
-    motion = seq(walk_with_displacements([1.0, 2.0, 3.0]), fps=25.0)
+    motion = seq(walk_with_displacements([1.0, 2.0, 3.0]))
     assert motion_beat_frames(motion) == []
 
 
 def test_bas_exact_alignment_is_one():
     fps = 10.0
-    motion = seq(walk_with_displacements([2.0, 1.0, 2.0, 1.0, 2.0]), fps=fps)
+    motion = seq(walk_with_displacements([2.0, 1.0, 2.0, 1.0, 2.0]))
     beats = BeatTrack(np.array([2 / fps, 4 / fps]))
-    assert abs(bas(beats, motion) - 1.0) < 1e-12
+    assert abs(bas(beats, motion, fps) - 1.0) < 1e-12
 
 
 def test_bas_single_offset_formula():
     fps = 25.0
     sigma = 3.0 / fps
-    motion = seq(walk_with_displacements([2.0, 1.0, 2.0]), fps=fps)  # sole beat at frame 2
+    motion = seq(walk_with_displacements([2.0, 1.0, 2.0]))  # sole beat at frame 2
     delta = 0.05
     beats = BeatTrack(np.array([2 / fps + delta]))
     want = math.exp(-(delta ** 2) / (2 * sigma ** 2))
-    assert abs(bas(beats, motion) - want) < 1e-12
+    assert abs(bas(beats, motion, fps) - want) < 1e-12
 
 
 def test_bas_three_beats_vs_brute_force_oracle():
@@ -355,10 +369,10 @@ def test_bas_translation_invariance():
 
 
 def test_bas_no_motion_beats_scores_zero_with_warning():
-    motion = seq(walk_with_displacements([1.0, 2.0]), fps=25.0)
+    motion = seq(walk_with_displacements([1.0, 2.0]))
     beats = BeatTrack(np.array([0.1]))
     with pytest.warns(RuntimeWarning, match="no extractable motion beat"):
-        assert bas(beats, motion) == 0.0
+        assert bas(beats, motion, fps=25.0) == 0.0
 
 
 def test_bas_requires_audio_beats():
@@ -371,6 +385,20 @@ def test_beat_track_validation():
         BeatTrack(np.array([0.2, 0.1]))
     with pytest.raises(ValueError, match="non-negative"):
         BeatTrack(np.array([-0.5, 0.1]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_beat_track_rejects_non_finite_timestamps(bad):
+    # NaN fails no ordering comparison, so it used to pass and turn BAS into NaN
+    with pytest.raises(ValueError, match="finite"):
+        BeatTrack(np.array([0.08, bad]))
+
+
+@pytest.mark.parametrize("fps", [0.0, -25.0, math.inf, math.nan])
+def test_motion_beat_times_rejects_bad_fps(fps):
+    motion = seq(walk_with_displacements([2.0, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="fps"):
+        motion_beat_times(motion, fps)
 
 
 # -- file formats ----------------------------------------------------------------------
@@ -468,12 +496,8 @@ def test_evaluate_clip_and_aggregate():
     pred = np.clip(gt + 0.05 * r.standard_normal(gt.shape), 0, 1)
     lm_gt = walk_with_displacements([2.0, 1.0, 2.0, 1.0, 2.0])
     lm_pred = lm_gt + 0.5
-    assets = ClipAssets(
-        clip_id="clip0", pred_frames=pred, gt_frames=gt,
-        pred_landmarks=lm_pred, gt_landmarks=lm_gt,
-        beats=BeatTrack(np.array([0.08])), fps=25.0)
-    row = evaluate_clip(assets)
-    assert row["clip_id"] == "clip0"
+    row = evaluate_clip(pred, gt, lm_pred, lm_gt, BeatTrack(np.array([0.08])), fps=25.0)
+    assert set(row) == set(TABLE1_COLUMNS)
     assert 0 < row["SSIM"] <= 1 and row["PSNR"] > 10
     assert abs(row["LMD"] - 0.5 * math.sqrt(2)) < 1e-9
     assert row["CPBD"] == "n/a" and row["FVD"] == "n/a"

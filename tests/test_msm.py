@@ -8,7 +8,6 @@ import pytest
 from waveletcond.gradcheck import check_gradients
 from waveletcond.msm import (
     AttentionParams,
-    AudioEmbedding,
     MsmParams,
     audio_attention,
     chunk_weights,
@@ -115,7 +114,7 @@ def test_chunk_weights_rejects_shape_mismatch():
 def weighted_msm(values: Tensor, weights) -> Tensor:
     """msm_forward with zero FC weights and fc2_b = weights: chunk_weights returns them exactly."""
     p = dataclasses.replace(init_msm_params(LATENT_SHAPE), fc2_b=Tensor(weights))
-    return msm_forward(AudioEmbedding(values, frames=2), Tensor(np.zeros(LATENT_SHAPE)), p)
+    return msm_forward(values, Tensor(np.zeros(LATENT_SHAPE)), p)
 
 
 def test_unit_weights_leave_subbands_unchanged():
@@ -140,17 +139,17 @@ def test_ll_only_doubling_on_constant_embedding():
 
 def test_identity_at_initialization():
     p = init_msm_params(LATENT_SHAPE)
-    audio = AudioEmbedding(Tensor(rng(10).standard_normal((6, 8))), frames=2)
+    audio = Tensor(rng(10).standard_normal((6, 8)))
     z = Tensor(rng(11).standard_normal(LATENT_SHAPE))
     out = msm_forward(audio, z, p)
-    assert np.max(np.abs(out.data - audio.values.data)) < 1e-9
+    assert np.max(np.abs(out.data - audio.data)) < 1e-9
 
 
 def test_zeroed_head_gives_zero_output():
     p = init_msm_params(LATENT_SHAPE)
     p = MsmParams(w=p.w, fc1_w=p.fc1_w, fc1_b=p.fc1_b, fc2_w=p.fc2_w,
                   fc2_b=Tensor(np.zeros(4), requires_grad=True))
-    audio = AudioEmbedding(Tensor(rng(12).standard_normal((4, 8))), frames=2)
+    audio = Tensor(rng(12).standard_normal((4, 8)))
     out = msm_forward(audio, Tensor(rng(13).standard_normal(LATENT_SHAPE)), p)
     np.testing.assert_allclose(out.data, np.zeros((4, 8)), atol=1e-12)
 
@@ -180,8 +179,7 @@ def test_msm_gradients_match_finite_differences():
     probe = Tensor(rng(19).standard_normal((4, 8)))
 
     def f():
-        audio = AudioEmbedding(audio_vals, frames=2)
-        out = msm_forward(audio, z, p)
+        out = msm_forward(audio_vals, z, p)
         return total(sigmoid(out * probe))
 
     params = dict(p.named(), **{"audio": audio_vals})
@@ -266,10 +264,19 @@ def test_attention_gradients_match_finite_differences():
 
 
 def test_audio_embedding_rejects_odd_dims():
-    with pytest.raises(ValueError, match="even"):
-        AudioEmbedding(Tensor(np.zeros((3, 8))), frames=2)
+    p = init_msm_params(LATENT_SHAPE)
+    for shape in ((3, 8), (4, 7)):
+        with pytest.raises(ValueError, match="odd"):
+            msm_forward(Tensor(np.zeros(shape)), Tensor(np.zeros(LATENT_SHAPE)), p)
+
+
+def test_audio_embedding_rejects_rank_3():
+    # dwt2 would carry the leading axis through; msm_forward takes one (d_a, l) embedding
+    with pytest.raises(ValueError, match="2-D"):
+        msm_forward(Tensor(np.zeros((2, 4, 8))), Tensor(np.zeros(LATENT_SHAPE)),
+                    init_msm_params(LATENT_SHAPE))
 
 
 def test_audio_embedding_rejects_indivisible_frames():
     with pytest.raises(ValueError, match="divisible"):
-        AudioEmbedding(Tensor(np.zeros((4, 8))), frames=3)
+        frame_tokens(Tensor(np.zeros((4, 8))), frames=3)

@@ -49,8 +49,7 @@ def test_wavelet_spans_one_backward_per_forward():
     tracer = load_spans().Tracer()
     try:
         tracer.install()
-        out_a = msm.msm_forward(msm.AudioEmbedding(audio, frames=2), latent,
-                                msm.init_msm_params(latent.shape))
+        out_a = msm.msm_forward(audio, latent, msm.init_msm_params(latent.shape))
         out_f = sfm.sfm_forward(features, sfm.init_sfm_params(features.shape))
         add(mean(out_a), mean(out_f)).backward()
     finally:
@@ -75,13 +74,11 @@ def test_metrics_spans_one_ssim_and_psnr_per_frame_pair():
     r = np.random.default_rng(0)
     frames = r.random((3, 16, 16))
     landmarks = r.random((3, 2, 2))
-    assets = metrics.ClipAssets(clip_id="c", pred_frames=frames, gt_frames=frames[::-1],
-                                pred_landmarks=landmarks, gt_landmarks=landmarks,
-                                beats=metrics.BeatTrack(np.array([0.04])))
     tracer = load_spans().Tracer()
     try:
         tracer.install()
-        metrics.evaluate_clip(assets)
+        metrics.evaluate_clip(frames, frames[::-1], landmarks, landmarks,
+                              metrics.BeatTrack(np.array([0.04])), fps=25.0)
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
