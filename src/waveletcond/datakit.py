@@ -20,6 +20,11 @@ CLIP_SECONDS = 2.0
 CLIP_FRAMES = int(CLIP_FPS * CLIP_SECONDS)  # 50
 
 
+def _is_count(v) -> bool:
+    """A non-negative int that is not a bool: the rule for every frame index and pixel size."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 @dataclass
 class SourceMeta:
     """One source video's metadata, with face boxes at keyframes."""
@@ -35,18 +40,30 @@ class SourceMeta:
         for name in ("duration_s", "fps"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"SourceMeta {self.source_id}: {name} must be finite and positive")
-        for frame, (x, y, w, h) in self.face_bboxes:
-            if x < 0 or y < 0 or x + w > self.width or y + h > self.height:
+        for name in ("width", "height"):
+            v = getattr(self, name)
+            if not _is_count(v):
+                raise ValueError(f"SourceMeta {self.source_id}: {name} must be a non-negative "
+                                 f"int, got {v!r}")
+        for frame, box in self.face_bboxes:
+            if not _is_count(frame):
+                raise ValueError(f"SourceMeta {self.source_id}: keyframe must be a non-negative "
+                                 f"int, got {frame!r}")
+            if not isinstance(box, (list, tuple)) or len(box) != 4 or not all(map(_is_count, box)):
+                raise ValueError(f"SourceMeta {self.source_id}: bbox at frame {frame} must be "
+                                 f"four non-negative ints, got {box!r}")
+            x, y, w, h = box
+            if x + w > self.width or y + h > self.height:
                 raise ValueError(
                     f"SourceMeta {self.source_id}: bbox {(x, y, w, h)} at frame {frame} "
                     f"outside {self.width}x{self.height}")
+        self.face_bboxes = [(frame, tuple(box)) for frame, box in self.face_bboxes]
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SourceMeta":
-        boxes = [(int(f), tuple(int(v) for v in box)) for f, box in d.get("face_bboxes", [])]
         return cls(source_id=d["source_id"], duration_s=float(d["duration_s"]),
-                   fps=float(d["fps"]), width=int(d["width"]), height=int(d["height"]),
-                   face_bboxes=boxes)
+                   fps=float(d["fps"]), width=d["width"], height=d["height"],
+                   face_bboxes=d.get("face_bboxes", []))
 
     def to_json_dict(self) -> dict:
         return {"source_id": self.source_id, "duration_s": self.duration_s, "fps": self.fps,
@@ -74,8 +91,7 @@ class ClipRecord:
             raise ValueError(f"ClipRecord: source_id must be a non-empty string, "
                              f"got {self.source_id!r}")
         box = self.crop_box
-        if not isinstance(box, (list, tuple)) or len(box) != 4 or not all(
-                isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in box):
+        if not isinstance(box, (list, tuple)) or len(box) != 4 or not all(map(_is_count, box)):
             raise ValueError(f"ClipRecord {self.source_id}: crop_box must be four "
                              f"non-negative ints, got {box!r}")
         if any(box) and not (box[2] > 0 and box[3] > 0):
@@ -84,7 +100,7 @@ class ClipRecord:
         self.crop_box = tuple(box)
         for name in ("start_frame", "end_frame"):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            if not _is_count(v):
                 raise ValueError(f"ClipRecord {self.source_id}: {name} must be a non-negative "
                                  f"int, got {v!r}")
         if self.fps != CLIP_FPS:

@@ -11,7 +11,9 @@ Contractions (`matmul`, `conv3x3`) go through `np.matmul`, so they run as
 BLAS matrix products.  `conv3x3` is nine per-tap matmuls over shifted column
 ranges of one flat, zero-bordered, channel-major copy of its input; stride 2
 first splits that copy into its four polyphase components.  No tap is copied
-and no im2col matrix is built.
+and no im2col matrix is built.  Both directions add the per-tap products
+into contiguous memory: one (co, span) accumulator forward, and one
+contiguous flat run of each phase backward.
 
 `add`, `ew_mul` and `matmul` broadcast like numpy (`matmul` over the axes
 before the last two); each operand's gradient is summed back onto its own
@@ -399,16 +401,23 @@ def conv3x3(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     shape (c, n*hq*wq): a reshape at stride 1, one transposing copy at
     stride 2.  Column (k*hq + i)*wq + j holds output pixel (i, j) of image k,
     and tap (u, v) reads phase (u%s, v%s) shifted by (u//s)*wq + v//s columns.
-    Columns with i >= ho or j >= wo are scratch and are cut from the output.
-    The backward walks the same taps over the output gradient laid out alike
-    with zero borders; the closure keeps only the phases.  The weight
-    gradient is nine matmuls written into one (9, co, c) buffer.  The input
-    gradient writes each tap's product into one reused (c, span) workspace
-    and adds it onto its phase; with one output channel that product is an
-    outer product, taken by `np.multiply` (exact, and far cheaper than
-    numpy's inner-dimension-1 matmul).  At stride 2 four strided assignments
-    merge the phases back into the padded input layout.  Every gradient
-    rounds exactly as the per-tap `w.T @ gf` and `gf @ ph.T` products.
+    The nine products add into one contiguous (co, span) accumulator, span
+    the columns every tap can reach; the output is read from it through one
+    strided view.  Columns with i >= ho or j >= wo are scratch and are not
+    read.  The backward walks the same taps over the output gradient laid
+    out alike with zero borders; the closure keeps only the phases.  The
+    weight gradient is nine matmuls written into one (9, co, c) buffer.  The
+    input gradient writes each tap's product into the first span columns of
+    one reused, zeroed (c, n*hq*wq) workspace, and adds it onto its phase as
+    one contiguous flat run, the unwritten columns adding exact zeros; with
+    one output channel that product is an outer product, taken by
+    `np.multiply` (exact, and far cheaper than numpy's inner-dimension-1
+    matmul).  At stride 2 four strided assignments merge the phases back
+    into the padded input layout.  Both accumulations stay in contiguous
+    memory because numpy adds into a strided column slice several times
+    slower at the 8x8 bottleneck shapes.  The output and every gradient
+    round exactly as the per-tap `w @ ph`, `w.T @ gf` and `gf @ ph.T`
+    products summed tap by tap.
     """
     if stride not in (1, 2):
         raise ValueError(f"conv3x3: stride must be 1 or 2, got {stride}")
@@ -428,9 +437,9 @@ def conv3x3(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     taps = [(u, v, (u % s) * s + v % s, (u // s) * wq + v // s) for u in range(3) for v in range(3)]
     cols = n * hq * wq
     span = cols - taps[-1][3]  # tap (2, 2) reaches furthest
-    out = np.zeros((co, cols), dtype=dtype)
+    acc = np.zeros((co, span), dtype=dtype)
     for u, v, p, off in taps:
-        out[:, :span] += w.data[:, :, u, v] @ ph[p, :, off:off + span]
+        acc += w.data[:, :, u, v] @ ph[p, :, off:off + span]
 
     def backward(g: np.ndarray) -> None:
         gf = np.zeros((co, n, hq, wq), dtype=g.dtype)
@@ -443,18 +452,25 @@ def conv3x3(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
             w._accumulate(gw.transpose(1, 2, 0).reshape(w.shape))
         if x.requires_grad:
             gph = np.zeros_like(ph)
-            tmp = np.empty((c, span), dtype=dtype)
+            # each tap's product fills the first span columns of tmp, whose
+            # other columns stay +0.0; so one contiguous run of L entries adds
+            # it onto its phase, and the pad columns add exact zeros to the
+            # head of the next channel's row (gph starts at +0.0, so it never
+            # holds a -0.0 that such an add would flip)
+            tmp = np.zeros((c, cols), dtype=dtype)
+            L = c * cols - (cols - span)
+            gflat, tflat = gph.reshape(s * s, -1), tmp.reshape(-1)[:L]
             # each tap's (co, c) block made contiguous: a strided operand sends
             # matmul with out= down a slower path, and its transpose keeps the
             # BLAS call (and the rounding) of `w.data[:, :, u, v].T @ gf`
             wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))
             for u, v, p, off in taps:
                 if co == 1:  # an outer product: numpy's k=1 matmul is far slower
-                    np.multiply(wt[u, v].T, gf, out=tmp)
+                    np.multiply(wt[u, v].T, gf, out=tmp[:, :span])
                 else:
-                    np.matmul(wt[u, v].T, gf, out=tmp)
-                gph[p, :, off:off + span] += tmp
-            del tmp  # not held while the input gradient is accumulated
+                    np.matmul(wt[u, v].T, gf, out=tmp[:, :span])
+                gflat[p, off:off + L] += tflat
+            del tmp, tflat  # not held while the input gradient is accumulated
             if s == 1:
                 gbuf = gph.reshape(c, n, hq, wq)
             else:
@@ -464,7 +480,12 @@ def conv3x3(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
                 gbuf = gbuf.reshape(c, n, s * hq, s * wq)
             x._accumulate(gbuf[:, :, 1:1 + h, 1:1 + wd].transpose(1, 0, 2, 3))
 
-    out = out.reshape(co, n, hq, wq)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
+    # output pixel (k, o, i, j) sits at acc[o, (k*hq + i)*wq + j]; the largest
+    # column read, ((n-1)*hq + ho-1)*wq + wo-1, is span - 1 at both strides
+    # (span is n*hq*wq - 2*wq - 2 at stride 1 and n*hq*wq - wq - 1 at stride 2)
+    e = acc.itemsize
+    out = np.lib.stride_tricks.as_strided(acc, (n, co, ho, wo), (hq * wq * e, span * e, wq * e, e),
+                                          writeable=False)
     return Tensor._from_op(np.ascontiguousarray(out), (x, w), backward)
 
 

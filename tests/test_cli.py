@@ -628,6 +628,13 @@ HOSTILE_ARGV = {
         "segment", d, source={**SOURCE, "duration_s": float("inf")}),
     "segment/fps_nan": lambda d: manifest_argv("segment", d,
                                                source={**SOURCE, "fps": float("nan")}),
+    "segment/float_width": lambda d: manifest_argv("segment", d, source={**SOURCE, "width": 64.9}),
+    "segment/bool_keyframe": lambda d: manifest_argv(
+        "segment", d, source={**SOURCE, "face_bboxes": [[True, [8, 8, 16, 16]]]}),
+    "segment/negative_keyframe": lambda d: manifest_argv(
+        "segment", d, source={**SOURCE, "face_bboxes": [[-50, [8, 8, 16, 16]]]}),
+    "segment/float_bbox": lambda d: manifest_argv(
+        "segment", d, source={**SOURCE, "face_bboxes": [[0, [8.7, 8, 16, 16]]]}),
     "crop/garbage": lambda d: manifest_argv("crop", d, record=GARBAGE_TEXT),
     "crop/missing_key": lambda d: manifest_argv("crop", d, record=without(RECORD, "end_frame")),
     "crop/rank2_crop_box": lambda d: manifest_argv("crop", d,
@@ -673,6 +680,10 @@ HOSTILE_ERROR_NAMES = {
     "split/negative_start_frame": "start_frame must be a non-negative int, got -50",
     "split/float_start_frame": "start_frame must be a non-negative int, got 1.5",
     "split/bool_start_frame": "start_frame must be a non-negative int, got True",
+    "segment/float_width": "width must be a non-negative int, got 64.9",
+    "segment/bool_keyframe": "keyframe must be a non-negative int, got True",
+    "segment/negative_keyframe": "keyframe must be a non-negative int, got -50",
+    "segment/float_bbox": "bbox at frame 0 must be four non-negative ints, got [8.7, 8, 16, 16]",
 }
 
 

@@ -579,6 +579,68 @@ def test_conv3x3_single_output_channel_input_grad_is_per_tap_matmul(xs, stride, 
     assert np.array_equal(x.grad, _per_tap_input_grad(w.data, g, stride, xs))
 
 
+# the five distinct UNet convs at the default config (mid1 and mid2 share a shape)
+UNET_CONVS = [shape for i, shape in enumerate(_unet_conv_shapes(TrainConfig())) if i != 3]
+UNET_CONV_IDS = ["in", "down", "mid", "up", "out"]
+
+
+def _scaled_normal(r, shape, dtype):
+    """Normal draws spread over seven decades, so that any change in rounding shows."""
+    return (r.standard_normal(shape) * 10.0 ** r.integers(-3, 4, shape)).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("xs, ws, stride", UNET_CONVS, ids=UNET_CONV_IDS)
+def test_conv3x3_input_grad_is_per_tap_matmul_at_unet_shapes(xs, ws, stride, dtype):
+    # the same per-tap products, added in the same tap order: equal bit for bit
+    r = rng(13)
+    x = Tensor(_scaled_normal(r, xs, dtype), requires_grad=True)
+    w = Tensor(_scaled_normal(r, ws, dtype))
+    out = conv3x3(x, w, stride=stride)
+    g = _scaled_normal(r, out.shape, dtype)
+    total(ew_mul(out, g)).backward()
+    assert np.array_equal(x.grad, _per_tap_input_grad(w.data, g, stride, xs))
+
+
+def _strided_conv3x3_forward(x, w, stride):
+    """The conv forward with each tap's product added into a strided column slice.
+
+    The same polyphase layout and per-tap matmuls as `conv3x3`, accumulated in
+    the first span columns of a (co, n*hq*wq) array whose scratch columns are
+    then cut away.
+    """
+    s = stride
+    n, c, h, wd = x.shape
+    co = w.shape[0]
+    ho, wo = (h - 1) // s + 1, (wd - 1) // s + 1
+    hq, wq = ho + 2 // s, wo + 2 // s
+    buf = np.zeros((c, n, s * hq, s * wq), dtype=x.dtype)
+    buf[:, :, 1:1 + h, 1:1 + wd] = x.transpose(1, 0, 2, 3)
+    ph = buf.reshape(c, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s * s, c, -1)
+    cols = n * hq * wq
+    span = cols - (2 // s) * wq - 2 // s
+    out = np.zeros((co, cols), dtype=x.dtype)
+    for u in range(3):
+        for v in range(3):
+            off = (u // s) * wq + v // s
+            out[:, :span] += w[:, :, u, v] @ ph[(u % s) * s + v % s, :, off:off + span]
+    return out.reshape(co, n, hq, wq)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("xs, ws, stride", UNET_CONVS + [
+    ((2, 3, 5, 7), (4, 3, 3, 3), 1),
+    ((2, 3, 5, 7), (4, 3, 3, 3), 2),
+    ((1, 4, 1, 1), (3, 4, 3, 3), 2),   # a one-column accumulator: span is 1
+], ids=UNET_CONV_IDS + ["odd", "odd_stride2", "1x1_stride2"])
+def test_conv3x3_forward_is_strided_accumulation(xs, ws, stride, dtype):
+    r = rng(14)
+    x, w = _scaled_normal(r, xs, dtype), _scaled_normal(r, ws, dtype)
+    out = conv3x3(Tensor(x), Tensor(w), stride=stride).data
+    assert out.dtype == dtype and out.flags.c_contiguous
+    assert np.array_equal(out, _strided_conv3x3_forward(x, w, stride))
+
+
 def _upsample_grad_oracle(g):
     """The nearest_upsample2 gradient as one reduction over each 2x2 block."""
     n, c, h2, w2 = g.shape
