@@ -139,10 +139,22 @@ def cmd_idwt(args) -> int:
     return EXIT_OK
 
 
+def read_model_input(path) -> np.ndarray:
+    """An SGTF tensor that feeds the model: a NaN or infinite entry is an input error.
+
+    `dwt` and `idwt` read with `sgtf.read_tensor` alone: as elementwise
+    transforms they pass non-finite values through.
+    """
+    arr = sgtf.read_tensor(path)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: tensor holds a non-finite value")
+    return arr
+
+
 def cmd_msm_apply(args) -> int:
     params = sgtf.load_params(args.params)
-    audio = sgtf.read_tensor(args.audio)
-    latent = sgtf.read_tensor(args.latent)
+    audio = read_model_input(args.audio)
+    latent = read_model_input(args.latent)
     if latent.ndim != 4:
         raise ValueError(f"msm-apply: latent must be 4-D, got shape {latent.shape}")
     out = msm_forward(audio, latent, MsmParams.from_named(params))
@@ -155,7 +167,7 @@ def cmd_msm_apply(args) -> int:
 
 def cmd_sfm_apply(args) -> int:
     params = sgtf.load_params(args.params)
-    features = sgtf.read_tensor(args.features)
+    features = read_model_input(args.features)
     out = sfm_forward(features, SfmParams.from_named(params))
     sgtf.write_tensor(args.out, out)
     return EXIT_OK
@@ -187,10 +199,10 @@ def cmd_sample(args) -> int:
     missing = [name for name in init_model_params(cfg) if name not in params]
     if missing:
         raise ValueError(f"sample: run directory {run} lacks parameters {missing}")
-    audio = sgtf.read_tensor(args.audio)
+    audio = read_model_input(args.audio)
     if audio.ndim != 1:
         raise ValueError(f"sample: audio track must be 1-D, got shape {audio.shape}")
-    ref = sgtf.read_tensor(args.ref)
+    ref = read_model_input(args.ref)
     seed = 0 if args.seed is None else args.seed
     clip = sample(params, audio_to_windows(audio, cfg), ref,
                   linear_schedule(cfg.timesteps), cfg, seed=seed)

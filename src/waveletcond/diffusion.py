@@ -32,7 +32,6 @@ from .tensor import (
     Tensor,
     add_channel_bias,
     as_tensor,
-    concat,
     conv3x3,
     linear,
     nearest_upsample2,
@@ -219,29 +218,24 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
         conditioned = embedding
     tokens = frame_tokens(conditioned, cfg.frames)
 
-    x = concat([z_t, np.broadcast_to(ref_frame, cfg.latent_shape)], axis=1)
+    h1 = conv3x3([z_t, np.broadcast_to(ref_frame, cfg.latent_shape)], params["unet.in_w"],
+                 params["unet.in_b"])
+    h1 = relu(add_channel_bias(h1, tslice(params["unet.temb"], t - 1)))
 
-    h1 = conv3x3(x, params["unet.in_w"])
-    h1 = add_channel_bias(h1, params["unet.in_b"])
-    h1 = add_channel_bias(h1, tslice(params["unet.temb"], t - 1))
-    h1 = relu(h1)
-
-    h2 = relu(add_channel_bias(conv3x3(h1, params["unet.down_w"], stride=2),
-                               params["unet.down_b"]))
-    m = relu(add_channel_bias(conv3x3(h2, params["unet.mid1_w"]), params["unet.mid1_b"]))
+    h2 = relu(conv3x3(h1, params["unet.down_w"], params["unet.down_b"], stride=2))
+    m = relu(conv3x3(h2, params["unet.mid1_w"], params["unet.mid1_b"]))
 
     f, cmid, hb, wb = m.shape
     vid_tokens = reshape(permute(m, (0, 2, 3, 1)), (f * hb * wb, cmid))
     vid_tokens = audio_attention(vid_tokens, tokens, AttentionParams.from_named(params))
     m = permute(reshape(vid_tokens, (f, hb, wb, cmid)), (0, 3, 1, 2))
 
-    m = relu(add_channel_bias(conv3x3(m, params["unet.mid2_w"]), params["unet.mid2_b"]))
+    m = relu(conv3x3(m, params["unet.mid2_w"], params["unet.mid2_b"]))
     if cfg.use_sfm:
         m = sfm_forward(m, SfmParams.from_named(params))
 
-    up = concat([nearest_upsample2(m), h1], axis=1)
-    d = relu(add_channel_bias(conv3x3(up, params["unet.up_w"]), params["unet.up_b"]))
-    return add_channel_bias(conv3x3(d, params["unet.out_w"]), params["unet.out_b"])
+    d = relu(conv3x3([nearest_upsample2(m), h1], params["unet.up_w"], params["unet.up_b"]))
+    return conv3x3(d, params["unet.out_w"], params["unet.out_b"])
 
 
 def sample(params: dict[str, Tensor], audio_windows: np.ndarray, ref_frame: np.ndarray,

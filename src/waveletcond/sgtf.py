@@ -85,7 +85,10 @@ def save_params(dirpath, params: dict[str, Tensor]) -> None:
 
 
 def load_params(dirpath) -> dict[str, Tensor]:
-    """Load a parameter directory written by save_params, as trainable tensors."""
+    """Load a parameter directory written by save_params, as trainable tensors.
+
+    A parameter file that holds a NaN or infinite value is an error naming it.
+    """
     d = Path(dirpath)
     manifest_path = d / "manifest.json"
     if not manifest_path.exists():
@@ -100,5 +103,9 @@ def load_params(dirpath) -> dict[str, Tensor]:
     for name in names:
         if Path(name).name != name:
             raise ValueError(f"{dirpath}: tensor name {name!r} is not a plain file name")
-        params[name] = Tensor(read_tensor(d / f"{name}.sgtf"), requires_grad=True)
+        path = d / f"{name}.sgtf"
+        data = read_tensor(path)
+        if not np.isfinite(data).all():
+            raise ValueError(f"{path}: parameter holds a non-finite value")
+        params[name] = Tensor(data, requires_grad=True)
     return params

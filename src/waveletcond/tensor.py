@@ -2,33 +2,38 @@
 
 The op set is deliberately closed.  Primitives carry a hand-written backward
 rule: `add`, `ew_mul`, `matmul`, `sigmoid`, `relu`, `softmax_rows`, `mean`,
-`reshape`, `permute`, `concat`, `tslice`, `conv3x3` and `nearest_upsample2`.
+`reshape`, `permute`, `tslice`, `conv3x3` and `nearest_upsample2`.
 The rest are compositions of primitives and need no rule of their own:
 `sub`, `linear`, `add_channel_bias` and `channel_linear`.
 The test suite checks every op against central finite differences.
 
 Contractions (`matmul`, `conv3x3`) go through `np.matmul`, so they run as
-BLAS matrix products.  `conv3x3` is nine per-tap matmuls over shifted column
-ranges of one flat, zero-bordered, channel-major copy of its input; stride 2
-first splits that copy into its four polyphase components.  No tap is copied
-and no im2col matrix is built.  Both directions add the per-tap products
-into contiguous memory: one (co, span) accumulator forward, and one
-contiguous flat run of each phase backward.
+BLAS matrix products.  `conv3x3` takes its input as one tensor or as a list
+of channel blocks, and a bias.  It writes each block straight into its
+channel range of one flat, zero-bordered, channel-major buffer, and runs
+nine per-tap matmuls over shifted column ranges of it; stride 2 first splits
+that buffer into its four polyphase components.  No tap is copied and no
+im2col matrix is built.  Both directions add the per-tap products into
+contiguous memory: one (co, span) accumulator forward, which also takes the
+bias along its long rows, and one contiguous flat run of each phase
+backward.
 
 `add`, `ew_mul` and `matmul` broadcast like numpy (`matmul` over the axes
 before the last two); each operand's gradient is summed back onto its own
 shape.  One lifting rule, `as_tensor(x, like)`, turns every non-tensor
 operand of a multi-operand op into a constant in the dtype of the tensor it
-meets: either side of `add`, `ew_mul`, `sub` and `matmul`, every `concat`
-entry (lifted like the first entry), and `linear`'s input (lifted like its
-weight).  So an f32 tensor never meets a promoting f64 array.  A lone
-operand follows `Tensor`'s rule instead.  Tensors are immutable values after
-construction; training replaces parameter tensors instead of mutating them.
+meets: either side of `add`, `ew_mul`, `sub` and `matmul`, every `conv3x3`
+input block and its bias (lifted like its weight), and `linear`'s input
+(lifted like its weight).  So an f32 tensor never meets a promoting f64
+array.  A lone operand follows `Tensor`'s rule instead.  Tensors are
+immutable values after construction; training replaces parameter tensors
+instead of mutating them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
@@ -281,10 +286,14 @@ def channel_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function, numerically stable for any finite input."""
+    """Logistic function, numerically stable for any finite input.
+
+    exp(min(x, 0)) / (1 + exp(-|x|)) is 1/(1 + e^-x) for x >= 0 and
+    e^x/(1 + e^x) below, bit for bit the two-branch select, without the
+    select (exp(0) is exactly 1).
+    """
     x = as_tensor(x)
-    e = np.exp(-np.abs(x.data))
-    out_data = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out_data = np.exp(np.minimum(x.data, 0.0)) / (1.0 + np.exp(-np.abs(x.data)))
 
     def backward(g: np.ndarray) -> None:
         x._accumulate(g * out_data * (1.0 - out_data))
@@ -357,25 +366,6 @@ def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
     return Tensor._from_op(out_data, (x,), backward)
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    if not tensors:
-        raise ValueError("concat: empty input list")
-    first = as_tensor(tensors[0])
-    tensors = [as_tensor(t, first) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: np.ndarray) -> None:
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-
-    return Tensor._from_op(out_data, tuple(tensors), backward)
-
-
 def tslice(x: Tensor, key) -> Tensor:
     """Basic indexing (ints and slices); gradient scatters back into place."""
     out_data = x.data[key]
@@ -391,48 +381,67 @@ def tslice(x: Tensor, key) -> Tensor:
 # -- convolution & resampling ----------------------------------------------------
 
 
-def conv3x3(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
-    """3x3 correlation with zero padding 1; stride 1 or 2. x: (n,c,h,w), w: (co,c,3,3).
+def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+    """3x3 correlation with zero padding 1, plus a bias; stride 1 or 2.
+
+    x: (n,c,h,w), or a sequence of channel blocks (n,c_i,h,w) read as their
+    concatenation along channels; w: (co,c,3,3); b: (co,), in w's dtype.  A
+    non-tensor block or bias is lifted like w.
 
     Nine per-tap matmuls over shifted column ranges of one flat buffer; no
-    tap is copied and no (n*ho*wo, c*9) column matrix is built.  The input is
-    written once into a zeroed, channel-major (c, n, s*hq, s*wq) buffer (s the
-    stride, hq = ho + 2//s, wq = wo + 2//s), seen as s*s polyphase components of
-    shape (c, n*hq*wq): a reshape at stride 1, one transposing copy at
-    stride 2.  Column (k*hq + i)*wq + j holds output pixel (i, j) of image k,
-    and tap (u, v) reads phase (u%s, v%s) shifted by (u//s)*wq + v//s columns.
-    The nine products add into one contiguous (co, span) accumulator, span
-    the columns every tap can reach; the output is read from it through one
-    strided view.  Columns with i >= ho or j >= wo are scratch and are not
-    read.  The backward walks the same taps over the output gradient laid
-    out alike with zero borders; the closure keeps only the phases.  The
-    weight gradient is nine matmuls written into one (9, co, c) buffer.  The
-    input gradient writes each tap's product into the first span columns of
-    one reused, zeroed (c, n*hq*wq) workspace, and adds it onto its phase as
-    one contiguous flat run, the unwritten columns adding exact zeros; with
-    one output channel that product is an outer product, taken by
+    tap is copied and no (n*ho*wo, c*9) column matrix is built.  Each block
+    is written once into its channel range of a zeroed, channel-major (c, n,
+    s*hq, s*wq) buffer (s the stride, hq = ho + 2//s, wq = wo + 2//s), seen
+    as s*s polyphase components of shape (c, n*hq*wq): a reshape at stride
+    1, one transposing copy at stride 2.  Column (k*hq + i)*wq + j holds
+    output pixel (i, j) of image k, and tap (u, v) reads phase (u%s, v%s)
+    shifted by (u//s)*wq + v//s columns.  The nine products add into one
+    contiguous (co, span) accumulator, span the columns every tap can reach,
+    the bias is added along its long rows, and the output is read from it
+    through one strided view.  Columns with i >= ho or j >= wo are scratch
+    and are not read.  The backward walks the same taps over the output
+    gradient laid out alike with zero borders; the closure keeps only the
+    phases.  The weight gradient is nine matmuls written into one (9, co, c)
+    buffer, the bias gradient the output gradient summed over (n, h, w).
+    The input gradient writes each tap's product into the first span columns
+    of one reused, zeroed (c, n*hq*wq) workspace, and adds it onto its phase
+    as one contiguous flat run, the unwritten columns adding exact zeros;
+    with one output channel that product is an outer product, taken by
     `np.multiply` (exact, and far cheaper than numpy's inner-dimension-1
     matmul).  At stride 2 four strided assignments merge the phases back
-    into the padded input layout.  Both accumulations stay in contiguous
-    memory because numpy adds into a strided column slice several times
-    slower at the 8x8 bottleneck shapes.  The output and every gradient
-    round exactly as the per-tap `w @ ph`, `w.T @ gf` and `gf @ ph.T`
-    products summed tap by tap.
+    into the padded input layout, and each block that needs a gradient gets
+    its channel slice.  Both accumulations stay in contiguous memory because
+    numpy adds into a strided column slice several times slower at the 8x8
+    bottleneck shapes.  The output and every gradient round exactly as the
+    per-tap `w @ ph`, `w.T @ gf` and `gf @ ph.T` products summed tap by tap,
+    with the bias added last.
     """
     if stride not in (1, 2):
         raise ValueError(f"conv3x3: stride must be 1 or 2, got {stride}")
-    if x.data.ndim != 4 or w.data.ndim != 4 or w.shape[2:] != (3, 3):
-        raise ValueError(f"conv3x3: bad shapes x{x.shape} w{w.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise ValueError(f"conv3x3: channel mismatch x{x.shape} w{w.shape}")
-    s = stride
-    n, c, h, wd = x.shape
+    if w.data.ndim != 4 or w.shape[2:] != (3, 3):
+        raise ValueError(f"conv3x3: bad weight shape w{w.shape}")
     co = w.shape[0]
+    b = as_tensor(b, w)
+    if b.shape != (co,) or b.dtype != w.dtype:
+        raise ValueError(f"conv3x3: bias {b.shape} {b.dtype} does not match "
+                         f"weight w{w.shape} {w.dtype}")
+    blocks = [as_tensor(t, w) for t in (x if isinstance(x, (list, tuple)) else [x])]
+    shapes = [t.shape for t in blocks]
+    if any(len(sh) != 4 for sh in shapes) or len({sh[:1] + sh[2:] for sh in shapes}) != 1:
+        raise ValueError(f"conv3x3: input blocks must be 4-D and agree on (n, h, w), "
+                         f"got {shapes}")
+    bounds = list(itertools.accumulate((sh[1] for sh in shapes), initial=0))
+    if bounds[-1] != w.shape[1]:
+        raise ValueError(f"conv3x3: channel mismatch x{shapes} w{w.shape}")
+    s = stride
+    n, _, h, wd = shapes[0]
+    c = bounds[-1]
     ho, wo = (h - 1) // s + 1, (wd - 1) // s + 1
     hq, wq = ho + 2 // s, wo + 2 // s
-    dtype = np.result_type(x.data, w.data)
+    dtype = np.result_type(*(t.data for t in blocks), w.data)
     buf = np.zeros((c, n, s * hq, s * wq), dtype=dtype)
-    buf[:, :, 1:1 + h, 1:1 + wd] = x.data.transpose(1, 0, 2, 3)
+    for t, lo, hi in zip(blocks, bounds, bounds[1:]):
+        buf[lo:hi, :, 1:1 + h, 1:1 + wd] = t.data.transpose(1, 0, 2, 3)
     ph = buf.reshape(c, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s * s, c, -1)
     taps = [(u, v, (u % s) * s + v % s, (u // s) * wq + v // s) for u in range(3) for v in range(3)]
     cols = n * hq * wq
@@ -440,8 +449,11 @@ def conv3x3(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     acc = np.zeros((co, span), dtype=dtype)
     for u, v, p, off in taps:
         acc += w.data[:, :, u, v] @ ph[p, :, off:off + span]
+    acc += b.data[:, None]
 
     def backward(g: np.ndarray) -> None:
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=(0, 2, 3)))
         gf = np.zeros((co, n, hq, wq), dtype=g.dtype)
         gf[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
         gf = gf.reshape(co, cols)[:, :span]
@@ -450,7 +462,7 @@ def conv3x3(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
             for t, (_, _, p, off) in enumerate(taps):
                 np.matmul(gf, ph[p, :, off:off + span].T, out=gw[t])
             w._accumulate(gw.transpose(1, 2, 0).reshape(w.shape))
-        if x.requires_grad:
+        if any(t.requires_grad for t in blocks):
             gph = np.zeros_like(ph)
             # each tap's product fills the first span columns of tmp, whose
             # other columns stay +0.0; so one contiguous run of L entries adds
@@ -478,7 +490,9 @@ def conv3x3(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
                 for p in range(s * s):
                     gbuf[:, :, :, p // s, :, p % s] = gph[p].reshape(c, n, hq, wq)
                 gbuf = gbuf.reshape(c, n, s * hq, s * wq)
-            x._accumulate(gbuf[:, :, 1:1 + h, 1:1 + wd].transpose(1, 0, 2, 3))
+            for t, lo, hi in zip(blocks, bounds, bounds[1:]):
+                if t.requires_grad:
+                    t._accumulate(gbuf[lo:hi, :, 1:1 + h, 1:1 + wd].transpose(1, 0, 2, 3))
 
     # output pixel (k, o, i, j) sits at acc[o, (k*hq + i)*wq + j]; the largest
     # column read, ((n-1)*hq + ho-1)*wq + wo-1, is span - 1 at both strides
@@ -486,7 +500,7 @@ def conv3x3(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     e = acc.itemsize
     out = np.lib.stride_tricks.as_strided(acc, (n, co, ho, wo), (hq * wq * e, span * e, wq * e, e),
                                           writeable=False)
-    return Tensor._from_op(np.ascontiguousarray(out), (x, w), backward)
+    return Tensor._from_op(np.ascontiguousarray(out), (*blocks, w, b), backward)
 
 
 def add_channel_bias(x: Tensor, v: Tensor) -> Tensor:

@@ -39,15 +39,33 @@ def _check_even(shape: tuple[int, ...]) -> None:
 def dwt2_data(x: np.ndarray) -> np.ndarray:
     """Numpy core: correlate each non-overlapping 2x2 block with the four kernels.
 
-    Returns the bands stacked as (4, *lead, h/2, w/2), in BAND_ORDER.
+    Returns the bands stacked as (4, *lead, h/2, w/2), in BAND_ORDER.  The
+    2x2 block entries a b / c d are de-interleaved by one contiguous copy, so
+    no pass runs over stride-2 views.  The bands are summed as ((a+b)+c)+d,
+    ((b-a)-c)+d, (((-a)-b)+c)+d and ((a-b)-c)+d, which round exactly as
+    a+b+c+d, -a+b-c+d, -a-b+c+d and a-b-c+d, signed zeros included: b+(-a)
+    is b-a in IEEE arithmetic, but -(a+b) would not do for (-a)-b, because
+    for a = -b the sum is +0 and its negation -0.
     """
     _check_even(x.shape)
-    a = x[..., 0::2, 0::2]
-    b = x[..., 0::2, 1::2]
-    c = x[..., 1::2, 0::2]
-    d = x[..., 1::2, 1::2]
-    return np.stack([(a + b + c + d) * 0.5, (-a + b - c + d) * 0.5,
-                     (-a - b + c + d) * 0.5, (a - b - c + d) * 0.5])
+    lead, h, w = x.shape[:-2], x.shape[-2], x.shape[-1]
+    k = len(lead)
+    a, b, c, d = np.ascontiguousarray(
+        x.reshape(*lead, h // 2, 2, w // 2, 2).transpose(k + 1, k + 3, *range(k), k, k + 2)
+    ).reshape(4, *lead, h // 2, w // 2)
+    out = np.empty((4, *lead, h // 2, w // 2), dtype=np.result_type(x, 0.5))
+    np.add(a, b, out=out[0])
+    out[0] += c
+    np.subtract(b, a, out=out[1])
+    out[1] -= c
+    np.negative(a, out=out[2])
+    out[2] -= b
+    out[2] += c
+    np.subtract(a, b, out=out[3])
+    out[3] -= c
+    out += d
+    out *= 0.5
+    return out
 
 
 def idwt2_data(s: np.ndarray) -> np.ndarray:

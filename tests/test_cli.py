@@ -67,6 +67,18 @@ def test_dwt_bands_match_library(tmp_path):
         assert np.array_equal(got, w)
 
 
+def test_dwt_and_idwt_pass_non_finite_values_through(tmp_path):
+    # elementwise transforms: a NaN entry is data, not an input error; it spreads
+    # over its own 2x2 block only
+    x = rng(3).standard_normal((4, 4))
+    x[0, 0] = np.nan
+    sgtf.write_tensor(tmp_path / "x.sgtf", x)
+    assert main(["dwt", str(tmp_path / "x.sgtf"), str(tmp_path / "b")]) == 0
+    assert main(["idwt", str(tmp_path / "b"), str(tmp_path / "y.sgtf")]) == 0
+    nan = np.isnan(sgtf.read_tensor(tmp_path / "y.sgtf"))
+    assert nan[:2, :2].all() and nan.sum() == 4
+
+
 def test_dwt_odd_input_exits_2(tmp_path, capsys):
     sgtf.write_tensor(tmp_path / "x.sgtf", np.zeros((5, 5)))
     assert main(["dwt", str(tmp_path / "x.sgtf"), str(tmp_path / "b")]) == 2
@@ -571,6 +583,13 @@ def manifest_argv(command, d, source=SOURCE, record=RECORD):
             "split": ["manifest", "split", "--manifest", manifest, "--out", out]}[command]
 
 
+def with_value(shape, index, value):
+    """Zeros of `shape` with one entry set to `value`."""
+    arr = np.zeros(shape)
+    arr[index] = value
+    return arr
+
+
 def without(d, key):
     return {k: v for k, v in d.items() if k != key}
 
@@ -587,10 +606,13 @@ HOSTILE_ARGV = {
     "msm-apply/rank1_param": lambda d: msm_argv(d, **{"msm.fc1_w": np.zeros(4)}),
     "msm-apply/rank3_audio": lambda d: msm_argv(d, audio=np.zeros((2, 4, 8))),
     "msm-apply/indivisible_audio": lambda d: msm_argv(d, latent=np.zeros((3, 1, 8, 8))),
+    "msm-apply/nan_audio": lambda d: msm_argv(d, audio=with_value((4, 8), (2, 6), np.nan)),
     "sfm-apply/garbage": lambda d: sfm_argv(d, features=GARBAGE),
     "sfm-apply/missing_key": lambda d: sfm_argv(d, drop=("sfm.gate_w",)),
     "sfm-apply/rank3": lambda d: sfm_argv(d, features=np.zeros((3, 4, 4))),
     "sfm-apply/rank1_param": lambda d: sfm_argv(d, **{"sfm.gate_w": np.zeros(3)}),
+    "sfm-apply/nan_features": lambda d: sfm_argv(
+        d, features=with_value((2, 3, 4, 4), (1, 0, 3, 3), np.nan)),
     "train-toy/garbage": lambda d: config_argv("train-toy", d, GARBAGE_TEXT),
     "train-toy/missing_key": lambda d: config_argv("train-toy", d, TINY_CONFIG + "=5\n"),
     "train-toy/missing_value": lambda d: config_argv("train-toy", d, TINY_CONFIG + "steps=\n"),
@@ -601,6 +623,11 @@ HOSTILE_ARGV = {
     "sample/rank2_audio": lambda d: sample_argv(d, run_dir(d), audio=np.zeros((2, 4))),
     "sample/rank2_ref": lambda d: sample_argv(d, run_dir(d), ref=np.zeros((8, 8))),
     "sample/rank1_param": lambda d: sample_argv(d, run_dir(d, **{"unet.in_w": np.zeros(4)})),
+    "sample/nan_audio": lambda d: sample_argv(d, run_dir(d), audio=with_value(8, 3, np.nan)),
+    "sample/inf_ref": lambda d: sample_argv(d, run_dir(d),
+                                            ref=with_value((1, 8, 8), (0, 2, 5), np.inf)),
+    "sample/nan_param": lambda d: sample_argv(
+        d, run_dir(d, **{"unet.mid1_w": with_value((8, 8, 3, 3), (1, 2, 0, 1), np.nan)})),
     "sample/timesteps_past_temb": lambda d: sample_argv(
         d, run_dir(d, config=TINY_CONFIG.replace("timesteps=5", "timesteps=9"))),
     "ablate/garbage": lambda d: config_argv("ablate", d, GARBAGE_TEXT),
@@ -674,6 +701,11 @@ HOSTILE_ERROR_NAMES = {
     "sample/missing_key": "run directory {d}/run lacks parameters ['unet.mid1_w']",
     "sample/missing_keys": "run directory {d}/run lacks parameters ['unet.in_b', 'sfm.w']",
     "msm-apply/rank3_audio": "expected a 2-D (d_a, l) audio embedding",
+    "msm-apply/nan_audio": "{d}/a.sgtf: tensor holds a non-finite value",
+    "sfm-apply/nan_features": "{d}/h.sgtf: tensor holds a non-finite value",
+    "sample/nan_audio": "{d}/a.sgtf: tensor holds a non-finite value",
+    "sample/inf_ref": "{d}/r.sgtf: tensor holds a non-finite value",
+    "sample/nan_param": "{d}/run/params/unet.mid1_w.sgtf: parameter holds a non-finite value",
     "msm-apply/indivisible_audio": "audio length 8 not divisible by 3 latent frames",
     "metrics/nan_beat": "timestamps must be finite",
     "metrics/nan_landmark": "coordinates must be finite",

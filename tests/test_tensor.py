@@ -19,7 +19,6 @@ from waveletcond.tensor import (
     add,
     add_channel_bias,
     channel_linear,
-    concat,
     conv3x3,
     ew_mul,
     linear,
@@ -152,6 +151,28 @@ def test_sigmoid_strictly_in_unit_interval(x):
 def test_sigmoid_finite_for_extreme_inputs():
     y = sigmoid(Tensor([-800.0, 800.0])).data
     assert np.all(np.isfinite(y))
+
+
+def _select_sigmoid(x):
+    """The stable logistic as a two-branch np.where select, the form sigmoid replaced."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float64, 800.0), (np.float32, 100.0)])
+def test_sigmoid_equals_select_form_bit_for_bit(dtype, big):
+    r = rng(17)
+    tiny = np.finfo(dtype).smallest_subnormal
+    edges = [0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, np.finfo(dtype).tiny, big, -big]
+    x = np.concatenate([np.array(edges), r.standard_normal(2000) * 10.0 ** r.integers(-3, 3, 2000),
+                        r.uniform(-big, big, 500)]).astype(dtype)
+    got = sigmoid(Tensor(x)).data
+    assert got.dtype == dtype
+    assert got.tobytes() == _select_sigmoid(x).tobytes()
+
+
+def test_sigmoid_of_nan_is_nan():
+    assert np.isnan(sigmoid(Tensor([np.nan, 1.0])).data).tolist() == [True, False]
 
 
 # -- mean pooling ----------------------------------------------------------------
@@ -358,40 +379,41 @@ def _case_mean(r):
     return {"x": x, "y": y}, lambda: add(mean(sigmoid(x)), total(sigmoid(mean(y, axis=(0, 2)))))
 
 
-@fd_case("reshape_permute_slice_concat")
+@fd_case("reshape_permute_slice")
 def _case_shapes(r):
-    x = Tensor(r.standard_normal((2, 3, 4)), requires_grad=True)
-    y = Tensor(r.standard_normal((2, 3, 4)), requires_grad=True)
+    x = Tensor(r.standard_normal((2, 3, 8)), requires_grad=True)
 
     def f():
-        z = concat([x, y], axis=2)           # (2, 3, 8)
-        z = permute(z, (1, 0, 2))            # (3, 2, 8)
+        z = permute(x, (1, 0, 2))            # (3, 2, 8)
         z = reshape(z, (3, 16))
         z = tslice(z, (slice(None), slice(2, 10)))
         return total(sigmoid(z))
 
-    return {"x": x, "y": y}, f
+    return {"x": x}, f
 
 
 @fd_case("conv3x3_stride1")
 def _case_conv1(r):
     x = Tensor(r.standard_normal((2, 3, 6, 6)), requires_grad=True)
     w = Tensor(r.standard_normal((4, 3, 3, 3)) * 0.3, requires_grad=True)
-    return {"x": x, "w": w}, lambda: total(sigmoid(conv3x3(x, w, stride=1)))
+    b = Tensor(r.standard_normal(w.shape[0]), requires_grad=True)
+    return {"x": x, "w": w, "b": b}, lambda: total(sigmoid(conv3x3(x, w, b, stride=1)))
 
 
 @fd_case("conv3x3_stride2")
 def _case_conv2(r):
     x = Tensor(r.standard_normal((2, 3, 6, 6)), requires_grad=True)
     w = Tensor(r.standard_normal((4, 3, 3, 3)) * 0.3, requires_grad=True)
-    return {"x": x, "w": w}, lambda: total(sigmoid(conv3x3(x, w, stride=2)))
+    b = Tensor(r.standard_normal(w.shape[0]), requires_grad=True)
+    return {"x": x, "w": w, "b": b}, lambda: total(sigmoid(conv3x3(x, w, b, stride=2)))
 
 
 @fd_case("conv3x3_stride2_odd")
 def _case_conv2_odd(r):
     x = Tensor(r.standard_normal((1, 2, 5, 3)), requires_grad=True)
     w = Tensor(r.standard_normal((3, 2, 3, 3)) * 0.3, requires_grad=True)
-    return {"x": x, "w": w}, lambda: total(sigmoid(conv3x3(x, w, stride=2)))
+    b = Tensor(r.standard_normal(w.shape[0]), requires_grad=True)
+    return {"x": x, "w": w, "b": b}, lambda: total(sigmoid(conv3x3(x, w, b, stride=2)))
 
 
 @fd_case("conv3x3_c_out_1")
@@ -399,7 +421,32 @@ def _case_conv_c_out_1(r):
     # one output channel, as in the UNet's `out` conv: the input gradient is an outer product
     x = Tensor(r.standard_normal((2, 3, 5, 6)), requires_grad=True)
     w = Tensor(r.standard_normal((1, 3, 3, 3)) * 0.3, requires_grad=True)
-    return {"x": x, "w": w}, lambda: total(sigmoid(conv3x3(x, w, stride=1)))
+    b = Tensor(r.standard_normal(w.shape[0]), requires_grad=True)
+    return {"x": x, "w": w, "b": b}, lambda: total(sigmoid(conv3x3(x, w, b, stride=1)))
+
+
+@fd_case("conv3x3_two_blocks")
+def _case_conv_two_blocks(r):
+    # the `up` conv's layout: an upsampled block that needs a gradient and a skip block
+    # that does not
+    x = Tensor(r.standard_normal((2, 3, 2, 3)), requires_grad=True)
+    skip = Tensor(r.standard_normal((2, 2, 4, 6)))
+    w = Tensor(r.standard_normal((4, 5, 3, 3)) * 0.3, requires_grad=True)
+    b = Tensor(r.standard_normal(4), requires_grad=True)
+    return {"x": x, "w": w, "b": b}, lambda: total(sigmoid(
+        conv3x3([nearest_upsample2(x), skip], w, b)))
+
+
+@fd_case("conv3x3_three_blocks")
+def _case_conv_three_blocks(r):
+    # blocks 0 and 2 need gradients, block 1 is a plain array; stride 2
+    x0 = Tensor(r.standard_normal((2, 1, 5, 4)), requires_grad=True)
+    x1 = r.standard_normal((2, 2, 5, 4))
+    x2 = Tensor(r.standard_normal((2, 3, 5, 4)), requires_grad=True)
+    w = Tensor(r.standard_normal((3, 6, 3, 3)) * 0.3)
+    b = Tensor(r.standard_normal(3), requires_grad=True)
+    return {"x0": x0, "x2": x2, "b": b}, lambda: total(sigmoid(
+        conv3x3([x0, x1, x2], w, b, stride=2)))
 
 
 @fd_case("add_channel_bias")
@@ -491,25 +538,30 @@ def test_conv3x3_matches_einsum_reference(xs, ws, stride):
     r = rng(5)
     x = Tensor(r.standard_normal(xs), requires_grad=True)
     w = Tensor(r.standard_normal(ws), requires_grad=True)
-    out = conv3x3(x, w, stride=stride)
+    b = Tensor(r.standard_normal(ws[0]), requires_grad=True)
+    out = conv3x3(x, w, b, stride=stride)
     g = r.standard_normal(out.shape)
     total(ew_mul(out, g)).backward()
     want, want_gx, want_gw = _einsum_conv3x3(x.data, w.data, g, stride)
+    want = want + b.data[:, None, None]
+    want_gb = g.sum(axis=(0, 2, 3))
     assert out.shape == want.shape
     np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     np.testing.assert_allclose(x.grad, want_gx, rtol=1e-12, atol=1e-12 * np.abs(want_gx).max())
     np.testing.assert_allclose(w.grad, want_gw, rtol=1e-12, atol=1e-12 * np.abs(want_gw).max())
+    np.testing.assert_array_equal(b.grad, want_gb)
 
-    x32, w32 = Tensor(x.data.astype(np.float32)), Tensor(w.data.astype(np.float32))
-    out32 = conv3x3(x32, w32, stride=stride)
+    x32, w32, b32 = (Tensor(t.data.astype(np.float32)) for t in (x, w, b))
+    out32 = conv3x3(x32, w32, b32, stride=stride)
     assert out32.dtype == np.float32
     np.testing.assert_allclose(out32.data, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
 
-    xg, wg = (Tensor(t.data.astype(np.float32), requires_grad=True) for t in (x, w))
-    total(ew_mul(conv3x3(xg, wg, stride=stride), g.astype(np.float32))).backward()
-    assert xg.grad.dtype == np.float32 and wg.grad.dtype == np.float32
+    xg, wg, bg = (Tensor(t.data.astype(np.float32), requires_grad=True) for t in (x, w, b))
+    total(ew_mul(conv3x3(xg, wg, bg, stride=stride), g.astype(np.float32))).backward()
+    assert xg.grad.dtype == wg.grad.dtype == bg.grad.dtype == np.float32
     np.testing.assert_allclose(xg.grad, want_gx, rtol=1e-4, atol=1e-4 * np.abs(want_gx).max())
     np.testing.assert_allclose(wg.grad, want_gw, rtol=1e-4, atol=1e-4 * np.abs(want_gw).max())
+    np.testing.assert_allclose(bg.grad, want_gb, rtol=1e-4, atol=1e-4 * np.abs(want_gb).max())
 
 
 @pytest.mark.parametrize("stride", [1, 2])
@@ -520,10 +572,12 @@ def test_conv3x3_permuted_input_matches_einsum_reference(stride):
     x = permute(base, (0, 3, 1, 2))
     assert not x.data.flags.c_contiguous
     w = Tensor(r.standard_normal((2, 4, 3, 3)), requires_grad=True)
-    out = conv3x3(x, w, stride=stride)
+    b = r.standard_normal(2)
+    out = conv3x3(x, w, b, stride=stride)
     g = r.standard_normal(out.shape)
     total(ew_mul(out, g)).backward()
     want, want_gx, want_gw = _einsum_conv3x3(x.data, w.data, g, stride)
+    want = want + b[:, None, None]
     base_gx = want_gx.transpose(0, 2, 3, 1)
     for got, ref in ((out.data, want), (base.grad, base_gx), (w.grad, want_gw)):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -541,9 +595,10 @@ def test_conv3x3_peak_memory_stays_near_input_size(xs, ws, stride, bound):
     r = rng(9)
     x = Tensor(r.standard_normal(xs), requires_grad=True)
     w = Tensor(r.standard_normal(ws), requires_grad=True)
+    b = Tensor(r.standard_normal(ws[0]), requires_grad=True)
     tracemalloc.start()
     try:
-        total(conv3x3(x, w, stride=stride)).backward()
+        total(conv3x3(x, w, b, stride=stride)).backward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -573,7 +628,7 @@ def test_conv3x3_single_output_channel_input_grad_is_per_tap_matmul(xs, stride, 
     r = rng(12)
     x = Tensor(r.standard_normal(xs).astype(dtype), requires_grad=True)
     w = Tensor(r.standard_normal((1, xs[1], 3, 3)).astype(dtype))
-    out = conv3x3(x, w, stride=stride)
+    out = conv3x3(x, w, r.standard_normal(1), stride=stride)
     g = (r.standard_normal(out.shape) * 10.0 ** r.integers(-3, 4, out.shape)).astype(dtype)
     total(ew_mul(out, g)).backward()
     assert np.array_equal(x.grad, _per_tap_input_grad(w.data, g, stride, xs))
@@ -596,7 +651,7 @@ def test_conv3x3_input_grad_is_per_tap_matmul_at_unet_shapes(xs, ws, stride, dty
     r = rng(13)
     x = Tensor(_scaled_normal(r, xs, dtype), requires_grad=True)
     w = Tensor(_scaled_normal(r, ws, dtype))
-    out = conv3x3(x, w, stride=stride)
+    out = conv3x3(x, w, _scaled_normal(r, ws[0], dtype), stride=stride)
     g = _scaled_normal(r, out.shape, dtype)
     total(ew_mul(out, g)).backward()
     assert np.array_equal(x.grad, _per_tap_input_grad(w.data, g, stride, xs))
@@ -634,11 +689,55 @@ def _strided_conv3x3_forward(x, w, stride):
     ((1, 4, 1, 1), (3, 4, 3, 3), 2),   # a one-column accumulator: span is 1
 ], ids=UNET_CONV_IDS + ["odd", "odd_stride2", "1x1_stride2"])
 def test_conv3x3_forward_is_strided_accumulation(xs, ws, stride, dtype):
+    # the bias is added last, as a separate (c, 1, 1) broadcast add would add it
     r = rng(14)
-    x, w = _scaled_normal(r, xs, dtype), _scaled_normal(r, ws, dtype)
-    out = conv3x3(Tensor(x), Tensor(w), stride=stride).data
+    x, w, b = (_scaled_normal(r, shape, dtype) for shape in (xs, ws, ws[0]))
+    out = conv3x3(Tensor(x), Tensor(w), Tensor(b), stride=stride).data
     assert out.dtype == dtype and out.flags.c_contiguous
-    assert np.array_equal(out, _strided_conv3x3_forward(x, w, stride))
+    assert np.array_equal(out, _strided_conv3x3_forward(x, w, stride) + b[:, None, None])
+
+
+def _unet_block_inputs(name, r, dtype):
+    """The channel blocks that unet_forward hands the `in` or `up` conv, with its weights."""
+    cfg = TrainConfig()
+    xs, ws, _ = dict(zip(UNET_CONV_IDS, UNET_CONVS))[name]
+    n, c, h, wd = xs
+    if name == "in":  # [latent, reference frame broadcast over frames]
+        ref = _scaled_normal(r, (c // 2, h, wd), dtype)
+        blocks = [_scaled_normal(r, (n, c // 2, h, wd), dtype),
+                  np.broadcast_to(ref, (n, c // 2, h, wd))]
+    else:  # [upsampled bottleneck, skip]
+        mid = 2 * cfg.base_channels
+        blocks = [np.repeat(np.repeat(_scaled_normal(r, (n, mid, h // 2, wd // 2), dtype),
+                                      2, axis=2), 2, axis=3),
+                  _scaled_normal(r, (n, c - mid, h, wd), dtype)]
+    return blocks, _scaled_normal(r, ws, dtype), _scaled_normal(r, ws[0], dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name", ["in", "up"])
+def test_conv3x3_blocks_forward_equals_concatenated_input(name, dtype):
+    # blocks written straight into the conv's buffer round as their concatenation would
+    blocks, w, b = _unet_block_inputs(name, rng(15), dtype)
+    out = conv3x3([Tensor(blocks[0]), blocks[1]], Tensor(w), Tensor(b)).data
+    want = _strided_conv3x3_forward(np.concatenate(blocks, axis=1), w, 1) + b[:, None, None]
+    assert out.dtype == dtype
+    assert np.array_equal(out, want)
+
+
+def test_conv3x3_rejects_mismatched_blocks_and_bias():
+    r = rng(16)
+    x, w = Tensor(r.standard_normal((2, 3, 4, 4))), Tensor(r.standard_normal((5, 3, 3, 3)))
+    with pytest.raises(ValueError, match="agree on"):
+        conv3x3([x, np.zeros((2, 1, 4, 5))], Tensor(r.standard_normal((5, 4, 3, 3))), np.zeros(5))
+    with pytest.raises(ValueError, match="channel mismatch"):
+        conv3x3([x, np.zeros((2, 1, 4, 4))], w, np.zeros(5))
+    with pytest.raises(ValueError, match="bias"):
+        conv3x3(x, w, np.zeros(4))
+    with pytest.raises(ValueError, match="bias"):
+        conv3x3(x, w, Tensor(np.zeros(5, dtype=np.float32)))
+    with pytest.raises(ValueError, match="agree on"):
+        conv3x3([], w, np.zeros(5))
 
 
 def _upsample_grad_oracle(g):
@@ -652,16 +751,21 @@ def _upsample_grad_oracle(g):
                          ids=["unet_mid", "3x3", "5x2", "1x4"])
 def test_nearest_upsample2_grad_matches_reshape_sum_oracle(xs, dtype):
     # Widths above 1 only: at width 1 numpy's reduction adds the four entries in
-    # a row, which rounds differently.  The upstream gradient is a channel slice
-    # of a concat's, as in unet_forward, so it is not contiguous.
+    # a row, which rounds differently.  The upstream gradient is the first block's
+    # slice of a conv3x3 input gradient, as in unet_forward's `up` conv.
     r = rng(13)
     x = Tensor(r.standard_normal(xs).astype(dtype), requires_grad=True)
     n, c, h, wd = xs
     skip = Tensor(r.standard_normal((n, 2, 2 * h, 2 * wd)).astype(dtype))
-    joined = concat([nearest_upsample2(x), skip], axis=1)
-    g = (r.standard_normal(joined.shape) * 10.0 ** r.integers(-3, 4, joined.shape)).astype(dtype)
-    total(ew_mul(joined, g)).backward()
-    assert np.array_equal(x.grad, _upsample_grad_oracle(g[:, :c]))
+    w = Tensor(_scaled_normal(r, (3, c + 2, 3, 3), dtype))
+    b = Tensor(_scaled_normal(r, 3, dtype))
+    up = nearest_upsample2(x)
+    out = conv3x3([up, skip], w, b)
+    g = _scaled_normal(r, out.shape, dtype)
+    total(ew_mul(out, g)).backward()
+    leaf = Tensor(up.data, requires_grad=True)  # the same conv, its first block a leaf
+    total(ew_mul(conv3x3([leaf, skip], w, b), g)).backward()
+    assert np.array_equal(x.grad, _upsample_grad_oracle(leaf.grad))
 
 
 def test_channel_linear_matches_einsum_reference():
@@ -817,14 +921,14 @@ def test_dtype_follows_data():
     x32.zero_grad()
     outs = [x32 + 2.0, 2.0 + x32, x32 * 2.0, 2.0 * x32, x32 - 1.0, ew_mul(x32, 3)]
     assert [o.dtype for o in outs] == [np.float32] * len(outs)
-    T.mean(T.concat(outs, axis=0)).backward()
+    for out in outs:
+        T.mean(out).backward()
     assert x32.grad.dtype == np.float32
-    # so do f64 arrays met by matmul (either side), concat and linear's input
+    # so do f64 arrays met by matmul (either side) and linear's input
     m32 = Tensor(np.ones((3, 3), dtype=np.float32), requires_grad=True)
     b32 = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
     a64 = np.full((3, 3), 0.5)
-    outs = [T.matmul(m32, a64), T.matmul(a64, m32), T.concat([m32, a64], 0),
-            T.linear(a64, m32, b32)]
+    outs = [T.matmul(m32, a64), T.matmul(a64, m32), T.linear(a64, m32, b32)]
     assert [o.dtype for o in outs] == [np.float32] * len(outs)
     for out in outs:
         m32.zero_grad()
@@ -832,3 +936,11 @@ def test_dtype_follows_data():
         T.mean(out).backward()
         assert m32.grad.dtype == np.float32
     assert b32.grad.dtype == np.float32
+    # and a conv3x3 input block given as an f64 array
+    x4 = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32), requires_grad=True)
+    w4 = Tensor(np.ones((2, 2, 3, 3), dtype=np.float32), requires_grad=True)
+    b4 = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    out = T.conv3x3([x4, np.full((1, 1, 3, 3), 0.5)], w4, b4)
+    assert out.dtype == np.float32
+    T.mean(out).backward()
+    assert x4.grad.dtype == w4.grad.dtype == b4.grad.dtype == np.float32
