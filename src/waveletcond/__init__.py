@@ -16,8 +16,8 @@ from .diffusion import (
     sample,
     unet_forward,
 )
-from .msm import MsmParams, init_msm_params, msm_forward
-from .sfm import SfmParams, init_sfm_params, sfm_forward
+from .msm import init_msm_params, msm_forward
+from .sfm import init_sfm_params, sfm_forward
 from .tensor import Tensor, adam_step
 from .training import ablate, make_synthetic_dataset, train, train_loss
 from .wavelet import dwt2, idwt2
@@ -26,9 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DivergenceError",
-    "MsmParams",
     "NoiseSchedule",
-    "SfmParams",
     "Tensor",
     "TrainConfig",
     "ablate",

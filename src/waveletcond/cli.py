@@ -22,8 +22,8 @@ from .diffusion import (
     linear_schedule,
     sample,
 )
-from .msm import MsmParams, msm_forward
-from .sfm import SfmParams, sfm_forward
+from .msm import init_msm_params, msm_forward
+from .sfm import init_sfm_params, sfm_forward
 from .training import (
     ablate,
     config_to_text,
@@ -151,13 +151,21 @@ def read_model_input(path) -> np.ndarray:
     return arr
 
 
+def require_params(params: dict, wanted, where) -> None:
+    """Reject a parameter set that lacks any name in `wanted`, naming `where` it came from."""
+    missing = [name for name in wanted if name not in params]
+    if missing:
+        raise ValueError(f"{where} lacks parameters {missing}")
+
+
 def cmd_msm_apply(args) -> int:
     params = sgtf.load_params(args.params)
     audio = read_model_input(args.audio)
     latent = read_model_input(args.latent)
     if latent.ndim != 4:
         raise ValueError(f"msm-apply: latent must be 4-D, got shape {latent.shape}")
-    out = msm_forward(audio, latent, MsmParams.from_named(params))
+    require_params(params, init_msm_params(latent.shape), args.params)
+    out = msm_forward(audio, latent, params)
     if latent.shape[0] < 1 or audio.shape[1] % latent.shape[0]:  # msm_forward checked the rank
         raise ValueError(f"msm-apply: audio length {audio.shape[1]} not divisible by "
                          f"{latent.shape[0]} latent frames")
@@ -168,7 +176,8 @@ def cmd_msm_apply(args) -> int:
 def cmd_sfm_apply(args) -> int:
     params = sgtf.load_params(args.params)
     features = read_model_input(args.features)
-    out = sfm_forward(features, SfmParams.from_named(params))
+    require_params(params, init_sfm_params(features.shape), args.params)
+    out = sfm_forward(features, params)
     sgtf.write_tensor(args.out, out)
     return EXIT_OK
 
@@ -196,9 +205,7 @@ def cmd_sample(args) -> int:
     run = Path(args.params)
     cfg = load_config(run / "config.txt")
     params = sgtf.load_params(run / "params")
-    missing = [name for name in init_model_params(cfg) if name not in params]
-    if missing:
-        raise ValueError(f"sample: run directory {run} lacks parameters {missing}")
+    require_params(params, init_model_params(cfg), f"sample: run directory {run}")
     audio = read_model_input(args.audio)
     if audio.ndim != 1:
         raise ValueError(f"sample: audio track must be 1-D, got shape {audio.shape}")

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .msm import (
-    AttentionParams,
-    MsmParams,
     audio_attention,
     frame_tokens,
     init_attention_params,
     init_msm_params,
     msm_forward,
 )
-from .sfm import SfmParams, init_sfm_params, sfm_forward
+from .sfm import init_sfm_params, sfm_forward
 from .tensor import (
     Tensor,
     add_channel_bias,
@@ -173,15 +171,15 @@ def init_model_params(cfg: TrainConfig, seed: int | None = None) -> dict[str, Te
     params["unet.down_b"] = zeros(mid)
     params["unet.mid1_w"] = conv_w(mid, mid)
     params["unet.mid1_b"] = zeros(mid)
-    params.update(init_attention_params(mid, cfg.d_audio, rng).named())
+    params.update(init_attention_params(mid, cfg.d_audio, rng))
     params["unet.mid2_w"] = conv_w(mid, mid)
     params["unet.mid2_b"] = zeros(mid)
     params["unet.up_w"] = conv_w(base, mid + base)
     params["unet.up_b"] = zeros(base)
     params["unet.out_w"] = zeros((c, base, 3, 3))
     params["unet.out_b"] = zeros(c)
-    params.update(init_msm_params(cfg.latent_shape, hidden=cfg.h_msm).named())
-    params.update(init_sfm_params(bott).named())
+    params.update(init_msm_params(cfg.latent_shape, hidden=cfg.h_msm))
+    params.update(init_sfm_params(bott))
     return params
 
 
@@ -213,7 +211,7 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
 
     embedding = encode_audio(audio_windows, params)
     if cfg.use_msm:
-        conditioned = msm_forward(embedding, z_t, MsmParams.from_named(params))
+        conditioned = msm_forward(embedding, z_t, params)
     else:
         conditioned = embedding
     tokens = frame_tokens(conditioned, cfg.frames)
@@ -227,12 +225,12 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
 
     f, cmid, hb, wb = m.shape
     vid_tokens = reshape(permute(m, (0, 2, 3, 1)), (f * hb * wb, cmid))
-    vid_tokens = audio_attention(vid_tokens, tokens, AttentionParams.from_named(params))
+    vid_tokens = audio_attention(vid_tokens, tokens, params)
     m = permute(reshape(vid_tokens, (f, hb, wb, cmid)), (0, 3, 1, 2))
 
     m = relu(conv3x3(m, params["unet.mid2_w"], params["unet.mid2_b"]))
     if cfg.use_sfm:
-        m = sfm_forward(m, SfmParams.from_named(params))
+        m = sfm_forward(m, params)
 
     d = relu(conv3x3([nearest_upsample2(m), h1], params["unet.up_w"], params["unet.up_b"]))
     return conv3x3(d, params["unet.out_w"], params["unet.out_b"])

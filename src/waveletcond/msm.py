@@ -10,12 +10,9 @@ stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import (
-    ParamGroup,
     Tensor,
     add,
     as_tensor,
@@ -31,42 +28,32 @@ from .tensor import (
 from .wavelet import dwt2, idwt2
 
 
-@dataclass
-class MsmParams(ParamGroup):
-    """Tunable latent-weighting matrix plus the two-layer weight head.
+def init_msm_params(latent_shape: tuple[int, ...], hidden: int = 16) -> dict[str, Tensor]:
+    """Identity-at-init parameters for a latent of the given (f, c, w, h) shape.
 
-    At the default initialization (w all ones, zero FC weights, unit output
-    bias) the module is an exact identity on the audio embedding.
+    The tunable latent-weighting matrix and the two-layer weight head:
+    `msm.w` has the latent's shape, init 1.0; `msm.fc1_w` is (4, hidden) and
+    `msm.fc1_b` (hidden,), both init 0; `msm.fc2_w` is (hidden, 4), init 0,
+    and `msm.fc2_b` (4,), init 1.0.  With zero FC weights and a unit output
+    bias the module is an exact identity on the audio embedding.
     """
-
-    prefix = "msm"
-
-    w: Tensor        # same shape as the latent, init 1.0
-    fc1_w: Tensor    # (4, hidden)
-    fc1_b: Tensor    # (hidden,)
-    fc2_w: Tensor    # (hidden, 4)
-    fc2_b: Tensor    # (4,), init 1.0
-
-
-def init_msm_params(latent_shape: tuple[int, ...], hidden: int = 16) -> MsmParams:
-    """Identity-at-init parameters for a latent of the given (f, c, w, h) shape."""
     if len(latent_shape) != 4:
         raise ValueError(f"init_msm_params: latent shape must be 4-D, got {latent_shape}")
     if latent_shape[2] % 4:
         raise ValueError(f"init_msm_params: latent width {latent_shape[2]} not divisible by 4")
-    return MsmParams(
-        w=Tensor(np.ones(latent_shape), requires_grad=True),
-        fc1_w=Tensor(np.zeros((4, hidden)), requires_grad=True),
-        fc1_b=Tensor(np.zeros(hidden), requires_grad=True),
-        fc2_w=Tensor(np.zeros((hidden, 4)), requires_grad=True),
-        fc2_b=Tensor(np.ones(4), requires_grad=True),
-    )
+    return {
+        "msm.w": Tensor(np.ones(latent_shape), requires_grad=True),
+        "msm.fc1_w": Tensor(np.zeros((4, hidden)), requires_grad=True),
+        "msm.fc1_b": Tensor(np.zeros(hidden), requires_grad=True),
+        "msm.fc2_w": Tensor(np.zeros((hidden, 4)), requires_grad=True),
+        "msm.fc2_b": Tensor(np.ones(4), requires_grad=True),
+    }
 
 
-def chunk_weights(z_t: Tensor, p: MsmParams) -> Tensor:
+def chunk_weights(z_t: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Derive the four sub-band importance scalars from the noisy latent.
 
-    The latent is reweighted elementwise by p.w, split into four equal
+    The latent is reweighted elementwise by `msm.w`, split into four equal
     chunks along the width axis, each chunk mean-pooled to one scalar, and
     the resulting 4-vector passed through fc1 -> ReLU -> fc2.  Returns a
     (4,) tensor ordered (ll, lh, hl, hh).
@@ -74,19 +61,20 @@ def chunk_weights(z_t: Tensor, p: MsmParams) -> Tensor:
     z_t = as_tensor(z_t)
     if z_t.data.ndim != 4:
         raise ValueError(f"chunk_weights: latent must be 4-D (f,c,w,h), got {z_t.shape}")
-    if z_t.shape != p.w.shape:
-        raise ValueError(f"chunk_weights: latent shape {z_t.shape} != weight shape {p.w.shape}")
+    w = p["msm.w"]
+    if z_t.shape != w.shape:
+        raise ValueError(f"chunk_weights: latent shape {z_t.shape} != weight shape {w.shape}")
     f, c, d_w, h = z_t.shape
     if d_w % 4:
         raise ValueError(f"chunk_weights: width {d_w} not divisible by 4")
-    chunks = reshape(ew_mul(p.w, z_t), (f, c, 4, d_w // 4, h))
+    chunks = reshape(ew_mul(w, z_t), (f, c, 4, d_w // 4, h))
     row = reshape(mean(chunks, axis=(0, 1, 3, 4)), (1, 4))
-    hidden = relu(linear(row, p.fc1_w, p.fc1_b))   # (1, hidden)
-    out = linear(hidden, p.fc2_w, p.fc2_b)         # (1, 4)
+    hidden = relu(linear(row, p["msm.fc1_w"], p["msm.fc1_b"]))  # (1, hidden)
+    out = linear(hidden, p["msm.fc2_w"], p["msm.fc2_b"])  # (1, 4)
     return reshape(out, (4,))
 
 
-def msm_forward(audio: Tensor, z_t: Tensor, p: MsmParams) -> Tensor:
+def msm_forward(audio: Tensor, z_t: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Condition the (d_a, l) audio embedding on the latent: decompose, reweight, reconstruct.
 
     Both dimensions must be even (dwt2 checks).  Band k of the
@@ -99,24 +87,21 @@ def msm_forward(audio: Tensor, z_t: Tensor, p: MsmParams) -> Tensor:
     return idwt2(ew_mul(dwt2(audio), reshape(weights, (4, 1, 1))))
 
 
-@dataclass
-class AttentionParams(ParamGroup):
-    """Projections for single-head cross-attention (video queries, audio keys/values)."""
+def init_attention_params(d_video: int, d_audio: int,
+                          rng: np.random.Generator) -> dict[str, Tensor]:
+    """Projections for single-head cross-attention (video queries, audio keys/values).
 
-    prefix = "att"
-
-    q_w: Tensor  # (d_video, d_video)
-    k_w: Tensor  # (d_audio, d_video)
-    v_w: Tensor  # (d_audio, d_video)
-
-
-def init_attention_params(d_video: int, d_audio: int, rng: np.random.Generator) -> AttentionParams:
-    # zero value projection: attention starts as the identity on video tokens
-    return AttentionParams(
-        q_w=Tensor(rng.standard_normal((d_video, d_video)) / np.sqrt(d_video), requires_grad=True),
-        k_w=Tensor(rng.standard_normal((d_audio, d_video)) / np.sqrt(d_audio), requires_grad=True),
-        v_w=Tensor(np.zeros((d_audio, d_video)), requires_grad=True),
-    )
+    `att.q_w` is (d_video, d_video) and `att.k_w` (d_audio, d_video), both
+    scaled standard normal draws; `att.v_w` is (d_audio, d_video), init 0,
+    so attention starts as the identity on video tokens.
+    """
+    return {
+        "att.q_w": Tensor(rng.standard_normal((d_video, d_video)) / np.sqrt(d_video),
+                          requires_grad=True),
+        "att.k_w": Tensor(rng.standard_normal((d_audio, d_video)) / np.sqrt(d_audio),
+                          requires_grad=True),
+        "att.v_w": Tensor(np.zeros((d_audio, d_video)), requires_grad=True),
+    }
 
 
 def frame_tokens(values: Tensor, frames: int) -> Tensor:
@@ -130,7 +115,7 @@ def frame_tokens(values: Tensor, frames: int) -> Tensor:
     return permute(mean(reshape(values, (d_a, frames, l // frames)), axis=2), (1, 0))
 
 
-def audio_attention(video_tokens: Tensor, audio_tokens: Tensor, p: AttentionParams) -> Tensor:
+def audio_attention(video_tokens: Tensor, audio_tokens: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Cross-attend video tokens over audio tokens; the result adds residually.
 
     Softmax rows sum to one; a zero value projection therefore returns the
@@ -139,9 +124,9 @@ def audio_attention(video_tokens: Tensor, audio_tokens: Tensor, p: AttentionPara
     if audio_tokens.shape[0] == 0:
         raise ValueError("audio_attention: need at least one audio token")
     d = video_tokens.shape[1]
-    q = matmul(video_tokens, p.q_w)
-    k = matmul(audio_tokens, p.k_w)
-    v = matmul(audio_tokens, p.v_w)
+    q = matmul(video_tokens, p["att.q_w"])
+    k = matmul(audio_tokens, p["att.k_w"])
+    v = matmul(audio_tokens, p["att.v_w"])
     logits = ew_mul(matmul(q, permute(k, (1, 0))), 1.0 / np.sqrt(d))
     attn = softmax_rows(logits)
     return add(video_tokens, matmul(attn, v))

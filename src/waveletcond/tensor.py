@@ -5,6 +5,7 @@ rule: `add`, `ew_mul`, `matmul`, `sigmoid`, `relu`, `softmax_rows`, `mean`,
 `reshape`, `permute`, `tslice`, `conv3x3` and `nearest_upsample2`.
 The rest are compositions of primitives and need no rule of their own:
 `sub`, `linear`, `add_channel_bias` and `channel_linear`.
+`Tensor` defines no arithmetic operators: each op has one spelling, its function.
 The test suite checks every op against central finite differences.
 
 Contractions (`matmul`, `conv3x3`) go through `np.matmul`, so they run as
@@ -32,9 +33,8 @@ instead of mutating them.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from typing import Callable, ClassVar, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -141,46 +141,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
-
-    # -- operator sugar -------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return ew_mul(self, other)
-
-    def __rmul__(self, other):
-        return ew_mul(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-
-class ParamGroup:
-    """Mixin for a dataclass of parameter tensors, flattened as `<prefix>.<field>`.
-
-    Names and their order follow the dataclass fields.
-    """
-
-    prefix: ClassVar[str]
-
-    def named(self) -> dict[str, Tensor]:
-        return {f"{self.prefix}.{f.name}": getattr(self, f.name) for f in dataclasses.fields(self)}
-
-    @classmethod
-    def from_named(cls, params: dict[str, Tensor]):
-        try:
-            return cls(**{f.name: params[f"{cls.prefix}.{f.name}"] for f in dataclasses.fields(cls)})
-        except KeyError:
-            wanted = [f"{cls.prefix}.{f.name}" for f in dataclasses.fields(cls)]
-            missing = [name for name in wanted if name not in params]
-            held = [name for name in params if name.startswith(f"{cls.prefix}.")]
-            raise ValueError(f"{cls.__name__}: missing parameters {missing}; "
-                             f"parameters under '{cls.prefix}.': {held}") from None
 
 
 def as_tensor(x, like=None) -> Tensor:

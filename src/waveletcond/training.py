@@ -23,7 +23,7 @@ from .diffusion import (
     linear_schedule,
     unet_forward,
 )
-from .tensor import AdamState, Tensor, adam_step, ew_mul, mean, sub
+from .tensor import AdamState, Tensor, adam_step, add, ew_mul, mean, sub
 
 FROZEN_BACKBONE_TRAINABLE_PREFIXES = ("enc.", "msm.", "sfm.")
 
@@ -104,7 +104,7 @@ def train_loss(batch: list[TrainItem], params: dict[str, Tensor],
                                params, cfg)
         diff = sub(eps_hat, item.eps)
         mse = mean(ew_mul(diff, diff))
-        total = mse if total is None else total + mse
+        total = mse if total is None else add(total, mse)
     return ew_mul(total, 1.0 / len(batch))
 
 
@@ -130,15 +130,18 @@ def train(dataset: list[Clip], cfg: TrainConfig,
         params = init_model_params(cfg)
     rng = np.random.default_rng(cfg.seed)
     train_keys = trainable_names(params, cfg)
+    # untrained parameters enter the loss as constants: the backward computes no gradient for them
+    constants = {k: Tensor(p.data) for k, p in params.items() if k not in train_keys}
     state = AdamState({k: params[k] for k in train_keys})
     losses: list[float] = []
     for step in range(cfg.steps):
         clip = dataset[int(rng.integers(0, len(dataset)))]
         t = int(rng.integers(1, cfg.timesteps + 1))
         eps = rng.standard_normal(clip.frames.shape)
-        for p in params.values():
-            p.zero_grad()
-        loss = train_loss([TrainItem(clip.frames, clip.audio, t, eps)], params, sched, cfg)
+        for k in train_keys:
+            params[k].zero_grad()
+        loss = train_loss([TrainItem(clip.frames, clip.audio, t, eps)], dict(params, **constants),
+                          sched, cfg)
         value = loss.item()
         if not np.isfinite(value):
             raise DivergenceError(f"train: non-finite loss {value} at step {step}")

@@ -34,9 +34,9 @@ from waveletcond.metrics import (
     psnr,
     ssim,
 )
-from waveletcond.msm import MsmParams, init_msm_params, msm_forward
-from waveletcond.sfm import SfmParams, init_sfm_params, sfm_forward
-from waveletcond.tensor import Tensor, sigmoid
+from waveletcond.msm import init_msm_params, msm_forward
+from waveletcond.sfm import init_sfm_params, sfm_forward
+from waveletcond.tensor import Tensor, ew_mul, sigmoid
 from waveletcond.training import (
     TrainItem,
     ablate,
@@ -97,38 +97,38 @@ def test_c3_gradient_suite():
 
     # MSM in isolation, rel < 1e-4
     latent_shape = (2, 1, 8, 4)
-    msm_p = MsmParams(
-        w=Tensor(r.standard_normal(latent_shape), requires_grad=True),
-        fc1_w=Tensor(r.standard_normal((4, 4)), requires_grad=True),
-        fc1_b=Tensor(r.standard_normal(4), requires_grad=True),
-        fc2_w=Tensor(r.standard_normal((4, 4)), requires_grad=True),
-        fc2_b=Tensor(r.standard_normal(4), requires_grad=True),
-    )
+    msm_p = {
+        "msm.w": Tensor(r.standard_normal(latent_shape), requires_grad=True),
+        "msm.fc1_w": Tensor(r.standard_normal((4, 4)), requires_grad=True),
+        "msm.fc1_b": Tensor(r.standard_normal(4), requires_grad=True),
+        "msm.fc2_w": Tensor(r.standard_normal((4, 4)), requires_grad=True),
+        "msm.fc2_b": Tensor(r.standard_normal(4), requires_grad=True),
+    }
     audio_vals = Tensor(r.standard_normal((4, 8)), requires_grad=True)
     z = Tensor(r.standard_normal(latent_shape))
     probe_a = Tensor(r.standard_normal((4, 8)))
 
     def msm_loss():
         out = msm_forward(audio_vals, z, msm_p)
-        return total(sigmoid(out * probe_a))
+        return total(sigmoid(ew_mul(out, probe_a)))
 
-    check_gradients(msm_loss, dict(msm_p.named(), audio=audio_vals), h=1e-4, rtol=1e-4)
+    check_gradients(msm_loss, dict(msm_p, audio=audio_vals), h=1e-4, rtol=1e-4)
 
     # SFM in isolation, rel < 1e-4
     feat_shape = (2, 3, 4, 4)
     half = (2, 3, 2, 2)
-    sfm_p = SfmParams(
-        w=Tensor(np.stack([r.standard_normal(half) for _ in range(4)]), requires_grad=True),
-        gate_w=Tensor(r.standard_normal((3, 3)), requires_grad=True),
-        gate_b=Tensor(r.standard_normal(3), requires_grad=True),
-    )
+    sfm_p = {
+        "sfm.w": Tensor(np.stack([r.standard_normal(half) for _ in range(4)]), requires_grad=True),
+        "sfm.gate_w": Tensor(r.standard_normal((3, 3)), requires_grad=True),
+        "sfm.gate_b": Tensor(r.standard_normal(3), requires_grad=True),
+    }
     feats = Tensor(r.standard_normal(feat_shape), requires_grad=True)
     probe_f = Tensor(r.standard_normal(feat_shape))
 
     def sfm_loss():
-        return total(sigmoid(sfm_forward(feats, sfm_p) * probe_f))
+        return total(sigmoid(ew_mul(sfm_forward(feats, sfm_p), probe_f)))
 
-    check_gradients(sfm_loss, dict(sfm_p.named(), features=feats), h=1e-4, rtol=1e-4)
+    check_gradients(sfm_loss, dict(sfm_p, features=feats), h=1e-4, rtol=1e-4)
 
     # full toy model (every trainable tensor, <= 5k params), rel < 1e-3
     params = init_model_params(GRAD_CFG, seed=11)

@@ -114,7 +114,7 @@ def test_missing_input_exits_2(tmp_path, capsys):
 
 def test_msm_apply_identity_at_init(tmp_path):
     latent_shape = (2, 1, 8, 8)
-    params = init_msm_params(latent_shape, hidden=4).named()
+    params = init_msm_params(latent_shape, hidden=4)
     sgtf.save_params(tmp_path / "p", params)
     audio = rng(3).standard_normal((4, 8))
     latent = rng(4).standard_normal(latent_shape)
@@ -130,7 +130,7 @@ def test_msm_apply_identity_at_init(tmp_path):
 
 def test_sfm_apply_halves_at_init(tmp_path):
     shape = (2, 3, 4, 4)
-    sgtf.save_params(tmp_path / "p", init_sfm_params(shape).named())
+    sgtf.save_params(tmp_path / "p", init_sfm_params(shape))
     feats = rng(5).standard_normal(shape)
     sgtf.write_tensor(tmp_path / "h.sgtf", feats)
     out = tmp_path / "out.sgtf"
@@ -529,14 +529,14 @@ MSM_LATENT = (2, 1, 8, 8)
 
 
 def msm_argv(d, audio=np.zeros((4, 8)), latent=np.zeros(MSM_LATENT), drop=(), **replace):
-    params = init_msm_params(latent.shape, hidden=4).named()
+    params = init_msm_params(latent.shape, hidden=4)
     return ["msm-apply", "--audio", put(d / "a.sgtf", audio),
             "--latent", put(d / "z.sgtf", latent),
             "--params", params_dir(d / "p", params, drop, **replace), "--out", str(d / "o.sgtf")]
 
 
 def sfm_argv(d, features=np.zeros((2, 3, 4, 4)), drop=(), **replace):
-    params = init_sfm_params((2, 3, 4, 4)).named()
+    params = init_sfm_params((2, 3, 4, 4))
     return ["sfm-apply", "--features", put(d / "h.sgtf", features),
             "--params", params_dir(d / "p", params, drop, **replace), "--out", str(d / "o.sgtf")]
 
@@ -700,6 +700,8 @@ HOSTILE_ERROR_NAMES = {
     "ablate/missing_value": f"config line {TINY_CONFIG_END}: bad value '' for lr",
     "sample/missing_key": "run directory {d}/run lacks parameters ['unet.mid1_w']",
     "sample/missing_keys": "run directory {d}/run lacks parameters ['unet.in_b', 'sfm.w']",
+    "msm-apply/missing_key": "{d}/p lacks parameters ['msm.fc1_w']",
+    "sfm-apply/missing_key": "{d}/p lacks parameters ['sfm.gate_w']",
     "msm-apply/rank3_audio": "expected a 2-D (d_a, l) audio embedding",
     "msm-apply/nan_audio": "{d}/a.sgtf: tensor holds a non-finite value",
     "sfm-apply/nan_features": "{d}/h.sgtf: tensor holds a non-finite value",

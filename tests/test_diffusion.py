@@ -306,6 +306,8 @@ def test_train_frozen_backbone_updates_only_conditioning_params():
         unchanged = np.array_equal(before[k].data, after[k].data)
         if frozen:
             assert unchanged, f"{k} should be frozen"
+            # a frozen parameter enters the loss as a constant: no gradient is computed for it
+            assert before[k].grad is None, f"{k} got a gradient"
     # at least one conditioning parameter actually moved
     moved = [k for k in before if k.startswith(("enc.", "msm.", "sfm."))
              and not np.array_equal(before[k].data, after[k].data)]

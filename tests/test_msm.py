@@ -1,14 +1,10 @@
 """Spectral conditioning module: weight head, sub-band scaling, attention."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from waveletcond.gradcheck import check_gradients
 from waveletcond.msm import (
-    AttentionParams,
-    MsmParams,
     audio_attention,
     chunk_weights,
     frame_tokens,
@@ -16,7 +12,7 @@ from waveletcond.msm import (
     init_msm_params,
     msm_forward,
 )
-from waveletcond.tensor import Tensor, mean, sigmoid
+from waveletcond.tensor import Tensor, ew_mul, mean, sigmoid
 from waveletcond.wavelet import dwt2, dwt2_data, idwt2, idwt2_data
 
 from test_tensor import total
@@ -30,13 +26,13 @@ def rng(seed=0):
 
 def random_msm_params(seed=0, hidden=3):
     r = rng(seed)
-    return MsmParams(
-        w=Tensor(r.standard_normal(LATENT_SHAPE), requires_grad=True),
-        fc1_w=Tensor(r.standard_normal((4, hidden)), requires_grad=True),
-        fc1_b=Tensor(r.standard_normal(hidden), requires_grad=True),
-        fc2_w=Tensor(r.standard_normal((hidden, 4)), requires_grad=True),
-        fc2_b=Tensor(r.standard_normal(4), requires_grad=True),
-    )
+    return {
+        "msm.w": Tensor(r.standard_normal(LATENT_SHAPE), requires_grad=True),
+        "msm.fc1_w": Tensor(r.standard_normal((4, hidden)), requires_grad=True),
+        "msm.fc1_b": Tensor(r.standard_normal(hidden), requires_grad=True),
+        "msm.fc2_w": Tensor(r.standard_normal((hidden, 4)), requires_grad=True),
+        "msm.fc2_b": Tensor(r.standard_normal(4), requires_grad=True),
+    }
 
 
 # -- chunk_weights ------------------------------------------------------------
@@ -52,15 +48,15 @@ def test_chunk_weights_zero_latent_vs_hand_fc():
     p = random_msm_params(seed=2)
     z = Tensor(np.zeros(LATENT_SHAPE))
     got = chunk_weights(z, p).data
-    hidden = np.maximum(p.fc1_b.data, 0.0)  # fc1 @ 0 + b1, through relu
-    want = hidden @ p.fc2_w.data + p.fc2_b.data
+    hidden = np.maximum(p["msm.fc1_b"].data, 0.0)  # fc1 @ 0 + b1, through relu
+    want = hidden @ p["msm.fc2_w"].data + p["msm.fc2_b"].data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_chunk_means_vs_per_chunk_summation_oracle():
     p = random_msm_params(seed=3)
     z_data = rng(4).standard_normal(LATENT_SHAPE)
-    w_z = p.w.data * z_data
+    w_z = p["msm.w"].data * z_data
     means = []
     for i in range(4):
         chunk = w_z[:, :, 2 * i:2 * i + 2, :]
@@ -70,8 +66,8 @@ def test_chunk_means_vs_per_chunk_summation_oracle():
             count += 1
         means.append(total / count)
     # feed the oracle means through the same fc arithmetic
-    hidden = np.maximum(np.asarray(means) @ p.fc1_w.data + p.fc1_b.data, 0.0)
-    want = hidden @ p.fc2_w.data + p.fc2_b.data
+    hidden = np.maximum(np.asarray(means) @ p["msm.fc1_w"].data + p["msm.fc1_b"].data, 0.0)
+    want = hidden @ p["msm.fc2_w"].data + p["msm.fc2_b"].data
     got = chunk_weights(Tensor(z_data), p).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -82,22 +78,20 @@ def test_chunk_weights_invariant_to_permutation_within_chunk():
     base = chunk_weights(Tensor(z_data), p).data
     # permute the w*z product within chunk 0 by permuting both w and z identically
     perm = rng(7).permutation(2 * 1 * 2 * 4)
-    w_perm = p.w.data.copy()
+    w_perm = p["msm.w"].data.copy()
     z_perm = z_data.copy()
     wc = w_perm[:, :, 0:2, :].reshape(-1)[perm].reshape(2, 1, 2, 4)
     zc = z_perm[:, :, 0:2, :].reshape(-1)[perm].reshape(2, 1, 2, 4)
     w_perm[:, :, 0:2, :] = wc
     z_perm[:, :, 0:2, :] = zc
-    p_perm = MsmParams(w=Tensor(w_perm), fc1_w=p.fc1_w, fc1_b=p.fc1_b,
-                       fc2_w=p.fc2_w, fc2_b=p.fc2_b)
+    p_perm = dict(p, **{"msm.w": Tensor(w_perm)})
     got = chunk_weights(Tensor(z_perm), p_perm).data
     np.testing.assert_allclose(got, base, atol=1e-12)
 
 
 def test_chunk_weights_rejects_bad_width():
-    base = init_msm_params(LATENT_SHAPE)
-    p = MsmParams(w=Tensor(np.ones((2, 1, 6, 4)), requires_grad=True), fc1_w=base.fc1_w,
-                  fc1_b=base.fc1_b, fc2_w=base.fc2_w, fc2_b=base.fc2_b)
+    p = dict(init_msm_params(LATENT_SHAPE),
+             **{"msm.w": Tensor(np.ones((2, 1, 6, 4)), requires_grad=True)})
     with pytest.raises(ValueError, match="divisible by 4"):
         chunk_weights(Tensor(np.zeros((2, 1, 6, 4))), p)
 
@@ -113,7 +107,7 @@ def test_chunk_weights_rejects_shape_mismatch():
 
 def weighted_msm(values: Tensor, weights) -> Tensor:
     """msm_forward with zero FC weights and fc2_b = weights: chunk_weights returns them exactly."""
-    p = dataclasses.replace(init_msm_params(LATENT_SHAPE), fc2_b=Tensor(weights))
+    p = dict(init_msm_params(LATENT_SHAPE), **{"msm.fc2_b": Tensor(weights)})
     return msm_forward(values, Tensor(np.zeros(LATENT_SHAPE)), p)
 
 
@@ -146,9 +140,8 @@ def test_identity_at_initialization():
 
 
 def test_zeroed_head_gives_zero_output():
-    p = init_msm_params(LATENT_SHAPE)
-    p = MsmParams(w=p.w, fc1_w=p.fc1_w, fc1_b=p.fc1_b, fc2_w=p.fc2_w,
-                  fc2_b=Tensor(np.zeros(4), requires_grad=True))
+    p = dict(init_msm_params(LATENT_SHAPE),
+             **{"msm.fc2_b": Tensor(np.zeros(4), requires_grad=True)})
     audio = Tensor(rng(12).standard_normal((4, 8)))
     out = msm_forward(audio, Tensor(rng(13).standard_normal(LATENT_SHAPE)), p)
     np.testing.assert_allclose(out.data, np.zeros((4, 8)), atol=1e-12)
@@ -180,9 +173,9 @@ def test_msm_gradients_match_finite_differences():
 
     def f():
         out = msm_forward(audio_vals, z, p)
-        return total(sigmoid(out * probe))
+        return total(sigmoid(ew_mul(out, probe)))
 
-    params = dict(p.named(), **{"audio": audio_vals})
+    params = dict(p, audio=audio_vals)
     check_gradients(f, params, h=1e-4, rtol=1e-4)
 
 
@@ -199,11 +192,11 @@ def test_frame_tokens_segment_average():
 
 def test_attention_zero_value_projection_is_identity():
     r = rng(20)
-    p = AttentionParams(
-        q_w=Tensor(r.standard_normal((3, 3)), requires_grad=True),
-        k_w=Tensor(r.standard_normal((2, 3)), requires_grad=True),
-        v_w=Tensor(np.zeros((2, 3)), requires_grad=True),
-    )
+    p = {
+        "att.q_w": Tensor(r.standard_normal((3, 3)), requires_grad=True),
+        "att.k_w": Tensor(r.standard_normal((2, 3)), requires_grad=True),
+        "att.v_w": Tensor(np.zeros((2, 3)), requires_grad=True),
+    }
     video = Tensor(r.standard_normal((5, 3)))
     audio = Tensor(r.standard_normal((4, 2)))
     out = audio_attention(video, audio, p)
@@ -212,13 +205,12 @@ def test_attention_zero_value_projection_is_identity():
 
 def test_attention_single_token_weights_are_one():
     r = rng(21)
-    p = init_attention_params(3, 2, r)
-    p = AttentionParams(q_w=p.q_w, k_w=p.k_w,
-                        v_w=Tensor(r.standard_normal((2, 3)), requires_grad=True))
+    p = dict(init_attention_params(3, 2, r),
+             **{"att.v_w": Tensor(r.standard_normal((2, 3)), requires_grad=True)})
     video = Tensor(r.standard_normal((4, 3)))
     audio = Tensor(r.standard_normal((1, 2)))
     out = audio_attention(video, audio, p)
-    want = video.data + np.broadcast_to(audio.data @ p.v_w.data, (4, 3))
+    want = video.data + np.broadcast_to(audio.data @ p["att.v_w"].data, (4, 3))
     np.testing.assert_array_equal(out.data, want)
 
 
@@ -227,11 +219,11 @@ def test_attention_equal_keys_give_exact_half_weights():
     video = Tensor(r.standard_normal((3, 4)))
     audio_np = np.stack([np.ones(2), np.ones(2)])  # two identical tokens
     values = r.standard_normal((2, 4))
-    p = AttentionParams(
-        q_w=Tensor(r.standard_normal((4, 4))),
-        k_w=Tensor(r.standard_normal((2, 4))),
-        v_w=Tensor(values),
-    )
+    p = {
+        "att.q_w": Tensor(r.standard_normal((4, 4))),
+        "att.k_w": Tensor(r.standard_normal((2, 4))),
+        "att.v_w": Tensor(values),
+    }
     out = audio_attention(video, Tensor(audio_np), p)
     want = video.data + 0.5 * (audio_np @ values) .sum(axis=0, keepdims=True)
     np.testing.assert_allclose(out.data, want, atol=1e-15)
@@ -245,18 +237,18 @@ def test_attention_rejects_empty_audio():
 
 def test_attention_gradients_match_finite_differences():
     r = rng(24)
-    p = AttentionParams(
-        q_w=Tensor(r.standard_normal((3, 3)), requires_grad=True),
-        k_w=Tensor(r.standard_normal((2, 3)), requires_grad=True),
-        v_w=Tensor(r.standard_normal((2, 3)), requires_grad=True),
-    )
+    p = {
+        "att.q_w": Tensor(r.standard_normal((3, 3)), requires_grad=True),
+        "att.k_w": Tensor(r.standard_normal((2, 3)), requires_grad=True),
+        "att.v_w": Tensor(r.standard_normal((2, 3)), requires_grad=True),
+    }
     video = Tensor(r.standard_normal((4, 3)), requires_grad=True)
     audio = Tensor(r.standard_normal((3, 2)), requires_grad=True)
 
     def f():
         return mean(sigmoid(audio_attention(video, audio, p)))
 
-    params = dict(p.named(), video=video, audio=audio)
+    params = dict(p, video=video, audio=audio)
     check_gradients(f, params, h=1e-4, rtol=1e-4)
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from waveletcond.gradcheck import check_gradients
-from waveletcond.sfm import SfmParams, gate_map, init_sfm_params, sfm_forward
-from waveletcond.tensor import Tensor, mean, sigmoid
+from waveletcond.sfm import gate_map, init_sfm_params, sfm_forward
+from waveletcond.tensor import Tensor, ew_mul, mean, sigmoid
 
 from test_tensor import total
 
@@ -20,11 +20,11 @@ def random_sfm_params(seed=0, shape=FEAT_SHAPE):
     r = rng(seed)
     f, c, h, w = shape
     half = (f, c, h // 2, w // 2)
-    return SfmParams(
-        w=Tensor(np.stack([r.standard_normal(half) for _ in range(4)]), requires_grad=True),
-        gate_w=Tensor(r.standard_normal((c, c)), requires_grad=True),
-        gate_b=Tensor(r.standard_normal(c), requires_grad=True),
-    )
+    return {
+        "sfm.w": Tensor(np.stack([r.standard_normal(half) for _ in range(4)]), requires_grad=True),
+        "sfm.gate_w": Tensor(r.standard_normal((c, c)), requires_grad=True),
+        "sfm.gate_b": Tensor(r.standard_normal(c), requires_grad=True),
+    }
 
 
 # -- gate map -----------------------------------------------------------------
@@ -37,8 +37,7 @@ def test_gate_zero_params_is_half_everywhere():
 
 
 def test_gate_identity_weights_zero_input():
-    p = init_sfm_params(FEAT_SHAPE)
-    p = SfmParams(w=p.w, gate_w=Tensor(np.eye(3), requires_grad=True), gate_b=p.gate_b)
+    p = dict(init_sfm_params(FEAT_SHAPE), **{"sfm.gate_w": Tensor(np.eye(3), requires_grad=True)})
     h = Tensor(np.zeros(FEAT_SHAPE))
     np.testing.assert_array_equal(gate_map(h, p).data, np.full(FEAT_SHAPE, 0.5))
 
@@ -51,7 +50,7 @@ def test_gate_vs_per_position_matmul_oracle():
     for fi in range(f):
         for y in range(hh):
             for x in range(ww):
-                pre = p.gate_w.data @ h[fi, :, y, x] + p.gate_b.data
+                pre = p["sfm.gate_w"].data @ h[fi, :, y, x] + p["sfm.gate_b"].data
                 want = 1.0 / (1.0 + np.exp(-pre))
                 np.testing.assert_allclose(got[fi, :, y, x], want, atol=1e-12)
 
@@ -86,8 +85,7 @@ def test_init_params_give_exactly_half_input():
 
 def test_doubling_band_weights_doubles_output():
     p = init_sfm_params(FEAT_SHAPE)
-    doubled = SfmParams(w=Tensor(2.0 * p.w.data, requires_grad=True),
-                        gate_w=p.gate_w, gate_b=p.gate_b)
+    doubled = dict(p, **{"sfm.w": Tensor(2.0 * p["sfm.w"].data, requires_grad=True)})
     h = Tensor(rng(8).standard_normal(FEAT_SHAPE))
     np.testing.assert_allclose(sfm_forward(h, doubled).data,
                                2.0 * sfm_forward(h, p).data, atol=1e-12)
@@ -98,7 +96,7 @@ def test_gate_is_entrywise_contraction():
     p = random_sfm_params(seed=9)
     h = rng(10).standard_normal(FEAT_SHAPE)
     bands = dwt2_data(h)
-    recon = idwt2_data(np.stack([w * b for w, b in zip(p.w.data, bands)]))
+    recon = idwt2_data(np.stack([w * b for w, b in zip(p["sfm.w"].data, bands)]))
     out = sfm_forward(Tensor(h), p).data
     assert np.max(np.abs(out)) <= np.max(np.abs(recon)) + 1e-12
     assert np.all(np.abs(out) <= np.abs(recon) + 1e-12)
@@ -107,8 +105,7 @@ def test_gate_is_entrywise_contraction():
 def test_linearity_in_band_weights_for_fixed_gate():
     h = Tensor(rng(11).standard_normal(FEAT_SHAPE))
     p1 = random_sfm_params(seed=12)
-    p2 = SfmParams(w=Tensor(p1.w.data * -0.5, requires_grad=True),
-                   gate_w=p1.gate_w, gate_b=p1.gate_b)
+    p2 = dict(p1, **{"sfm.w": Tensor(p1["sfm.w"].data * -0.5, requires_grad=True)})
     np.testing.assert_allclose(sfm_forward(h, p2).data, -0.5 * sfm_forward(h, p1).data,
                                atol=1e-12)
 
@@ -131,7 +128,7 @@ def test_sfm_gradients_match_finite_differences():
     probe = Tensor(rng(17).standard_normal(FEAT_SHAPE))
 
     def f():
-        return total(sigmoid(sfm_forward(h, p) * probe))
+        return total(sigmoid(ew_mul(sfm_forward(h, p), probe)))
 
-    params = dict(p.named(), features=h)
+    params = dict(p, features=h)
     check_gradients(f, params, h=1e-4, rtol=1e-4)

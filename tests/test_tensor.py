@@ -1,6 +1,5 @@
 """Tensor primitives, the gradient tape, and the Adam update."""
 
-import dataclasses
 import tracemalloc
 import zlib
 
@@ -786,26 +785,6 @@ def test_channel_linear_matches_einsum_reference():
     assert channel_linear(x32, w32, b32).dtype == np.float32
 
 
-@dataclasses.dataclass
-class _PairParams(T.ParamGroup):
-    prefix = "pair"
-
-    w: Tensor
-    b: Tensor
-
-
-def test_from_named_missing_parameters_names_group_and_held_names():
-    params = {"pair.w_old": Tensor(np.zeros(2)), "pair.x": Tensor(np.zeros(1)),
-              "other.w": Tensor(np.zeros(1))}
-    with pytest.raises(ValueError) as info:
-        _PairParams.from_named(params)
-    assert str(info.value) == ("_PairParams: missing parameters ['pair.w', 'pair.b']; "
-                               "parameters under 'pair.': ['pair.w_old', 'pair.x']")
-    params.update({"pair.w": Tensor(np.ones(2)), "pair.b": Tensor(np.ones(1))})
-    got = _PairParams.from_named(params)
-    assert got.w is params["pair.w"] and got.b is params["pair.b"]
-
-
 # -- Adam -----------------------------------------------------------------------
 
 
@@ -919,7 +898,8 @@ def test_dtype_follows_data():
     assert x32.grad.dtype == np.float32
     # python-number operands become constants in the tensor's dtype
     x32.zero_grad()
-    outs = [x32 + 2.0, 2.0 + x32, x32 * 2.0, 2.0 * x32, x32 - 1.0, ew_mul(x32, 3)]
+    outs = [T.add(x32, 2.0), T.add(2.0, x32), ew_mul(x32, 2.0), ew_mul(2.0, x32),
+            T.sub(x32, 1.0), T.sub(1.0, x32), ew_mul(x32, 3)]
     assert [o.dtype for o in outs] == [np.float32] * len(outs)
     for out in outs:
         T.mean(out).backward()
