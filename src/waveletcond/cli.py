@@ -164,11 +164,14 @@ def cmd_msm_apply(args) -> int:
     latent = read_model_input(args.latent)
     if latent.ndim != 4:
         raise ValueError(f"msm-apply: latent must be 4-D, got shape {latent.shape}")
-    require_params(params, init_msm_params(latent.shape), args.params)
-    out = msm_forward(audio, latent, params)
-    if latent.shape[0] < 1 or audio.shape[1] % latent.shape[0]:  # msm_forward checked the rank
+    if audio.ndim != 2:
+        raise ValueError(f"msm-apply: expected a 2-D (d_a, l) audio embedding, got shape "
+                         f"{audio.shape}")
+    if latent.shape[0] < 1 or audio.shape[1] % latent.shape[0]:
         raise ValueError(f"msm-apply: audio length {audio.shape[1]} not divisible by "
                          f"{latent.shape[0]} latent frames")
+    require_params(params, init_msm_params(latent.shape), args.params)
+    out = msm_forward(audio, latent, params)
     sgtf.write_tensor(args.out, out)
     return EXIT_OK
 
@@ -205,7 +208,12 @@ def cmd_sample(args) -> int:
     run = Path(args.params)
     cfg = load_config(run / "config.txt")
     params = sgtf.load_params(run / "params")
-    require_params(params, init_model_params(cfg), f"sample: run directory {run}")
+    wanted = init_model_params(cfg)
+    require_params(params, wanted, f"sample: run directory {run}")
+    for name, p in wanted.items():
+        if params[name].shape != p.shape:
+            raise ValueError(f"sample: run directory {run}: parameter {name!r} has shape "
+                             f"{params[name].shape}, expected {p.shape}")
     audio = read_model_input(args.audio)
     if audio.ndim != 1:
         raise ValueError(f"sample: audio track must be 1-D, got shape {audio.shape}")

@@ -50,7 +50,6 @@ class NoiseSchedule:
 
     timesteps: int
     betas: np.ndarray
-    alphas: np.ndarray
     alpha_bars: np.ndarray
 
 
@@ -63,9 +62,7 @@ def linear_schedule(timesteps: int = 50) -> NoiseSchedule:
     if timesteps < 1:
         raise ValueError(f"linear_schedule: timesteps must be >= 1, got {timesteps}")
     betas = np.linspace(BETA_START, BETA_END, timesteps)
-    alphas = 1.0 - betas
-    return NoiseSchedule(timesteps=timesteps, betas=betas, alphas=alphas,
-                         alpha_bars=np.cumprod(alphas))
+    return NoiseSchedule(timesteps=timesteps, betas=betas, alpha_bars=np.cumprod(1.0 - betas))
 
 
 def forward_diffuse(z0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
@@ -143,9 +140,9 @@ def audio_to_windows(samples: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     return samples.reshape(cfg.audio_length, cfg.audio_window).T
 
 
-def init_model_params(cfg: TrainConfig, seed: int | None = None) -> dict[str, Tensor]:
+def init_model_params(cfg: TrainConfig) -> dict[str, Tensor]:
     """All trainable tensors in a fixed creation order (ablation flags never alter it)."""
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(cfg.seed)
     base = cfg.base_channels
     mid = 2 * base
     f, c = cfg.frames, cfg.channels
@@ -256,8 +253,8 @@ def sample(params: dict[str, Tensor], audio_windows: np.ndarray, ref_frame: np.n
     for t in range(sched.timesteps, 0, -1):
         eps_hat = unet_forward(z, t, audio_windows, ref_frame, params, cfg).data
         # Python floats: numpy f64 scalars would promote an f32 latent
-        beta, alpha, abar = (float(v[t - 1]) for v in (sched.betas, sched.alphas, sched.alpha_bars))
-        mean = (z - beta / math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(alpha)
+        beta, abar = float(sched.betas[t - 1]), float(sched.alpha_bars[t - 1])
+        mean = (z - beta / math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(1.0 - beta)
         if t > 1:
             var = beta * (1.0 - float(sched.alpha_bars[t - 2])) / (1.0 - abar)
             noise = rng.standard_normal(cfg.latent_shape).astype(dtype, copy=False)

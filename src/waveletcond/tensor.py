@@ -75,10 +75,7 @@ class Tensor:
         """
         out = cls.__new__(cls)
         arr = np.asarray(data)
-        try:
-            arr.setflags(write=False)
-        except ValueError:
-            pass  # read-only view of an already-frozen buffer
+        arr.setflags(write=False)
         out.data = arr
         out.grad = None
         out.requires_grad = any(p.requires_grad for p in parents)

@@ -78,19 +78,9 @@ def make_synthetic_dataset(n: int, f: int, h: int, w: int, seed: int,
     return clips
 
 
-@dataclass
-class TrainItem:
-    """One training draw: a clip with its sampled timestep and noise."""
-
-    frames: np.ndarray
-    audio: np.ndarray
-    t: int
-    eps: np.ndarray
-
-
-def train_loss(batch: list[TrainItem], params: dict[str, Tensor],
+def train_loss(batch: list[tuple[Clip, int, np.ndarray]], params: dict[str, Tensor],
                sched: NoiseSchedule, cfg: TrainConfig) -> Tensor:
-    """Noise-prediction MSE averaged over batch items and elements.
+    """Noise-prediction MSE averaged over the batch's (clip, t, eps) draws and their elements.
 
     The first frame of each clip is its reference image; latents and noise
     take the dtype of the params.
@@ -98,20 +88,14 @@ def train_loss(batch: list[TrainItem], params: dict[str, Tensor],
     if not batch:
         raise ValueError("train_loss: empty batch")
     total = None
-    for item in batch:
-        z_t = forward_diffuse(item.frames, item.t, item.eps, sched)
-        eps_hat = unet_forward(z_t, item.t, audio_to_windows(item.audio, cfg), item.frames[0],
+    for clip, t, eps in batch:
+        z_t = forward_diffuse(clip.frames, t, eps, sched)
+        eps_hat = unet_forward(z_t, t, audio_to_windows(clip.audio, cfg), clip.frames[0],
                                params, cfg)
-        diff = sub(eps_hat, item.eps)
+        diff = sub(eps_hat, eps)
         mse = mean(ew_mul(diff, diff))
         total = mse if total is None else add(total, mse)
     return ew_mul(total, 1.0 / len(batch))
-
-
-def trainable_names(params: dict[str, Tensor], cfg: TrainConfig) -> list[str]:
-    if not cfg.freeze_backbone:
-        return list(params)
-    return [k for k in params if k.startswith(FROZEN_BACKBONE_TRAINABLE_PREFIXES)]
 
 
 def train(dataset: list[Clip], cfg: TrainConfig,
@@ -119,37 +103,35 @@ def train(dataset: list[Clip], cfg: TrainConfig,
           on_step=None) -> tuple[dict[str, Tensor], list[float]]:
     """Seeded Adam loop over single-clip batches; returns params and the loss curve.
 
-    Aborts with DivergenceError if the loss goes non-finite.  With
+    Trains copies of `params` (default `init_model_params(cfg)`), so the
+    caller's tensors never change.  `cfg` alone decides what trains: with
     freeze_backbone set, only the audio encoder and the two conditioning
-    modules receive updates.
+    modules do, and the other entries come back as constants holding the
+    same data.  Aborts with DivergenceError if the loss goes non-finite.
     """
     if not dataset:
         raise ValueError("train: empty dataset")
     sched = linear_schedule(cfg.timesteps)
     if params is None:
         params = init_model_params(cfg)
+    # frozen parameters are constants: the backward computes no gradient for them
+    params = {k: Tensor(p.data, requires_grad=not cfg.freeze_backbone
+                        or k.startswith(FROZEN_BACKBONE_TRAINABLE_PREFIXES))
+              for k, p in params.items()}
     rng = np.random.default_rng(cfg.seed)
-    train_keys = trainable_names(params, cfg)
-    # untrained parameters enter the loss as constants: the backward computes no gradient for them
-    constants = {k: Tensor(p.data) for k, p in params.items() if k not in train_keys}
-    state = AdamState({k: params[k] for k in train_keys})
+    state = AdamState(params)
     losses: list[float] = []
     for step in range(cfg.steps):
         clip = dataset[int(rng.integers(0, len(dataset)))]
         t = int(rng.integers(1, cfg.timesteps + 1))
         eps = rng.standard_normal(clip.frames.shape)
-        for k in train_keys:
-            params[k].zero_grad()
-        loss = train_loss([TrainItem(clip.frames, clip.audio, t, eps)], dict(params, **constants),
-                          sched, cfg)
+        loss = train_loss([(clip, t, eps)], params, sched, cfg)
         value = loss.item()
         if not np.isfinite(value):
             raise DivergenceError(f"train: non-finite loss {value} at step {step}")
         losses.append(value)
         loss.backward()
-        trained = {k: params[k] for k in train_keys}
-        updated = adam_step(trained, {k: p.grad for k, p in trained.items()}, state, lr=cfg.lr)
-        params = dict(params, **updated)
+        params = adam_step(params, {k: p.grad for k, p in params.items()}, state, lr=cfg.lr)
         if on_step is not None and (step % cfg.log_every == 0 or step == cfg.steps - 1):
             on_step(step, value)
     return params, losses
@@ -161,14 +143,13 @@ def validation_loss(dataset: list[Clip], params: dict[str, Tensor], cfg: TrainCo
         raise ValueError("validation_loss: empty dataset")
     sched = linear_schedule(cfg.timesteps)
     rng = np.random.default_rng(VALIDATION_SEED)
-    items = []
+    draws = []
     for clip in dataset:
         for _ in range(VALIDATION_DRAWS):
             t = int(rng.integers(1, cfg.timesteps + 1))
-            eps = rng.standard_normal(clip.frames.shape)
-            items.append(TrainItem(clip.frames, clip.audio, t, eps))
+            draws.append((clip, t, rng.standard_normal(clip.frames.shape)))
     leaves = {k: Tensor(p.data) for k, p in params.items()}
-    return train_loss(items, leaves, sched, cfg).item()
+    return train_loss(draws, leaves, sched, cfg).item()
 
 
 def split_train_val(dataset: list[Clip]) -> tuple[list[Clip], list[Clip]]:

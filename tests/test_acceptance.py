@@ -38,7 +38,6 @@ from waveletcond.msm import init_msm_params, msm_forward
 from waveletcond.sfm import init_sfm_params, sfm_forward
 from waveletcond.tensor import Tensor, ew_mul, sigmoid
 from waveletcond.training import (
-    TrainItem,
     ablate,
     make_synthetic_dataset,
     report_to_json,
@@ -131,7 +130,7 @@ def test_c3_gradient_suite():
     check_gradients(sfm_loss, dict(sfm_p, features=feats), h=1e-4, rtol=1e-4)
 
     # full toy model (every trainable tensor, <= 5k params), rel < 1e-3
-    params = init_model_params(GRAD_CFG, seed=11)
+    params = init_model_params(dataclasses.replace(GRAD_CFG, seed=11))
     params = {k: Tensor(r.standard_normal(p.shape) * 0.3, requires_grad=True)
               for k, p in params.items()}
     n_params = sum(p.size for p in params.values())
@@ -139,11 +138,10 @@ def test_c3_gradient_suite():
     clip = make_synthetic_dataset(1, GRAD_CFG.frames, GRAD_CFG.height, GRAD_CFG.width,
                                   seed=1, samples_per_frame=4)[0]
     eps = np.random.default_rng(2).standard_normal(clip.frames.shape)
-    item = TrainItem(clip.frames, clip.audio, 3, eps)
     sched = linear_schedule(GRAD_CFG.timesteps)
 
     def full_loss():
-        return train_loss([item], params, sched, GRAD_CFG)
+        return train_loss([(clip, 3, eps)], params, sched, GRAD_CFG)
 
     check_gradients(full_loss, params, h=1e-4, rtol=1e-3)
 

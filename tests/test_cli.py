@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from waveletcond import sgtf
+from waveletcond import cli, sgtf
 from waveletcond.cli import main, parse_index_spec
 from waveletcond.datakit import ClipRecord, SourceMeta, write_manifest, write_sources
 from waveletcond.diffusion import TrainConfig, init_model_params
@@ -623,6 +623,7 @@ HOSTILE_ARGV = {
     "sample/rank2_audio": lambda d: sample_argv(d, run_dir(d), audio=np.zeros((2, 4))),
     "sample/rank2_ref": lambda d: sample_argv(d, run_dir(d), ref=np.zeros((8, 8))),
     "sample/rank1_param": lambda d: sample_argv(d, run_dir(d, **{"unet.in_w": np.zeros(4)})),
+    "sample/wrong_shape": lambda d: sample_argv(d, run_dir(d, **{"att.v_w": np.zeros((4, 1))})),
     "sample/nan_audio": lambda d: sample_argv(d, run_dir(d), audio=with_value(8, 3, np.nan)),
     "sample/inf_ref": lambda d: sample_argv(d, run_dir(d),
                                             ref=with_value((1, 8, 8), (0, 2, 5), np.inf)),
@@ -709,6 +710,7 @@ HOSTILE_ERROR_NAMES = {
     "sample/inf_ref": "{d}/r.sgtf: tensor holds a non-finite value",
     "sample/nan_param": "{d}/run/params/unet.mid1_w.sgtf: parameter holds a non-finite value",
     "msm-apply/indivisible_audio": "audio length 8 not divisible by 3 latent frames",
+    "sample/wrong_shape": "parameter 'att.v_w' has shape (4, 1), expected (4, 8)",
     "metrics/nan_beat": "timestamps must be finite",
     "metrics/nan_landmark": "coordinates must be finite",
     "split/negative_start_frame": "start_frame must be a non-negative int, got -50",
@@ -730,3 +732,11 @@ def test_hostile_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert err.startswith("error:") and "Traceback" not in err
     if case in HOSTILE_ERROR_NAMES:
         assert HOSTILE_ERROR_NAMES[case].format(d=tmp_path) in err, err
+
+
+def test_msm_apply_checks_audio_length_before_the_forward(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "msm_forward", lambda *args: calls.append(args))
+    assert main(msm_argv(tmp_path, latent=np.zeros((3, 1, 8, 8)))) == 2
+    assert "audio length 8 not divisible by 3 latent frames" in capsys.readouterr().err
+    assert calls == []

@@ -19,7 +19,6 @@ from waveletcond.diffusion import (
 )
 from waveletcond.tensor import Tensor
 from waveletcond.training import (
-    TrainItem,
     ablate,
     config_to_text,
     make_synthetic_dataset,
@@ -72,8 +71,7 @@ def test_schedule_rejects_bad_steps():
 
 def manual_schedule(alpha_bars):
     ab = np.asarray(alpha_bars, dtype=float)
-    return NoiseSchedule(timesteps=len(ab), betas=np.full(len(ab), 0.1),
-                         alphas=np.full(len(ab), 0.9), alpha_bars=ab)
+    return NoiseSchedule(timesteps=len(ab), betas=np.full(len(ab), 0.1), alpha_bars=ab)
 
 
 def test_forward_diffuse_alpha_bar_one_returns_signal():
@@ -124,7 +122,7 @@ def test_forward_diffuse_variance_contract():
 
 def test_unet_output_shape_matches_input():
     cfg = TrainConfig(frames=2, height=16, width=16, channels=1)
-    params = init_model_params(cfg, seed=0)
+    params = init_model_params(dataclasses.replace(cfg, seed=0))
     clip = make_synthetic_dataset(1, 2, 16, 16, seed=0)[0]
     out = unet_forward(Tensor(clip.frames), 3, audio_to_windows(clip.audio, cfg),
                        clip.frames[0], params, cfg)
@@ -141,7 +139,7 @@ def test_unet_deterministic_repeat():
 
 
 def test_unet_rejects_bad_t_and_shapes():
-    params = init_model_params(TINY, seed=0)
+    params = init_model_params(dataclasses.replace(TINY, seed=0))
     clip = tiny_clip()
     win = audio_to_windows(clip.audio, TINY)
     with pytest.raises(ValueError, match="t="):
@@ -235,20 +233,20 @@ def test_ablation_flags_do_not_change_parameter_construction():
 def test_loss_zero_when_prediction_equals_noise():
     # drive the loss with eps == 0 and a model whose output is exactly 0
     cfg = TINY
-    params = init_model_params(cfg, seed=0)  # zero out conv -> eps_hat == 0
+    params = init_model_params(dataclasses.replace(cfg, seed=0))  # zero out conv -> eps_hat == 0
     clip = tiny_clip(seed=3)
-    item = TrainItem(clip.frames, clip.audio, 1, np.zeros_like(clip.frames))
-    loss = train_loss([item], params, linear_schedule(cfg.timesteps), cfg)
+    loss = train_loss([(clip, 1, np.zeros_like(clip.frames))], params,
+                      linear_schedule(cfg.timesteps), cfg)
     assert loss.item() == 0.0
 
 
 def test_loss_of_zero_predictor_is_mean_eps_squared():
     cfg = dataclasses.replace(TINY, frames=8, height=16, width=16, samples_per_frame=4)
-    params = init_model_params(cfg, seed=0)  # output conv zero-initialized
+    params = init_model_params(dataclasses.replace(cfg, seed=0))  # output conv zero-initialized
     clip = make_synthetic_dataset(1, 8, 16, 16, seed=4, samples_per_frame=4)[0]
     eps = rng(10).standard_normal(clip.frames.shape)  # 2048 elements
-    item = TrainItem(clip.frames, clip.audio, cfg.timesteps, eps)
-    loss = train_loss([item], params, linear_schedule(cfg.timesteps), cfg).item()
+    loss = train_loss([(clip, cfg.timesteps, eps)], params, linear_schedule(cfg.timesteps),
+                      cfg).item()
     np.testing.assert_allclose(loss, np.mean(eps ** 2), rtol=1e-12)
     assert abs(loss - 1.0) < 0.2  # statistical sanity for standard normal draws
 
@@ -261,7 +259,7 @@ def test_loss_two_item_batch_vs_hand_computation():
     for seed in (5, 6):
         clip = tiny_clip(seed=seed)
         eps = rng(seed).standard_normal(clip.frames.shape)
-        items.append(TrainItem(clip.frames, clip.audio, 2, eps))
+        items.append((clip, 2, eps))
     got = train_loss(items, params, sched, cfg).item()
     per_item = [train_loss([it], params, sched, cfg).item() for it in items]
     want = 0.5 * (per_item[0] + per_item[1])
@@ -312,6 +310,45 @@ def test_train_frozen_backbone_updates_only_conditioning_params():
     moved = [k for k in before if k.startswith(("enc.", "msm.", "sfm."))
              and not np.array_equal(before[k].data, after[k].data)]
     assert moved
+
+
+def tiny_train_run(params, steps=3):
+    cfg = dataclasses.replace(TINY, steps=steps)
+    ds = make_synthetic_dataset(2, cfg.frames, cfg.height, cfg.width, seed=16,
+                                samples_per_frame=cfg.samples_per_frame)
+    return train(ds, cfg, params=params)
+
+
+def test_train_leaves_caller_tensors_untouched():
+    params = randomized_params(TINY, seed=16)
+    before = {k: p.data.copy() for k, p in params.items()}
+    after, _ = tiny_train_run(params)
+    for k, p in params.items():
+        assert p.grad is None, f"{k} got a gradient"
+        assert np.array_equal(p.data, before[k]), f"{k} changed"
+        assert after[k] is not p
+    assert any(not np.array_equal(after[k].data, before[k]) for k in params)
+
+
+def test_train_trains_params_passed_without_requires_grad():
+    # the config, not the caller's requires_grad flags, decides what trains
+    params = randomized_params(TINY, seed=16)
+    constants = {k: Tensor(p.data) for k, p in params.items()}
+    want, want_losses = tiny_train_run(params)
+    got, got_losses = tiny_train_run(constants)
+    assert got_losses == want_losses
+    for k in params:
+        assert np.array_equal(got[k].data, want[k].data), k
+
+
+def test_train_ignores_stale_caller_gradients():
+    clean = randomized_params(TINY, seed=16)
+    stale = randomized_params(TINY, seed=16)
+    for p in stale.values():
+        p.grad = np.full(p.shape, 7.0)
+    _, clean_losses = tiny_train_run(clean)
+    _, stale_losses = tiny_train_run(stale)
+    assert stale_losses == clean_losses
 
 
 def test_train_emits_loss_every_k_steps():
@@ -423,7 +460,7 @@ def test_f32_training_and_sampling_track_f64():
                            p32, cfg)
     assert eps_hat.dtype == np.float32
     eps = rng(15).standard_normal(clip.frames.shape)
-    loss = train_loss([TrainItem(clip.frames, clip.audio, 2, eps)], p32, sched, cfg)
+    loss = train_loss([(clip, 2, eps)], p32, sched, cfg)
     assert loss.dtype == np.float32
     loss.backward()
     assert all(p.grad.dtype == np.float32 for p in p32.values())
