@@ -8,8 +8,9 @@ read/write round trip verbatim.
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -25,6 +26,11 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
+def _is_finite_number(v) -> bool:
+    """An int or float that is not a bool and that a float holds finitely (not NaN, not inf)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 @dataclass
 class SourceMeta:
     """One source video's metadata, with face boxes at keyframes."""
@@ -37,9 +43,17 @@ class SourceMeta:
     face_bboxes: list[tuple[int, tuple[int, int, int, int]]] = field(default_factory=list)
 
     def __post_init__(self):
+        if not isinstance(self.source_id, str) or not self.source_id:
+            raise ValueError(f"SourceMeta: source_id must be a non-empty string, "
+                             f"got {self.source_id!r}")
         for name in ("duration_s", "fps"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"SourceMeta {self.source_id}: {name} must be finite and positive")
+            v = getattr(self, name)
+            if not (_is_finite_number(v) and v > 0):
+                raise ValueError(f"SourceMeta {self.source_id}: {name} must be a finite positive "
+                                 f"number, got {v!r}")
+        if not _is_finite_number(self.duration_s * self.fps):
+            raise ValueError(f"SourceMeta {self.source_id}: frame count duration_s * fps "
+                             f"is not finite")
         for name in ("width", "height"):
             v = getattr(self, name)
             if not _is_count(v):
@@ -61,9 +75,8 @@ class SourceMeta:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SourceMeta":
-        return cls(source_id=d["source_id"], duration_s=float(d["duration_s"]),
-                   fps=float(d["fps"]), width=d["width"], height=d["height"],
-                   face_bboxes=d.get("face_bboxes", []))
+        return cls(source_id=d["source_id"], duration_s=d["duration_s"], fps=d["fps"],
+                   width=d["width"], height=d["height"], face_bboxes=d.get("face_bboxes", []))
 
     def to_json_dict(self) -> dict:
         return {"source_id": self.source_id, "duration_s": self.duration_s, "fps": self.fps,
@@ -217,32 +230,21 @@ def split_dataset(records: list[ClipRecord], seed: int,
     if train_parts < 0 or test_parts < 0 or train_parts + test_parts == 0:
         raise ValueError(f"split_dataset: ratio parts must be non-negative with a positive sum, "
                          f"got {train_parts}:{test_parts}")
-    order: list[str] = []
-    by_source: dict[str, list[ClipRecord]] = {}
-    for rec in records:
-        if rec.source_id not in by_source:
-            by_source[rec.source_id] = []
-            order.append(rec.source_id)
-        by_source[rec.source_id].append(rec)
-    rng = np.random.default_rng(seed)
-    shuffled = [order[i] for i in rng.permutation(len(order))]
+    sizes = Counter(rec.source_id for rec in records)  # clips per source, first-seen order
+    sources = list(sizes)
     target = len(records) * train_parts / (train_parts + test_parts)
-    train_sources: set[str] = set()
     count = 0
-    taken = []
-    for sid in shuffled:
+    taken: list[str] = []
+    for i in np.random.default_rng(seed).permutation(len(sources)):
         if count >= target:
             break
-        train_sources.add(sid)
-        taken.append(sid)
-        count += len(by_source[sid])
-    if taken and abs(count - target) > abs(count - len(by_source[taken[-1]]) - target):
-        train_sources.discard(taken[-1])
-    out = []
-    for rec in records:
-        label = "train" if rec.source_id in train_sources else "test"
-        out.append(replace(rec, split=label, extra=dict(rec.extra)))
-    return out
+        taken.append(sources[i])
+        count += sizes[sources[i]]
+    if taken and abs(count - target) > abs(count - sizes[taken[-1]] - target):
+        taken.pop()
+    train = set(taken)
+    return [replace(rec, split="train" if rec.source_id in train else "test", extra=dict(rec.extra))
+            for rec in records]
 
 
 # -- manifest I/O -----------------------------------------------------------------------

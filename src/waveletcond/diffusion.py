@@ -48,7 +48,6 @@ class DivergenceError(RuntimeError):
 class NoiseSchedule:
     """Linear beta schedule with cached cumulative products."""
 
-    timesteps: int
     betas: np.ndarray
     alpha_bars: np.ndarray
 
@@ -62,15 +61,15 @@ def linear_schedule(timesteps: int = 50) -> NoiseSchedule:
     if timesteps < 1:
         raise ValueError(f"linear_schedule: timesteps must be >= 1, got {timesteps}")
     betas = np.linspace(BETA_START, BETA_END, timesteps)
-    return NoiseSchedule(timesteps=timesteps, betas=betas, alpha_bars=np.cumprod(1.0 - betas))
+    return NoiseSchedule(betas=betas, alpha_bars=np.cumprod(1.0 - betas))
 
 
 def forward_diffuse(z0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
     """Noising step: sqrt(abar_t) * z0 + sqrt(1 - abar_t) * eps, t in [1, T]."""
     z0 = np.asarray(z0)
     eps = np.asarray(eps)
-    if not 1 <= t <= sched.timesteps:
-        raise ValueError(f"forward_diffuse: t={t} outside [1, {sched.timesteps}]")
+    if not 1 <= t <= len(sched.betas):
+        raise ValueError(f"forward_diffuse: t={t} outside [1, {len(sched.betas)}]")
     if z0.shape != eps.shape:
         raise ValueError(f"forward_diffuse: shape mismatch {z0.shape} vs {eps.shape}")
     abar = sched.alpha_bars[t - 1]
@@ -105,6 +104,8 @@ class TrainConfig:
                      "samples_per_frame", "timesteps", "steps", "n_clips", "log_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"TrainConfig: {name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"TrainConfig: seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"TrainConfig: lr must be positive and finite, got {self.lr}")
         if not math.isfinite(self.amplitude):
@@ -243,14 +244,14 @@ def sample(params: dict[str, Tensor], audio_windows: np.ndarray, ref_frame: np.n
     given the seed; raises DivergenceError (with the step index) if any
     intermediate goes non-finite.
     """
-    if sched.timesteps != cfg.timesteps:
+    if len(sched.betas) != cfg.timesteps:
         raise ValueError(
-            f"sample: schedule has {sched.timesteps} steps but config expects {cfg.timesteps}")
+            f"sample: schedule has {len(sched.betas)} steps but config expects {cfg.timesteps}")
     params = {k: Tensor(p.data) for k, p in params.items()}
     dtype = params["unet.in_w"].dtype
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(cfg.latent_shape).astype(dtype, copy=False)
-    for t in range(sched.timesteps, 0, -1):
+    for t in range(cfg.timesteps, 0, -1):
         eps_hat = unet_forward(z, t, audio_windows, ref_frame, params, cfg).data
         # Python floats: numpy f64 scalars would promote an f32 latent
         beta, abar = float(sched.betas[t - 1]), float(sched.alpha_bars[t - 1])

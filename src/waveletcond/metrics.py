@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-PSNR_INFINITE = math.inf
 # SSIM's Gaussian window and stabilizing constants (Wang et al. 2004, IEEE TIP).
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -29,7 +27,7 @@ SSIM_K2 = 0.03
 
 
 def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / MSE) in dB; identical inputs give the infinite sentinel."""
+    """10 log10(peak^2 / MSE) in dB; identical inputs give math.inf."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"psnr: shape mismatch {a.shape} vs {b.shape}")
@@ -37,7 +35,7 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
         raise ValueError(f"psnr: peak must be finite and positive, got {peak}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
-        return PSNR_INFINITE
+        return math.inf
     return 10.0 * math.log10(peak * peak / mse)
 
 
@@ -187,7 +185,10 @@ def motion_beat_times(motion: LandmarkSequence, fps: float) -> np.ndarray:
 
 def bas_from_beats(audio_times: np.ndarray, motion_times: np.ndarray,
                    sigma: float) -> float:
-    """Mean Gaussian proximity of each audio beat to its nearest motion beat."""
+    """Mean Gaussian proximity of each audio beat to its nearest motion beat.
+
+    A motion with no beat scores 0.0; an empty audio track is an error.
+    """
     audio_times = np.asarray(audio_times, dtype=np.float64)
     motion_times = np.asarray(motion_times, dtype=np.float64)
     if audio_times.size == 0:
@@ -201,17 +202,12 @@ def bas_from_beats(audio_times: np.ndarray, motion_times: np.ndarray,
 
 
 def bas(audio_beats: BeatTrack, motion: LandmarkSequence, fps: float) -> float:
-    """Beat alignment score in (0, 1]; motion beats come from displacement minima.
+    """Beat alignment score in [0, 1]; motion beats come from displacement minima.
 
     The Gaussian's sigma is 3 frames, converted to seconds by the motion's
-    fps.  When no motion beat is extractable the score is 0.0 by definition
-    and a RuntimeWarning flags it.
+    fps.  The rules of `bas_from_beats` apply.
     """
-    times = motion_beat_times(motion, fps)
-    if times.size == 0:
-        warnings.warn("bas: no extractable motion beat; score defined as 0.0", RuntimeWarning)
-        return 0.0
-    return bas_from_beats(audio_beats.timestamps, times, 3.0 / fps)
+    return bas_from_beats(audio_beats.timestamps, motion_beat_times(motion, fps), 3.0 / fps)
 
 
 # -- file formats ---------------------------------------------------------------------
@@ -302,9 +298,7 @@ def evaluate_clip(pred_frames: np.ndarray, gt_frames: np.ndarray, pred_landmarks
         row[col] = "n/a"
     row["LMD"] = lmd(pred_seq, LandmarkSequence(gt_landmarks), mouth)
     row["Diversity"] = diversity(pred_seq)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        row["BAS"] = bas(beats, pred_seq, fps)
+    row["BAS"] = bas(beats, pred_seq, fps)
     return row
 
 

@@ -85,7 +85,7 @@ def save_params(dirpath, params: dict[str, Tensor]) -> None:
 
 
 def load_params(dirpath) -> dict[str, Tensor]:
-    """Load a parameter directory written by save_params, as trainable tensors.
+    """Load a parameter directory written by save_params, as constant tensors.
 
     A parameter file that holds a NaN or infinite value is an error naming it.
     """
@@ -107,5 +107,5 @@ def load_params(dirpath) -> dict[str, Tensor]:
         data = read_tensor(path)
         if not np.isfinite(data).all():
             raise ValueError(f"{path}: parameter holds a non-finite value")
-        params[name] = Tensor(data, requires_grad=True)
+        params[name] = Tensor(data)
     return params

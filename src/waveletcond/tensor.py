@@ -6,18 +6,11 @@ rule: `add`, `ew_mul`, `matmul`, `sigmoid`, `relu`, `softmax_rows`, `mean`,
 The rest are compositions of primitives and need no rule of their own:
 `sub`, `linear`, `add_channel_bias` and `channel_linear`.
 `Tensor` defines no arithmetic operators: each op has one spelling, its function.
-The test suite checks every op against central finite differences.
+The test suite checks every op against central finite differences, and
+every linear one by an adjoint (dot-product) test.
 
 Contractions (`matmul`, `conv3x3`) go through `np.matmul`, so they run as
-BLAS matrix products.  `conv3x3` takes its input as one tensor or as a list
-of channel blocks, and a bias.  It writes each block straight into its
-channel range of one flat, zero-bordered, channel-major buffer, and runs
-nine per-tap matmuls over shifted column ranges of it; stride 2 first splits
-that buffer into its four polyphase components.  No tap is copied and no
-im2col matrix is built.  Both directions add the per-tap products into
-contiguous memory: one (co, span) accumulator forward, which also takes the
-bias along its long rows, and one contiguous flat run of each phase
-backward.
+BLAS matrix products; `conv3x3`'s docstring describes its algorithm.
 
 `add`, `ew_mul` and `matmul` broadcast like numpy (`matmul` over the axes
 before the last two); each operand's gradient is summed back onto its own
@@ -111,9 +104,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros(self.data.shape, dtype=self.data.dtype)
         self.grad += g
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar node, filling `.grad` on the graph."""

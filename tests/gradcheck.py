@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor
+from waveletcond.tensor import Tensor
 
 
 def numeric_grad(f: Callable[[], Tensor], param: Tensor, h: float = 1e-4) -> np.ndarray:
@@ -50,7 +50,7 @@ def check_gradients(f: Callable[[], Tensor], params: dict[str, Tensor],
     the first parameter exceeding rtol.
     """
     for p in params.values():
-        p.zero_grad()
+        p.grad = None
     loss = f()
     loss.backward()
     errors: dict[str, float] = {}

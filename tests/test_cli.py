@@ -634,6 +634,10 @@ HOSTILE_ARGV = {
     "ablate/garbage": lambda d: config_argv("ablate", d, GARBAGE_TEXT),
     "ablate/missing_key": lambda d: config_argv("ablate", d, TINY_CONFIG + "=5\n"),
     "ablate/missing_value": lambda d: config_argv("ablate", d, TINY_CONFIG + "lr=\n"),
+    "ablate/negative_seed": lambda d: config_argv("ablate", d,
+                                                  TINY_CONFIG.replace("seed=5", "seed=-1")),
+    "train-toy/negative_global_seed": lambda d: ["--seed", "-1",
+                                                 *config_argv("train-toy", d, TINY_CONFIG)],
     "metrics/garbage_frames": lambda d: metrics_argv(d, asset="frames_path", content=GARBAGE),
     "metrics/garbage_landmarks": lambda d: metrics_argv(d, asset="landmark_path",
                                                         content=GARBAGE),
@@ -646,6 +650,7 @@ HOSTILE_ARGV = {
                                                root="gt"),
     "metrics/nan_landmark": lambda d: metrics_argv(d, asset="landmark_path",
                                                    content=NAN_LANDMARKS),
+    "metrics/empty_beats": lambda d: metrics_argv(d, asset="beats_path", content="", root="gt"),
     "segment/garbage": lambda d: manifest_argv("segment", d, source=GARBAGE_TEXT),
     "segment/missing_key": lambda d: manifest_argv("segment", d, source=without(SOURCE, "fps")),
     "segment/rank1_bbox": lambda d: manifest_argv("segment", d,
@@ -656,6 +661,15 @@ HOSTILE_ARGV = {
         "segment", d, source={**SOURCE, "duration_s": float("inf")}),
     "segment/fps_nan": lambda d: manifest_argv("segment", d,
                                                source={**SOURCE, "fps": float("nan")}),
+    "segment/huge_duration": lambda d: manifest_argv("segment", d,
+                                                     source={**SOURCE, "duration_s": 1e308}),
+    "segment/bool_duration": lambda d: manifest_argv("segment", d,
+                                                     source={**SOURCE, "duration_s": True}),
+    "segment/string_fps": lambda d: manifest_argv("segment", d, source={**SOURCE, "fps": "25"}),
+    "segment/int_source_id": lambda d: manifest_argv("segment", d,
+                                                     source={**SOURCE, "source_id": 5}),
+    "crop/string_duration": lambda d: manifest_argv("crop", d,
+                                                    source={**SOURCE, "duration_s": "2"}),
     "segment/float_width": lambda d: manifest_argv("segment", d, source={**SOURCE, "width": 64.9}),
     "segment/bool_keyframe": lambda d: manifest_argv(
         "segment", d, source={**SOURCE, "face_bboxes": [[True, [8, 8, 16, 16]]]}),
@@ -699,6 +713,8 @@ TINY_CONFIG_END = TINY_CONFIG.count("\n") + 1  # the line number of a line appen
 HOSTILE_ERROR_NAMES = {
     "train-toy/missing_value": f"config line {TINY_CONFIG_END}: bad value '' for steps",
     "ablate/missing_value": f"config line {TINY_CONFIG_END}: bad value '' for lr",
+    "ablate/negative_seed": "TrainConfig: seed must be >= 0, got -1",
+    "train-toy/negative_global_seed": "TrainConfig: seed must be >= 0, got -1",
     "sample/missing_key": "run directory {d}/run lacks parameters ['unet.mid1_w']",
     "sample/missing_keys": "run directory {d}/run lacks parameters ['unet.in_b', 'sfm.w']",
     "msm-apply/missing_key": "{d}/p lacks parameters ['msm.fc1_w']",
@@ -713,6 +729,7 @@ HOSTILE_ERROR_NAMES = {
     "sample/wrong_shape": "parameter 'att.v_w' has shape (4, 1), expected (4, 8)",
     "metrics/nan_beat": "timestamps must be finite",
     "metrics/nan_landmark": "coordinates must be finite",
+    "metrics/empty_beats": "bas: need at least one audio beat",
     "split/negative_start_frame": "start_frame must be a non-negative int, got -50",
     "split/float_start_frame": "start_frame must be a non-negative int, got 1.5",
     "split/bool_start_frame": "start_frame must be a non-negative int, got True",
@@ -720,6 +737,12 @@ HOSTILE_ERROR_NAMES = {
     "segment/bool_keyframe": "keyframe must be a non-negative int, got True",
     "segment/negative_keyframe": "keyframe must be a non-negative int, got -50",
     "segment/float_bbox": "bbox at frame 0 must be four non-negative ints, got [8.7, 8, 16, 16]",
+    "segment/huge_duration": "sources.jsonl:1: bad source: SourceMeta s0: frame count",
+    "segment/bool_duration": "duration_s must be a finite positive number, got True",
+    "segment/string_fps": "fps must be a finite positive number, got '25'",
+    "segment/int_source_id": "sources.jsonl:1: bad source: SourceMeta: source_id must be a "
+                             "non-empty string, got 5",
+    "crop/string_duration": "duration_s must be a finite positive number, got '2'",
 }
 
 

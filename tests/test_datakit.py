@@ -290,3 +290,30 @@ def test_clip_record_validates_split_label():
 def test_source_meta_validates_bbox_bounds():
     with pytest.raises(ValueError, match="outside"):
         make_source(bboxes=[(0, (500, 500, 80, 80))])
+
+
+# bools, strings, NaN and 1e308 are covered through the CLI by the HOSTILE_ARGV cases
+@pytest.mark.parametrize("duration", [None, -1.0, 0, 10**400],
+                         ids=["none", "negative", "zero", "huge_int"])
+def test_source_meta_duration_must_be_a_finite_positive_number(duration):
+    with pytest.raises(ValueError, match="duration_s must be a finite positive number"):
+        make_source(duration=duration)
+
+
+def test_source_meta_rejects_a_frame_count_past_float_range():
+    # both factors are finite, but duration_s * fps is not
+    with pytest.raises(ValueError, match="frame count"):
+        make_source(duration=10**307)
+
+
+@pytest.mark.parametrize("sid", ["", None])
+def test_source_meta_source_id_must_be_a_non_empty_string(sid):
+    with pytest.raises(ValueError, match="source_id must be a non-empty string"):
+        make_source(sid=sid)
+
+
+def test_source_meta_keeps_an_int_duration_as_given():
+    src = SourceMeta.from_json_dict({"source_id": "s", "duration_s": 4, "fps": 25,
+                                     "width": 8, "height": 8, "unknown": 1})
+    assert src.duration_s == 4 and type(src.duration_s) is int
+    assert len(segment_clips(src)) == 2

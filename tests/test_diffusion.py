@@ -71,7 +71,7 @@ def test_schedule_rejects_bad_steps():
 
 def manual_schedule(alpha_bars):
     ab = np.asarray(alpha_bars, dtype=float)
-    return NoiseSchedule(timesteps=len(ab), betas=np.full(len(ab), 0.1), alpha_bars=ab)
+    return NoiseSchedule(betas=np.full(len(ab), 0.1), alpha_bars=ab)
 
 
 def test_forward_diffuse_alpha_bar_one_returns_signal():

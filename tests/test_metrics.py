@@ -13,7 +13,6 @@ from hypothesis.extra import numpy as hnp
 from waveletcond.metrics import (
     BeatTrack,
     LandmarkSequence,
-    PSNR_INFINITE,
     TABLE1_COLUMNS,
     aggregate_rows,
     bas,
@@ -44,8 +43,7 @@ def rng(seed=0):
 
 def test_psnr_identical_is_infinite_sentinel():
     a = rng(1).standard_normal((8, 8))
-    assert psnr(a, a) == PSNR_INFINITE
-    assert math.isinf(psnr(a, a))
+    assert psnr(a, a) == math.inf
 
 
 def test_psnr_known_mse():
@@ -368,11 +366,17 @@ def test_bas_translation_invariance():
     assert abs(base - shifted) < 1e-12
 
 
-def test_bas_no_motion_beats_scores_zero_with_warning():
+def test_bas_no_motion_beats_scores_zero():
+    # filterwarnings = error also makes this a check that no warning is raised
     motion = seq(walk_with_displacements([1.0, 2.0]))
     beats = BeatTrack(np.array([0.1]))
-    with pytest.warns(RuntimeWarning, match="no extractable motion beat"):
-        assert bas(beats, motion, fps=25.0) == 0.0
+    assert bas(beats, motion, fps=25.0) == 0.0
+
+
+@pytest.mark.parametrize("disp", [[1.0, 2.0], [2.0, 1.0, 2.0]], ids=["beatless", "one_beat"])
+def test_bas_empty_beat_track_is_an_error_whatever_the_motion(disp):
+    with pytest.raises(ValueError, match="need at least one audio beat"):
+        bas(BeatTrack(np.array([])), seq(walk_with_displacements(disp)), fps=25.0)
 
 
 def test_bas_requires_audio_beats():

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from waveletcond.gradcheck import check_gradients
 from waveletcond.msm import (
     audio_attention,
     chunk_weights,
@@ -15,6 +14,7 @@ from waveletcond.msm import (
 from waveletcond.tensor import Tensor, ew_mul, mean, sigmoid
 from waveletcond.wavelet import dwt2, dwt2_data, idwt2, idwt2_data
 
+from gradcheck import check_gradients
 from test_tensor import total
 
 LATENT_SHAPE = (2, 1, 8, 4)  # (frames, channels, width, height)

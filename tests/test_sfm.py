@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from waveletcond.gradcheck import check_gradients
 from waveletcond.sfm import gate_map, init_sfm_params, sfm_forward
 from waveletcond.tensor import Tensor, ew_mul, mean, sigmoid
 
+from gradcheck import check_gradients
 from test_tensor import total
 
 FEAT_SHAPE = (2, 3, 4, 4)  # (frames, channels, height, width)

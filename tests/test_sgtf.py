@@ -145,7 +145,7 @@ def test_params_dir_roundtrip(tmp_path):
     assert set(back) == set(params)
     for k in params:
         assert np.array_equal(back[k].data, params[k].data)
-        assert back[k].requires_grad
+        assert not back[k].requires_grad
 
 
 def test_load_params_requires_manifest(tmp_path):
