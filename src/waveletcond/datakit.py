@@ -75,8 +75,7 @@ class SourceMeta:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SourceMeta":
-        return cls(source_id=d["source_id"], duration_s=d["duration_s"], fps=d["fps"],
-                   width=d["width"], height=d["height"], face_bboxes=d.get("face_bboxes", []))
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
     def to_json_dict(self) -> dict:
         return {"source_id": self.source_id, "duration_s": self.duration_s, "fps": self.fps,

@@ -28,15 +28,15 @@ from .msm import (
 from .sfm import init_sfm_params, sfm_forward
 from .tensor import (
     Tensor,
-    add_channel_bias,
+    add,
     as_tensor,
     conv3x3,
     linear,
+    matmul,
     nearest_upsample2,
     permute,
     relu,
     reshape,
-    tslice,
 )
 
 
@@ -216,7 +216,10 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
 
     h1 = conv3x3([z_t, np.broadcast_to(ref_frame, cfg.latent_shape)], params["unet.in_w"],
                  params["unet.in_b"])
-    h1 = relu(add_channel_bias(h1, tslice(params["unet.temb"], t - 1)))
+    # row t-1 of unet.temb as the one-hot product e_{t-1}^T E, bit for bit (the other
+    # rows add +-0); any -0.0 its backward puts off row t-1 adds into +0.0 zeros
+    temb = params["unet.temb"]
+    h1 = relu(add(h1, reshape(matmul(np.eye(1, temb.shape[0], t - 1), temb), (-1, 1, 1))))
 
     h2 = relu(conv3x3(h1, params["unet.down_w"], params["unet.down_b"], stride=2))
     m = relu(conv3x3(h2, params["unet.mid1_w"], params["unet.mid1_b"]))

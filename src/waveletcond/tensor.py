@@ -2,9 +2,9 @@
 
 The op set is deliberately closed.  Primitives carry a hand-written backward
 rule: `add`, `ew_mul`, `matmul`, `sigmoid`, `relu`, `softmax_rows`, `mean`,
-`reshape`, `permute`, `tslice`, `conv3x3` and `nearest_upsample2`.
+`reshape`, `permute`, `conv3x3` and `nearest_upsample2`.
 The rest are compositions of primitives and need no rule of their own:
-`sub`, `linear`, `add_channel_bias` and `channel_linear`.
+`linear` and `channel_linear`.
 `Tensor` defines no arithmetic operators: each op has one spelling, its function.
 The test suite checks every op against central finite differences, and
 every linear one by an adjoint (dot-product) test.
@@ -16,7 +16,7 @@ BLAS matrix products; `conv3x3`'s docstring describes its algorithm.
 before the last two); each operand's gradient is summed back onto its own
 shape.  One lifting rule, `as_tensor(x, like)`, turns every non-tensor
 operand of a multi-operand op into a constant in the dtype of the tensor it
-meets: either side of `add`, `ew_mul`, `sub` and `matmul`, every `conv3x3`
+meets: either side of `add`, `ew_mul` and `matmul`, every `conv3x3`
 input block and its bias (lifted like its weight), and `linear`'s input
 (lifted like its weight).  So an f32 tensor never meets a promoting f64
 array.  A lone operand follows `Tensor`'s rule instead.  Tensors are
@@ -187,10 +187,6 @@ def ew_mul(a: Tensor, b) -> Tensor:
     return Tensor._from_op(out_data, (a, b), backward)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    return add(a, ew_mul(as_tensor(b, a), -1.0))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of operands of rank >= 2, leading axes broadcast as in `np.matmul`."""
     a, b = as_tensor(a, b), as_tensor(b, a)
@@ -229,7 +225,7 @@ def channel_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (w.shape[0],):
         raise ValueError(f"channel_linear: bias {b.shape} does not match weight rows {w.shape[0]}")
     n, _, h, wd = x.shape
-    return add_channel_bias(reshape(matmul(w, reshape(x, (n, c, h * wd))), (n, -1, h, wd)), b)
+    return add(reshape(matmul(w, reshape(x, (n, c, h * wd))), (n, -1, h, wd)), reshape(b, (-1, 1, 1)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -309,18 +305,6 @@ def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         x._accumulate(g.transpose(inv))
-
-    return Tensor._from_op(out_data, (x,), backward)
-
-
-def tslice(x: Tensor, key) -> Tensor:
-    """Basic indexing (ints and slices); gradient scatters back into place."""
-    out_data = x.data[key]
-
-    def backward(g: np.ndarray) -> None:
-        gx = np.zeros(x.data.shape, dtype=x.data.dtype)
-        gx[key] = g
-        x._accumulate(gx)
 
     return Tensor._from_op(out_data, (x,), backward)
 
@@ -448,13 +432,6 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     out = np.lib.stride_tricks.as_strided(acc, (n, co, ho, wo), (hq * wq * e, span * e, wq * e, e),
                                           writeable=False)
     return Tensor._from_op(np.ascontiguousarray(out), (*blocks, w, b), backward)
-
-
-def add_channel_bias(x: Tensor, v: Tensor) -> Tensor:
-    """Add v[c] to every (batch, spatial) position of x: (n,c,h,w) + (c,)."""
-    if x.data.ndim != 4 or v.data.ndim != 1 or x.shape[1] != v.shape[0]:
-        raise ValueError(f"add_channel_bias: bad shapes x{x.shape} v{v.shape}")
-    return add(x, reshape(v, (-1, 1, 1)))
 
 
 def nearest_upsample2(x: Tensor) -> Tensor:

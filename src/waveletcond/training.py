@@ -23,7 +23,7 @@ from .diffusion import (
     linear_schedule,
     unet_forward,
 )
-from .tensor import AdamState, Tensor, adam_step, add, ew_mul, mean, sub
+from .tensor import AdamState, Tensor, adam_step, add, ew_mul, mean
 
 FROZEN_BACKBONE_TRAINABLE_PREFIXES = ("enc.", "msm.", "sfm.")
 
@@ -92,7 +92,7 @@ def train_loss(batch: list[tuple[Clip, int, np.ndarray]], params: dict[str, Tens
         z_t = forward_diffuse(clip.frames, t, eps, sched)
         eps_hat = unet_forward(z_t, t, audio_to_windows(clip.audio, cfg), clip.frames[0],
                                params, cfg)
-        diff = sub(eps_hat, eps)
+        diff = add(eps_hat, -eps)
         mse = mean(ew_mul(diff, diff))
         total = mse if total is None else add(total, mse)
     return ew_mul(total, 1.0 / len(batch))

@@ -26,7 +26,6 @@ from waveletcond.tensor import (
     nearest_upsample2,
     permute,
     reshape,
-    tslice,
 )
 from waveletcond.wavelet import dwt2, idwt2
 
@@ -125,27 +124,6 @@ def test_permute_adjoint(shape, data, seed):
 def test_reshape_adjoint(shape, target, seed):
     new = {"flat": (-1,), "reversed": shape[::-1], "lead_one": (1, *shape)}[target]
     gap = adjoint_gap(lambda x: reshape(x, new), [shape], np.random.default_rng(seed))
-    assert gap < RTOL
-
-
-@st.composite
-def index_keys(draw, shape):
-    """A non-empty basic index into `shape`: an int or a stepped slice per axis."""
-    key = []
-    for side in shape[:draw(st.integers(1, len(shape)))]:
-        if draw(st.booleans()):
-            key.append(draw(st.integers(-side, side - 1)))
-        else:
-            start = draw(st.integers(0, side - 1))
-            key.append(slice(start, draw(st.integers(start + 1, side)), draw(st.integers(1, 3))))
-    return tuple(key)
-
-
-@ADJOINT
-@given(shape=SHAPES, data=st.data(), seed=SEEDS)
-def test_tslice_adjoint(shape, data, seed):
-    key = data.draw(index_keys(shape))
-    gap = adjoint_gap(lambda x: tslice(x, key), [shape], np.random.default_rng(seed))
     assert gap < RTOL
 
 

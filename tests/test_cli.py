@@ -743,6 +743,7 @@ HOSTILE_ERROR_NAMES = {
     "segment/int_source_id": "sources.jsonl:1: bad source: SourceMeta: source_id must be a "
                              "non-empty string, got 5",
     "crop/string_duration": "duration_s must be a finite positive number, got '2'",
+    "segment/missing_key": "missing 1 required positional argument: 'fps'",
 }
 
 

@@ -271,6 +271,21 @@ def test_loss_rejects_empty_batch():
         train_loss([], init_model_params(TINY), linear_schedule(TINY.timesteps), TINY)
 
 
+def test_temb_gradient_is_row_t_only():
+    # the timestep row is read as a one-hot product, whose backward may put -0.0
+    # off row t-1 where the upstream gradient is negative; the accumulated
+    # gradient must still be +0.0 there, as a scatter into zeros gives
+    cfg = dataclasses.replace(TINY, timesteps=10)
+    params = randomized_params(cfg, seed=12)
+    clip = tiny_clip(seed=3)
+    eps = rng(13).standard_normal(clip.frames.shape)
+    train_loss([(clip, 7, eps)], params, linear_schedule(cfg.timesteps), cfg).backward()
+    g = params["unet.temb"].grad
+    assert np.all(g[6] != 0.0)
+    others = np.delete(g, 6, axis=0)
+    assert np.all(others == 0.0) and not np.any(np.signbit(others))
+
+
 # -- training loop ----------------------------------------------------------------------
 
 

@@ -15,7 +15,6 @@ from waveletcond.tensor import (
     Tensor,
     adam_step,
     add,
-    add_channel_bias,
     channel_linear,
     conv3x3,
     ew_mul,
@@ -28,7 +27,6 @@ from waveletcond.tensor import (
     reshape,
     sigmoid,
     softmax_rows,
-    tslice,
 )
 
 from gradcheck import check_gradients, max_rel_error, numeric_grad
@@ -379,14 +377,13 @@ def _case_mean(r):
     return {"x": x, "y": y}, lambda: add(mean(sigmoid(x)), total(sigmoid(mean(y, axis=(0, 2)))))
 
 
-@fd_case("reshape_permute_slice")
+@fd_case("reshape_permute")
 def _case_shapes(r):
     x = Tensor(r.standard_normal((2, 3, 8)), requires_grad=True)
 
     def f():
         z = permute(x, (1, 0, 2))            # (3, 2, 8)
         z = reshape(z, (3, 16))
-        z = tslice(z, (slice(None), slice(2, 10)))
         return total(sigmoid(z))
 
     return {"x": x}, f
@@ -447,13 +444,6 @@ def _case_conv_three_blocks(r):
     b = Tensor(r.standard_normal(3), requires_grad=True)
     return {"x0": x0, "x2": x2, "b": b}, lambda: total(sigmoid(
         conv3x3([x0, x1, x2], w, b, stride=2)))
-
-
-@fd_case("add_channel_bias")
-def _case_bias(r):
-    x = Tensor(r.standard_normal((2, 3, 4, 4)), requires_grad=True)
-    v = Tensor(r.standard_normal(3), requires_grad=True)
-    return {"x": x, "v": v}, lambda: total(sigmoid(add_channel_bias(x, v)))
 
 
 @fd_case("nearest_upsample2")
@@ -899,8 +889,7 @@ def test_dtype_follows_data():
     assert x32.grad.dtype == np.float32
     # python-number operands become constants in the tensor's dtype
     x32.grad = None
-    outs = [T.add(x32, 2.0), T.add(2.0, x32), ew_mul(x32, 2.0), ew_mul(2.0, x32),
-            T.sub(x32, 1.0), T.sub(1.0, x32), ew_mul(x32, 3)]
+    outs = [T.add(x32, 2.0), T.add(2.0, x32), ew_mul(x32, 2.0), ew_mul(2.0, x32), ew_mul(x32, 3)]
     assert [o.dtype for o in outs] == [np.float32] * len(outs)
     for out in outs:
         T.mean(out).backward()
