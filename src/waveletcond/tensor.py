@@ -7,7 +7,9 @@ The rest are compositions of primitives and need no rule of their own:
 `linear` and `channel_linear`.
 `Tensor` defines no arithmetic operators: each op has one spelling, its function.
 The test suite checks every op against central finite differences, and
-every linear one by an adjoint (dot-product) test.
+every linear one by an adjoint (dot-product) test.  `backward()` leaves a
+gradient only on the leaves: each op output drops its own once its rule has
+run.
 
 Contractions (`matmul`, `conv3x3`) go through `np.matmul`, so they run as
 BLAS matrix products; `conv3x3`'s docstring describes its algorithm.
@@ -106,7 +108,14 @@ class Tensor:
         self.grad += g
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar node, filling `.grad` on the graph."""
+        """Reverse-mode sweep from a scalar node, adding into the leaves' `.grad`.
+
+        Leaves keep their gradients.  Every op output, this node included,
+        releases its `.grad` once its rule has run, so no spent gradient is
+        held to the end of the sweep.  A second `backward()` on the same
+        graph therefore adds the same leaf gradients again, as a fresh graph
+        would.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.shape}")
         order: list[Tensor] = []
@@ -128,6 +137,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+                node.grad = None  # spent: only leaves keep a gradient
 
 
 def as_tensor(x, like=None) -> Tensor:
@@ -248,7 +258,7 @@ def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0.0)
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(g * (x.data > 0.0))
+        x._accumulate(g * (x.data > 0.0).astype(g.dtype))
 
     return Tensor._from_op(out_data, (x,), backward)
 
@@ -395,12 +405,13 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
             w._accumulate(gw.transpose(1, 2, 0).reshape(w.shape))
         if any(t.requires_grad for t in blocks):
             gph = np.zeros_like(ph)
-            # each tap's product fills the first span columns of tmp, whose
-            # other columns stay +0.0; so one contiguous run of L entries adds
-            # it onto its phase, and the pad columns add exact zeros to the
-            # head of the next channel's row (gph starts at +0.0, so it never
-            # holds a -0.0 that such an add would flip)
-            tmp = np.zeros((c, cols), dtype=dtype)
+            # each tap's product overwrites the first span columns of tmp,
+            # whose other columns are set to +0.0 once; so one contiguous run
+            # of L entries adds it onto its phase, and the pad columns add
+            # exact zeros to the head of the next channel's row (gph starts
+            # at +0.0, so it never holds a -0.0 that such an add would flip)
+            tmp = np.empty((c, cols), dtype=dtype)
+            tmp[:, span:] = 0.0
             L = c * cols - (cols - span)
             gflat, tflat = gph.reshape(s * s, -1), tmp.reshape(-1)[:L]
             # each tap's (co, c) block made contiguous: a strided operand sends

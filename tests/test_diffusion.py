@@ -1,6 +1,7 @@
 """Noise schedule, toy UNet, training loop, sampler, synthetic data."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,6 +365,23 @@ def test_train_ignores_stale_caller_gradients():
     _, clean_losses = tiny_train_run(clean)
     _, stale_losses = tiny_train_run(stale)
     assert stale_losses == clean_losses
+
+
+def test_train_holds_one_graph_and_no_spent_gradients():
+    # a step's peak holds one graph and the leaves' gradients: keeping either
+    # the previous step's graph or every intermediate .grad reads 14-15 MB
+    cfg = dataclasses.replace(TrainConfig(seed=1), steps=3)
+    ds = make_synthetic_dataset(cfg.n_clips, cfg.frames, cfg.height, cfg.width, seed=cfg.seed,
+                                samples_per_frame=cfg.samples_per_frame,
+                                amplitude=cfg.amplitude)
+    train(ds, cfg)  # warm-up
+    tracemalloc.start()
+    try:
+        train(ds, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 def test_train_emits_loss_every_k_steps():

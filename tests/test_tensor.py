@@ -244,6 +244,43 @@ def test_backward_sum_of_independent_subgraphs_is_concat_of_grads():
     np.testing.assert_allclose(gb_joint, b2.grad, atol=1e-15)
 
 
+def _graph_nodes(root):
+    """Every tensor reachable from `root` through the tape's parent edges."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def test_backward_releases_intermediate_grads_and_keeps_leaf_grads():
+    r = rng(14)
+    x = Tensor(r.standard_normal((3, 4)), requires_grad=True)
+    w = Tensor(r.standard_normal((4, 2)), requires_grad=True)
+    const = Tensor(r.standard_normal((3, 2)))
+    loss = mean(ew_mul(relu(add(matmul(x, w), const)), sigmoid(matmul(x, w))))
+    nodes = _graph_nodes(loss)
+    loss.backward()
+    intermediates = [n for n in nodes if n._parents]
+    assert len(intermediates) == 7
+    assert all(n.grad is None for n in intermediates)
+    assert x.grad is not None and w.grad is not None and const.grad is None
+
+
+def test_second_backward_adds_the_leaf_gradients_again():
+    r = rng(15)
+    x = Tensor(r.standard_normal((3, 4)), requires_grad=True)
+    w = Tensor(r.standard_normal((4, 2)), requires_grad=True)
+    loss = mean(sigmoid(matmul(x, w)))
+    loss.backward()
+    gx, gw = x.grad.copy(), w.grad.copy()
+    loss.backward()
+    assert np.array_equal(x.grad, 2 * gx)
+    assert np.array_equal(w.grad, 2 * gw)
+
+
 # -- backward: every primitive against finite differences ----------------------------
 
 
