@@ -295,6 +295,7 @@ def cmd_manifest_segment(args) -> int:
 
 
 def cmd_manifest_crop(args) -> int:
+    datakit.check_face_ratio(args.ratio)  # before any clip is cropped, box or no box
     sources = {s.source_id: s for s in datakit.read_sources(args.sources)}
     records = datakit.read_manifest(args.manifest)
     out = []

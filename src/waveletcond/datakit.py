@@ -157,8 +157,10 @@ def segment_clips(meta: SourceMeta, ratio: float = 0.8) -> list[ClipRecord]:
     """Non-overlapping 50-frame windows; the trailing remainder is dropped.
 
     Each clip's crop box comes from the latest face keyframe at or before
-    its start (the first keyframe if none precede it).
+    its start (the first keyframe if none precede it).  `ratio` is checked
+    even when the source has no face box.
     """
+    check_face_ratio(ratio)
     if meta.fps != CLIP_FPS:
         raise ValueError(
             f"segment_clips: {meta.source_id} has fps {meta.fps}; resample to {CLIP_FPS} upstream")
@@ -192,6 +194,12 @@ def bbox_for_frame(meta: SourceMeta, frame: int):
     return chosen
 
 
+def check_face_ratio(ratio: float) -> None:
+    """Reject a face ratio (the share of the crop side the face fills) outside (0, 1]."""
+    if not 0 < ratio <= 1:
+        raise ValueError(f"face ratio must be in (0, 1], got {ratio}")
+
+
 def crop_box(face_bbox: tuple[int, int, int, int], frame_w: int, frame_h: int,
              ratio: float = 0.8) -> tuple[int, int, int, int]:
     """Square crop around the face, face occupying `ratio` of the crop side.
@@ -202,8 +210,7 @@ def crop_box(face_bbox: tuple[int, int, int, int], frame_w: int, frame_h: int,
     bx, by, bw, bh = face_bbox
     if bw <= 0 or bh <= 0:
         raise ValueError(f"crop_box: degenerate face bbox {face_bbox}")
-    if not 0 < ratio <= 1:
-        raise ValueError(f"crop_box: ratio must be in (0, 1], got {ratio}")
+    check_face_ratio(ratio)
     side = int(round(max(bw, bh) / ratio))
     side = min(side, frame_w, frame_h)
     cx = bx + bw / 2.0

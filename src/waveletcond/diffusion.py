@@ -31,7 +31,6 @@ from .tensor import (
     add,
     as_tensor,
     conv3x3,
-    linear,
     matmul,
     nearest_upsample2,
     permute,
@@ -184,7 +183,7 @@ def init_model_params(cfg: TrainConfig) -> dict[str, Tensor]:
 def encode_audio(audio_windows: np.ndarray, params: dict[str, Tensor]) -> Tensor:
     """Toy audio encoder: shared affine map per window column -> (d_audio, l)."""
     cols = np.asarray(audio_windows).T  # (l, window)
-    return permute(linear(cols, params["enc.w"], params["enc.b"]), (1, 0))
+    return permute(add(matmul(cols, params["enc.w"]), params["enc.b"]), (1, 0))
 
 
 def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.ndarray,

@@ -17,7 +17,6 @@ from .tensor import (
     add,
     as_tensor,
     ew_mul,
-    linear,
     matmul,
     mean,
     permute,
@@ -67,11 +66,16 @@ def chunk_weights(z_t: Tensor, p: dict[str, Tensor]) -> Tensor:
     f, c, d_w, h = z_t.shape
     if d_w % 4:
         raise ValueError(f"chunk_weights: width {d_w} not divisible by 4")
+    hid = p["msm.fc1_w"].shape[-1:]  # (H,): the head's width is read from the head
+    for name, want in (("msm.fc1_w", (4, *hid)), ("msm.fc1_b", hid),
+                       ("msm.fc2_w", (*hid, 4)), ("msm.fc2_b", (4,))):
+        if p[name].shape != want:
+            raise ValueError(f"chunk_weights: parameter {name!r} has shape {p[name].shape}, "
+                             f"expected {want}")
     chunks = reshape(ew_mul(w, z_t), (f, c, 4, d_w // 4, h))
     row = reshape(mean(chunks, axis=(0, 1, 3, 4)), (1, 4))
-    hidden = relu(linear(row, p["msm.fc1_w"], p["msm.fc1_b"]))  # (1, hidden)
-    out = linear(hidden, p["msm.fc2_w"], p["msm.fc2_b"])  # (1, 4)
-    return reshape(out, (4,))
+    hidden = relu(add(matmul(row, p["msm.fc1_w"]), p["msm.fc1_b"]))  # (1, H)
+    return reshape(add(matmul(hidden, p["msm.fc2_w"]), p["msm.fc2_b"]), (4,))
 
 
 def msm_forward(audio: Tensor, z_t: Tensor, p: dict[str, Tensor]) -> Tensor:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, channel_linear, ew_mul, sigmoid
+from .tensor import Tensor, add, as_tensor, ew_mul, matmul, reshape, sigmoid
 from .wavelet import dwt2_batched, idwt2_batched
 
 
@@ -44,11 +44,14 @@ def gate_map(h_t: Tensor, p: dict[str, Tensor]) -> Tensor:
     h_t = as_tensor(h_t)
     if h_t.data.ndim != 4:
         raise ValueError(f"gate_map: features must be 4-D (f,c,h,w), got {h_t.shape}")
-    c = h_t.shape[1]
-    gate_w = p["sfm.gate_w"]
+    f, c, h, w = h_t.shape
+    gate_w, gate_b = p["sfm.gate_w"], p["sfm.gate_b"]
     if gate_w.shape != (c, c):
         raise ValueError(f"gate_map: channel count {c} does not match gate weights {gate_w.shape}")
-    return sigmoid(channel_linear(h_t, gate_w, p["sfm.gate_b"]))
+    if gate_b.shape != (c,):
+        raise ValueError(f"gate_map: channel count {c} does not match gate bias {gate_b.shape}")
+    mixed = reshape(matmul(gate_w, reshape(h_t, (f, c, h * w))), (f, c, h, w))
+    return sigmoid(add(mixed, reshape(gate_b, (c, 1, 1))))
 
 
 def sfm_forward(h_t: Tensor, p: dict[str, Tensor]) -> Tensor:

@@ -3,8 +3,6 @@
 The op set is deliberately closed.  Primitives carry a hand-written backward
 rule: `add`, `ew_mul`, `matmul`, `sigmoid`, `relu`, `softmax_rows`, `mean`,
 `reshape`, `permute`, `conv3x3` and `nearest_upsample2`.
-The rest are compositions of primitives and need no rule of their own:
-`linear` and `channel_linear`.
 `Tensor` defines no arithmetic operators: each op has one spelling, its function.
 The test suite checks every op against central finite differences, and
 every linear one by an adjoint (dot-product) test.  `backward()` leaves a
@@ -18,12 +16,11 @@ BLAS matrix products; `conv3x3`'s docstring describes its algorithm.
 before the last two); each operand's gradient is summed back onto its own
 shape.  One lifting rule, `as_tensor(x, like)`, turns every non-tensor
 operand of a multi-operand op into a constant in the dtype of the tensor it
-meets: either side of `add`, `ew_mul` and `matmul`, every `conv3x3`
-input block and its bias (lifted like its weight), and `linear`'s input
-(lifted like its weight).  So an f32 tensor never meets a promoting f64
-array.  A lone operand follows `Tensor`'s rule instead.  Tensors are
-immutable values after construction; training replaces parameter tensors
-instead of mutating them.
+meets: either side of `add`, `ew_mul` and `matmul`, and every `conv3x3`
+input block and its bias (lifted like its weight).  So an f32 tensor never
+meets a promoting f64 array.  A lone operand follows `Tensor`'s rule
+instead.  Tensors are immutable values after construction; training
+replaces parameter tensors instead of mutating them.
 """
 
 from __future__ import annotations
@@ -213,29 +210,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return Tensor._from_op(out_data, (a, b), backward)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map on rows: x[n,k] @ w[k,m] + b[m]; a non-tensor x is lifted like w."""
-    x = as_tensor(x, w)
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        raise ValueError(f"linear: bad ranks x{x.shape} w{w.shape} b{b.shape}")
-    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
-        raise ValueError(f"linear: incompatible shapes x{x.shape} w{w.shape} b{b.shape}")
-    return add(matmul(x, w), b)
-
-
-def channel_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Mix channels at every (batch, spatial) position: out[n,o,i,j] = sum_c w[o,c] x[n,c,i,j] + b[o]."""
-    if x.data.ndim != 4:
-        raise ValueError(f"channel_linear: expected 4-D input, got {x.shape}")
-    c = x.shape[1]
-    if w.data.ndim != 2 or w.shape[1] != c:
-        raise ValueError(f"channel_linear: weight {w.shape} does not match channel count {c}")
-    if b.shape != (w.shape[0],):
-        raise ValueError(f"channel_linear: bias {b.shape} does not match weight rows {w.shape[0]}")
-    n, _, h, wd = x.shape
-    return add(reshape(matmul(w, reshape(x, (n, c, h * wd))), (n, -1, h, wd)), reshape(b, (-1, 1, 1)))
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -208,7 +208,8 @@ def config_to_text(cfg: TrainConfig) -> str:
 
 
 def parse_config_text(text: str) -> TrainConfig:
-    """Parse `key=value` lines; blank lines and #-comments allowed, unknown keys rejected."""
+    """Parse `key=value` lines; blank lines and #-comments allowed, unknown and repeated keys
+    rejected (a line's own bad value is reported before its repeat)."""
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -220,7 +221,10 @@ def parse_config_text(text: str) -> TrainConfig:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, val, lineno)
+        value = _parse_value(key, val, lineno)
+        if key in values:
+            raise ValueError(f"config line {lineno}: repeated key {key!r}")
+        values[key] = value
     return TrainConfig(**values)
 
 

@@ -8,9 +8,10 @@ acts along the vertical (row) axis, the second along the horizontal
 energy and the adjoint reconstruction is the exact inverse.
 
 The four sub-bands travel as one stack: the leading axis of length 4 holds
-ll, lh, hl, hh in BAND_ORDER.  Both directions are recorded as linear
-autodiff ops on that stack: the gradient of the forward transform is the
-inverse transform of the upstream stack gradient, and vice versa.
+ll, lh, hl, hh in BAND_ORDER.  Primitives carry a hand-written backward
+rule: `dwt2` and `idwt2`, the two directions as linear tape ops on that
+stack.  The gradient of the forward transform is the inverse transform of
+the upstream stack gradient, and vice versa.
 """
 
 from __future__ import annotations

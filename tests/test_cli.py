@@ -42,6 +42,13 @@ log_every=5
 """
 
 
+def config_with(line):
+    """TINY_CONFIG with `line` last, in place of its key's line: a config names a key once."""
+    key = line.partition("=")[0]
+    kept = [old for old in TINY_CONFIG.splitlines() if old.partition("=")[0] != key]
+    return "\n".join([*kept, line]) + "\n"
+
+
 # -- wavelet commands ---------------------------------------------------------------
 
 
@@ -126,6 +133,13 @@ def test_msm_apply_identity_at_init(tmp_path):
                  "--params", str(tmp_path / "p"), "--out", str(out)]) == 0
     got = sgtf.read_tensor(out)
     assert np.max(np.abs(got - audio)) < 1e-9
+
+
+def test_msm_apply_reads_the_head_width_from_its_params(tmp_path, capsys):
+    # a head trained at h_msm=8 runs, though init_msm_params defaults to 16
+    audio = rng(3).standard_normal((4, 8))
+    assert main(msm_argv(tmp_path, audio=audio, hidden=8)) == 0, capsys.readouterr().err
+    np.testing.assert_allclose(sgtf.read_tensor(tmp_path / "o.sgtf"), audio, atol=1e-9)
 
 
 def test_sfm_apply_halves_at_init(tmp_path):
@@ -225,7 +239,7 @@ def test_train_toy_unknown_config_key_exits_2(tmp_path, capsys):
                                   "samples_per_frame=0"])
 def test_nonpositive_size_exits_2(tmp_path, capsys, command, line):
     cfg_path = tmp_path / "cfg.txt"
-    cfg_path.write_text(TINY_CONFIG + line + "\n")
+    cfg_path.write_text(config_with(line))
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert f"{line.split('=')[0]} must be >= 1" in capsys.readouterr().err
@@ -235,7 +249,7 @@ def test_nonpositive_size_exits_2(tmp_path, capsys, command, line):
 @pytest.mark.parametrize("line", ["lr=nan", "lr=inf", "amplitude=nan", "amplitude=-inf"])
 def test_nonfinite_config_exits_2(tmp_path, capsys, command, line):
     cfg_path = tmp_path / "cfg.txt"
-    cfg_path.write_text(TINY_CONFIG + line + "\n")
+    cfg_path.write_text(config_with(line))
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -246,7 +260,7 @@ def test_nonfinite_config_exits_2(tmp_path, capsys, command, line):
 @pytest.mark.parametrize("line", ["h_msm=0", "d_audio=0", "height=0", "width=-4", "n_clips=0"])
 def test_nonpositive_size_config_exits_2(tmp_path, capsys, command, line):
     cfg_path = tmp_path / "cfg.txt"
-    cfg_path.write_text(TINY_CONFIG + line + "\n")
+    cfg_path.write_text(config_with(line))
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert f"TrainConfig: {line.split('=')[0]} must be >= 1" in capsys.readouterr().err
@@ -528,8 +542,9 @@ def idwt_argv(d, ll):
 MSM_LATENT = (2, 1, 8, 8)
 
 
-def msm_argv(d, audio=np.zeros((4, 8)), latent=np.zeros(MSM_LATENT), drop=(), **replace):
-    params = init_msm_params(latent.shape, hidden=4)
+def msm_argv(d, audio=np.zeros((4, 8)), latent=np.zeros(MSM_LATENT), drop=(), hidden=4,
+             **replace):
+    params = init_msm_params(latent.shape, hidden=hidden)
     return ["msm-apply", "--audio", put(d / "a.sgtf", audio),
             "--latent", put(d / "z.sgtf", latent),
             "--params", params_dir(d / "p", params, drop, **replace), "--out", str(d / "o.sgtf")]
@@ -569,6 +584,7 @@ NAN_LANDMARKS = "frame,x0,y0,x1,y1\n" + "".join(
 
 SOURCE = {"source_id": "s0", "duration_s": 2.0, "fps": 25.0, "width": 64, "height": 64,
           "face_bboxes": [[0, [8, 8, 16, 16]]]}
+BOXLESS_SOURCE = {**SOURCE, "face_bboxes": []}
 RECORD = {"source_id": "s0", "start_frame": 0, "end_frame": 50}
 
 
@@ -605,17 +621,22 @@ HOSTILE_ARGV = {
     "msm-apply/rank1_audio": lambda d: msm_argv(d, audio=np.zeros(8)),
     "msm-apply/rank1_param": lambda d: msm_argv(d, **{"msm.fc1_w": np.zeros(4)}),
     "msm-apply/rank3_audio": lambda d: msm_argv(d, audio=np.zeros((2, 4, 8))),
+    "msm-apply/rank3_head": lambda d: msm_argv(d, **{"msm.fc1_w": np.zeros((1, 4, 4))}),
+    "msm-apply/bias_shape": lambda d: msm_argv(d, **{"msm.fc1_b": np.zeros(1)}),
+    "msm-apply/out_bias_shape": lambda d: msm_argv(d, **{"msm.fc2_b": np.zeros(1)}),
     "msm-apply/indivisible_audio": lambda d: msm_argv(d, latent=np.zeros((3, 1, 8, 8))),
     "msm-apply/nan_audio": lambda d: msm_argv(d, audio=with_value((4, 8), (2, 6), np.nan)),
     "sfm-apply/garbage": lambda d: sfm_argv(d, features=GARBAGE),
     "sfm-apply/missing_key": lambda d: sfm_argv(d, drop=("sfm.gate_w",)),
     "sfm-apply/rank3": lambda d: sfm_argv(d, features=np.zeros((3, 4, 4))),
     "sfm-apply/rank1_param": lambda d: sfm_argv(d, **{"sfm.gate_w": np.zeros(3)}),
+    "sfm-apply/bias_shape": lambda d: sfm_argv(d, **{"sfm.gate_b": np.zeros(1)}),
     "sfm-apply/nan_features": lambda d: sfm_argv(
         d, features=with_value((2, 3, 4, 4), (1, 0, 3, 3), np.nan)),
     "train-toy/garbage": lambda d: config_argv("train-toy", d, GARBAGE_TEXT),
     "train-toy/missing_key": lambda d: config_argv("train-toy", d, TINY_CONFIG + "=5\n"),
     "train-toy/missing_value": lambda d: config_argv("train-toy", d, TINY_CONFIG + "steps=\n"),
+    "train-toy/repeated_key": lambda d: config_argv("train-toy", d, TINY_CONFIG + "frames=8\n"),
     "sample/garbage": lambda d: sample_argv(d, run_dir(d), audio=GARBAGE),
     "sample/garbage_config": lambda d: sample_argv(d, run_dir(d, config=GARBAGE_TEXT)),
     "sample/missing_key": lambda d: sample_argv(d, run_dir(d, drop=("unet.mid1_w",))),
@@ -677,6 +698,10 @@ HOSTILE_ARGV = {
         "segment", d, source={**SOURCE, "face_bboxes": [[-50, [8, 8, 16, 16]]]}),
     "segment/float_bbox": lambda d: manifest_argv(
         "segment", d, source={**SOURCE, "face_bboxes": [[0, [8.7, 8, 16, 16]]]}),
+    "segment/ratio_above_one": lambda d: [*manifest_argv("segment", d, source=BOXLESS_SOURCE),
+                                          "--ratio", "7"],
+    "crop/ratio_zero": lambda d: [*manifest_argv("crop", d, source=BOXLESS_SOURCE),
+                                  "--ratio", "0"],
     "crop/garbage": lambda d: manifest_argv("crop", d, record=GARBAGE_TEXT),
     "crop/missing_key": lambda d: manifest_argv("crop", d, record=without(RECORD, "end_frame")),
     "crop/rank2_crop_box": lambda d: manifest_argv("crop", d,
@@ -726,6 +751,13 @@ HOSTILE_ERROR_NAMES = {
     "sample/inf_ref": "{d}/r.sgtf: tensor holds a non-finite value",
     "sample/nan_param": "{d}/run/params/unet.mid1_w.sgtf: parameter holds a non-finite value",
     "msm-apply/indivisible_audio": "audio length 8 not divisible by 3 latent frames",
+    "msm-apply/rank3_head": "parameter 'msm.fc1_w' has shape (1, 4, 4), expected (4, 4)",
+    "msm-apply/bias_shape": "parameter 'msm.fc1_b' has shape (1,), expected (4,)",
+    "msm-apply/out_bias_shape": "parameter 'msm.fc2_b' has shape (1,), expected (4,)",
+    "sfm-apply/bias_shape": "channel count 3 does not match gate bias (1,)",
+    "train-toy/repeated_key": f"config line {TINY_CONFIG_END}: repeated key 'frames'",
+    "segment/ratio_above_one": "face ratio must be in (0, 1], got 7.0",
+    "crop/ratio_zero": "face ratio must be in (0, 1], got 0.0",
     "sample/wrong_shape": "parameter 'att.v_w' has shape (4, 1), expected (4, 8)",
     "metrics/nan_beat": "timestamps must be finite",
     "metrics/nan_landmark": "coordinates must be finite",

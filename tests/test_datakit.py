@@ -94,6 +94,12 @@ def test_segment_asset_path_conventions():
 # -- crop boxes --------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("ratio", [0.0, -0.5, 1.5, float("nan")])
+def test_segment_clips_checks_the_ratio_without_a_face_box(ratio):
+    with pytest.raises(ValueError, match="face ratio must be in"):
+        segment_clips(make_source(bboxes=[]), ratio=ratio)
+
+
 def test_crop_box_centered_square():
     assert crop_box((100, 100, 80, 80), 512, 512, ratio=0.8) == (90, 90, 100, 100)
 

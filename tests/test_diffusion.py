@@ -602,6 +602,11 @@ def test_parse_config_rejects_unknown_key():
         parse_config_text("stepz=25\n")
 
 
+def test_parse_config_rejects_repeated_key():
+    with pytest.raises(ValueError, match="config line 2: repeated key 'frames'"):
+        parse_config_text("frames=4\nframes=8")
+
+
 def test_parse_config_rejects_bad_line():
     with pytest.raises(ValueError, match="key=value"):
         parse_config_text("steps 25\n")

@@ -55,6 +55,27 @@ def test_gate_vs_per_position_matmul_oracle():
                 np.testing.assert_allclose(got[fi, :, y, x], want, atol=1e-12)
 
 
+def test_gate_map_matches_einsum_reference():
+    shape = (16, 16, 8, 8)  # the SFM gate shape at the default TrainConfig
+    p = random_sfm_params(seed=6, shape=shape)
+    x = Tensor(rng(7).standard_normal(shape), requires_grad=True)
+    out = gate_map(x, p)
+    g = rng(8).standard_normal(shape)
+    total(ew_mul(out, g)).backward()
+    w, b = p["sfm.gate_w"], p["sfm.gate_b"]
+    pre = np.einsum("oc,ncij->noij", w.data, x.data) + b.data[:, None, None]
+    g_pre = g * out.data * (1.0 - out.data)  # through the sigmoid
+    want = ((out.data, sigmoid(Tensor(pre)).data),
+            (x.grad, np.einsum("oc,noij->ncij", w.data, g_pre)),
+            (w.grad, np.einsum("noij,ncij->oc", g_pre, x.data)),
+            (b.grad, g_pre.sum(axis=(0, 2, 3))))
+    for got, ref in want:
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    p32 = {k: Tensor(v.data.astype(np.float32)) for k, v in p.items()}
+    assert gate_map(Tensor(x.data.astype(np.float32)), p32).dtype == np.float32
+
+
 def test_gate_output_strictly_in_unit_interval():
     p = random_sfm_params(seed=4)
     out = gate_map(Tensor(rng(5).standard_normal(FEAT_SHAPE) * 3.0), p).data

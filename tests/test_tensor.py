@@ -15,10 +15,8 @@ from waveletcond.tensor import (
     Tensor,
     adam_step,
     add,
-    channel_linear,
     conv3x3,
     ew_mul,
-    linear,
     matmul,
     mean,
     nearest_upsample2,
@@ -370,22 +368,6 @@ def _case_matmul_broadcast(r):
             lambda: add(total(sigmoid(matmul(a, b))), total(sigmoid(matmul(c, d)))))
 
 
-@fd_case("linear")
-def _case_linear(r):
-    x = Tensor(r.standard_normal((3, 4)), requires_grad=True)
-    w = Tensor(r.standard_normal((4, 5)), requires_grad=True)
-    b = Tensor(r.standard_normal(5), requires_grad=True)
-    return {"x": x, "w": w, "b": b}, lambda: total(sigmoid(linear(x, w, b)))
-
-
-@fd_case("channel_linear")
-def _case_channel_linear(r):
-    x = Tensor(r.standard_normal((2, 3, 4, 4)), requires_grad=True)
-    w = Tensor(r.standard_normal((3, 3)), requires_grad=True)
-    b = Tensor(r.standard_normal(3), requires_grad=True)
-    return {"x": x, "w": w, "b": b}, lambda: total(sigmoid(channel_linear(x, w, b)))
-
-
 @fd_case("sigmoid")
 def _case_sigmoid(r):
     x = Tensor(r.standard_normal((5,)), requires_grad=True)
@@ -515,7 +497,7 @@ def test_jvp_random_points_match_finite_differences():
     assert failures == 0
 
 
-# -- conv3x3 and channel_linear against the einsum formulas they replaced ------------
+# -- conv3x3 against the einsum formulas it replaced -------------------------------
 
 
 def _einsum_conv3x3(x, w, g, stride):
@@ -795,24 +777,6 @@ def test_nearest_upsample2_grad_matches_reshape_sum_oracle(xs, dtype):
     assert np.array_equal(x.grad, _upsample_grad_oracle(leaf.grad))
 
 
-def test_channel_linear_matches_einsum_reference():
-    r = rng(6)
-    x = Tensor(r.standard_normal((16, 16, 8, 8)), requires_grad=True)  # the SFM gate shape
-    w = Tensor(r.standard_normal((16, 16)), requires_grad=True)
-    b = Tensor(r.standard_normal(16), requires_grad=True)
-    out = channel_linear(x, w, b)
-    g = r.standard_normal(out.shape)
-    total(ew_mul(out, g)).backward()
-    want = np.einsum("oc,ncij->noij", w.data, x.data) + b.data[:, None, None]
-    want_gx = np.einsum("oc,noij->ncij", w.data, g)
-    want_gw = np.einsum("noij,ncij->oc", g, x.data)
-    for got, ref in ((out.data, want), (x.grad, want_gx), (w.grad, want_gw)):
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-
-    x32, w32, b32 = (Tensor(t.data.astype(np.float32)) for t in (x, w, b))
-    assert channel_linear(x32, w32, b32).dtype == np.float32
-
-
 # -- Adam -----------------------------------------------------------------------
 
 
@@ -931,18 +895,15 @@ def test_dtype_follows_data():
     for out in outs:
         T.mean(out).backward()
     assert x32.grad.dtype == np.float32
-    # so do f64 arrays met by matmul (either side) and linear's input
+    # so do f64 arrays met by either side of matmul
     m32 = Tensor(np.ones((3, 3), dtype=np.float32), requires_grad=True)
-    b32 = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
     a64 = np.full((3, 3), 0.5)
-    outs = [T.matmul(m32, a64), T.matmul(a64, m32), T.linear(a64, m32, b32)]
+    outs = [T.matmul(m32, a64), T.matmul(a64, m32)]
     assert [o.dtype for o in outs] == [np.float32] * len(outs)
     for out in outs:
         m32.grad = None
-        b32.grad = None
         T.mean(out).backward()
         assert m32.grad.dtype == np.float32
-    assert b32.grad.dtype == np.float32
     # and a conv3x3 input block given as an f64 array
     x4 = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32), requires_grad=True)
     w4 = Tensor(np.ones((2, 2, 3, 3), dtype=np.float32), requires_grad=True)
