@@ -22,12 +22,16 @@ side's medians, quartiles (inclusive method) and every run go to the output
 file, with the machine information of the first run, the per-pair win count
 and median change of every end-to-end metric (the direction read from the
 change's BENCHMARK.json), and both sides' output of `scripts/bit_identity.py`.
+Beside the metrics, each side also gets every run's minor page faults (the
+`RUSAGE_CHILDREN` `ru_minflt` delta around its subprocess, so set-up and the
+reference check count too) and those faults over the run's attempted items.
 Per-layer figures are not collected.
 """
 
 import argparse
 import io
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -73,11 +77,15 @@ def export(rev: str, dest: Path) -> None:
 
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in `tree`; its result file, parsed."""
+    """One untraced perfbench run in `tree`: its result file, parsed, and its minor faults."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
                     str(seed), "--seconds", str(seconds), "--trace", "0"],
                    cwd=tree, check=True, stdout=subprocess.DEVNULL)
-    return json.loads((tree / ".perfbench-out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    record = json.loads((tree / ".perfbench-out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    record["minor_faults"] = faults
+    return record
 
 
 def bit_identity(tree: Path) -> dict:
@@ -99,6 +107,9 @@ def spread(runs: list[float]) -> dict:
 
 def side_summary(records: list[dict], metrics: list[str]) -> dict:
     summary = {m: spread([r["metrics"][m]["value"] for r in records]) for m in metrics}
+    summary["minor_faults"] = spread([r["minor_faults"] for r in records])
+    summary["minor_faults_per_item"] = spread([r["minor_faults"] / r["attempted"]
+                                               for r in records])
     summary["failed_of_attempted"] = (f"{sum(r['failed'] for r in records)}/"
                                       f"{sum(r['attempted'] for r in records)}")
     summary["reference_ok"] = all(r["reference"]["ok"] for r in records)
@@ -144,7 +155,8 @@ def main(argv=None) -> int:
                     rec = perfbench(trees[side], workload, seed_base + i, seconds)
                     records[workload][side].append(rec)
                     print(f"pair {i} {workload} {side}: " + ", ".join(
-                        f"{m} {rec['metrics'][m]['value']:.4g}" for m in better), flush=True)
+                        f"{m} {rec['metrics'][m]['value']:.4g}" for m in better)
+                          + f", minor_faults {rec['minor_faults']}", flush=True)
         identity = {side: bit_identity(trees[side]) for side in SIDES}
     first = next(iter(records.values()))["parent"][0]
     end_to_end = {}

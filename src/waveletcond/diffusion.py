@@ -32,7 +32,6 @@ from .tensor import (
     as_tensor,
     conv3x3,
     matmul,
-    nearest_upsample2,
     permute,
     relu,
     reshape,
@@ -232,7 +231,7 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
     if cfg.use_sfm:
         m = sfm_forward(m, params)
 
-    d = relu(conv3x3([nearest_upsample2(m), h1], params["unet.up_w"], params["unet.up_b"]))
+    d = relu(conv3x3([m, h1], params["unet.up_w"], params["unet.up_b"]))
     return conv3x3(d, params["unet.out_w"], params["unet.out_b"])
 
 

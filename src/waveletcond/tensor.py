@@ -2,7 +2,7 @@
 
 The op set is deliberately closed.  Primitives carry a hand-written backward
 rule: `add`, `ew_mul`, `matmul`, `sigmoid`, `relu`, `softmax_rows`, `mean`,
-`reshape`, `permute`, `conv3x3` and `nearest_upsample2`.
+`reshape`, `permute` and `conv3x3`.
 `Tensor` defines no arithmetic operators: each op has one spelling, its function.
 The test suite checks every op against central finite differences, and
 every linear one by an adjoint (dot-product) test.  `backward()` leaves a
@@ -10,7 +10,9 @@ gradient only on the leaves: each op output drops its own once its rule has
 run.
 
 Contractions (`matmul`, `conv3x3`) go through `np.matmul`, so they run as
-BLAS matrix products; `conv3x3`'s docstring describes its algorithm.
+BLAS matrix products; `conv3x3`'s docstring describes its algorithm.  It reads
+channel blocks, a half-resolution one nearest-upsampled 2x, and takes the
+input gradient one block at a time.
 
 `add`, `ew_mul` and `matmul` broadcast like numpy (`matmul` over the axes
 before the last two); each operand's gradient is summed back onto its own
@@ -229,6 +231,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    x = as_tensor(x)
     out_data = np.maximum(x.data, 0.0)
 
     def backward(g: np.ndarray) -> None:
@@ -239,6 +242,7 @@ def relu(x: Tensor) -> Tensor:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of a 2-D tensor; each output row sums to 1."""
+    x = as_tensor(x)
     if x.data.ndim != 2:
         raise ValueError(f"softmax_rows: expected 2-D input, got {x.shape}")
     shifted = x.data - x.data.max(axis=1, keepdims=True)
@@ -273,6 +277,7 @@ def mean(x: Tensor, axis: int | tuple[int, ...] | None = None) -> Tensor:
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
+    x = as_tensor(x)
     shape = tuple(int(s) for s in shape)
     out_data = x.data.reshape(shape)
 
@@ -283,6 +288,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
+    x = as_tensor(x)
     axes = tuple(axes)
     inv = np.argsort(axes)
     out_data = x.data.transpose(axes)
@@ -293,7 +299,7 @@ def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
     return Tensor._from_op(out_data, (x,), backward)
 
 
-# -- convolution & resampling ----------------------------------------------------
+# -- convolution -----------------------------------------------------------------
 
 
 def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
@@ -301,35 +307,42 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
 
     x: (n,c,h,w), or a sequence of channel blocks (n,c_i,h,w) read as their
     concatenation along channels; w: (co,c,3,3); b: (co,), in w's dtype.  A
-    non-tensor block or bias is lifted like w.
+    non-tensor block or bias is lifted like w.  (h, w) is the largest block's,
+    and a block of exactly half that, (n,c_i,h/2,w/2), is read
+    nearest-upsampled 2x (as the UNet's `up` conv reads its bottleneck).
 
-    Nine per-tap matmuls over shifted column ranges of one flat buffer; no
-    tap is copied and no (n*ho*wo, c*9) column matrix is built.  Each block
-    is written once into its channel range of a zeroed, channel-major (c, n,
-    s*hq, s*wq) buffer (s the stride, hq = ho + 2//s, wq = wo + 2//s), seen
-    as s*s polyphase components of shape (c, n*hq*wq): a reshape at stride
-    1, one transposing copy at stride 2.  Column (k*hq + i)*wq + j holds
-    output pixel (i, j) of image k, and tap (u, v) reads phase (u%s, v%s)
-    shifted by (u//s)*wq + v//s columns.  The nine products add into one
-    contiguous (co, span) accumulator, span the columns every tap can reach,
-    the bias is added along its long rows, and the output is read from it
-    through one strided view.  Columns with i >= ho or j >= wo are scratch
-    and are not read.  The backward walks the same taps over the output
-    gradient laid out alike with zero borders; the closure keeps only the
-    phases.  The weight gradient is nine matmuls written into one (9, co, c)
-    buffer, the bias gradient the output gradient summed over (n, h, w).
-    The input gradient writes each tap's product into the first span columns
-    of one reused, zeroed (c, n*hq*wq) workspace, and adds it onto its phase
-    as one contiguous flat run, the unwritten columns adding exact zeros;
-    with one output channel that product is an outer product, taken by
-    `np.multiply` (exact, and far cheaper than numpy's inner-dimension-1
-    matmul).  At stride 2 four strided assignments merge the phases back
-    into the padded input layout, and each block that needs a gradient gets
-    its channel slice.  Both accumulations stay in contiguous memory because
-    numpy adds into a strided column slice several times slower at the 8x8
-    bottleneck shapes.  The output and every gradient round exactly as the
-    per-tap `w @ ph`, `w.T @ gf` and `gf @ ph.T` products summed tap by tap,
-    with the bias added last.
+    Nine per-tap matmuls over shifted column ranges of one flat buffer; no tap
+    is copied and no (n*ho*wo, c*9) column matrix is built.  Each block is
+    written once, a half-size one through a broadcast view, into its channel
+    range of a zeroed, channel-major (c, n, s*hq, s*wq) buffer (s the stride,
+    hq = ho + 2//s, wq = wo + 2//s), seen as s*s polyphase components of shape
+    (c, n*hq*wq): a reshape at stride 1, one transposing copy at stride 2.
+    Column (k*hq + i)*wq + j holds output pixel (i, j) of image k, and tap
+    (u, v) reads phase (u%s, v%s) shifted by (u//s)*wq + v//s columns.  The
+    nine products add into one contiguous (co, span) accumulator, span the
+    columns every tap can reach, the bias is added along its long rows, and the
+    output is read from it through one strided view.  Columns with i >= ho or
+    j >= wo are scratch and are not read.  The backward walks the same taps
+    over the output gradient laid out alike with zero borders; the closure
+    keeps only the phases.  The weight gradient is nine matmuls written into
+    one (9, co, c) buffer, the bias gradient the output gradient summed over
+    (n, h, w).  The input gradient is taken one block at a time, only for a
+    block that needs it, so its workspaces are c_i channels wide: with a
+    contiguous copy of the block's weight columns, each tap's product
+    overwrites the first span columns of a zeroed (c_i, n*hq*wq) workspace and
+    adds onto its phase as one contiguous flat run, the unwritten columns
+    adding exact zeros; with one output channel that product is an outer
+    product, taken by `np.multiply` (exact, and far cheaper than numpy's
+    inner-dimension-1 matmul).  At stride 2 four strided assignments merge the
+    phases back into the padded input layout.  A half-size block's gradient is
+    its slice summed over each 2x2 cell as (top-left + top-right) +
+    (bottom-left + bottom-right), which rounds as numpy 2.4's
+    `reshape(...).sum(axis=(3, 5))` whenever w/2 > 1.  Both accumulations stay
+    in contiguous memory because numpy adds into a strided column slice several
+    times slower at the 8x8 bottleneck shapes.  The output and every gradient
+    round exactly as the per-tap `w @ ph`, `w.T @ gf` and `gf @ ph.T` products
+    summed tap by tap, with the bias added last; a block's rows of `w.T @ gf`
+    are the same BLAS products.
     """
     if stride not in (1, 2):
         raise ValueError(f"conv3x3: stride must be 1 or 2, got {stride}")
@@ -342,21 +355,25 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
                          f"weight w{w.shape} {w.dtype}")
     blocks = [as_tensor(t, w) for t in (x if isinstance(x, (list, tuple)) else [x])]
     shapes = [t.shape for t in blocks]
-    if any(len(sh) != 4 for sh in shapes) or len({sh[:1] + sh[2:] for sh in shapes}) != 1:
-        raise ValueError(f"conv3x3: input blocks must be 4-D and agree on (n, h, w), "
-                         f"got {shapes}")
+    full = max((sh[2:] for sh in shapes if len(sh) == 4), default=None)
+    if full is None or any(len(sh) != 4 or sh[0] != shapes[0][0]
+                           or full not in (sh[2:], (2 * sh[2], 2 * sh[3])) for sh in shapes):
+        raise ValueError(f"conv3x3: input blocks must be 4-D and agree on n and on (h, w) "
+                         f"or exactly half of it, got {shapes}")
     bounds = list(itertools.accumulate((sh[1] for sh in shapes), initial=0))
     if bounds[-1] != w.shape[1]:
         raise ValueError(f"conv3x3: channel mismatch x{shapes} w{w.shape}")
     s = stride
-    n, _, h, wd = shapes[0]
+    n, (h, wd) = shapes[0][0], full
     c = bounds[-1]
     ho, wo = (h - 1) // s + 1, (wd - 1) // s + 1
     hq, wq = ho + 2 // s, wo + 2 // s
     dtype = np.result_type(*(t.data for t in blocks), w.data)
     buf = np.zeros((c, n, s * hq, s * wq), dtype=dtype)
     for t, lo, hi in zip(blocks, bounds, bounds[1:]):
-        buf[lo:hi, :, 1:1 + h, 1:1 + wd] = t.data.transpose(1, 0, 2, 3)
+        k = 1 if t.shape[2:] == full else 2  # a split-axes reshape of a view is a view
+        buf[lo:hi, :, 1:1 + h, 1:1 + wd].reshape(hi - lo, n, h // k, k, wd // k, k)[...] = \
+            t.data.transpose(1, 0, 2, 3)[:, :, :, None, :, None]
     ph = buf.reshape(c, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s * s, c, -1)
     taps = [(u, v, (u % s) * s + v % s, (u // s) * wq + v // s) for u in range(3) for v in range(3)]
     cols = n * hq * wq
@@ -365,6 +382,43 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     for u, v, p, off in taps:
         acc += w.data[:, :, u, v] @ ph[p, :, off:off + span]
     acc += b.data[:, None]
+
+    def block_grad(gf: np.ndarray, lo: int, hi: int, half: bool) -> np.ndarray:
+        """The input gradient of channels lo:hi, in their block's (n, c_i, ., .) layout."""
+        ci = hi - lo
+        gph = np.zeros((s * s, ci, cols), dtype=dtype)
+        # each tap's product overwrites the first span columns of tmp, whose
+        # other columns are set to +0.0 once; so one contiguous run of L
+        # entries adds it onto its phase, and the pad columns add exact zeros
+        # to the head of the next channel's row (gph starts at +0.0, so it
+        # never holds a -0.0 that such an add would flip)
+        tmp = np.empty((ci, cols), dtype=dtype)
+        tmp[:, span:] = 0.0
+        L = ci * cols - (cols - span)
+        gflat, tflat = gph.reshape(s * s, -1), tmp.reshape(-1)[:L]
+        # each tap's (co, c_i) block made contiguous: a strided operand sends
+        # matmul with out= down a slower path, and its transpose keeps the
+        # BLAS call (and the rounding) of `w.data[:, lo:hi, u, v].T @ gf`
+        wt = np.ascontiguousarray(w.data[:, lo:hi].transpose(2, 3, 0, 1))
+        for u, v, p, off in taps:
+            if co == 1:  # an outer product: numpy's k=1 matmul is far slower
+                np.multiply(wt[u, v].T, gf, out=tmp[:, :span])
+            else:
+                np.matmul(wt[u, v].T, gf, out=tmp[:, :span])
+            gflat[p, off:off + L] += tflat
+        del tmp, tflat  # not held while the phases are merged
+        if s == 1:
+            gbuf = gph.reshape(ci, n, hq, wq)
+        else:
+            gbuf = np.empty((ci, n, hq, s, wq, s), dtype=dtype)
+            for p in range(s * s):
+                gbuf[:, :, :, p // s, :, p % s] = gph[p].reshape(ci, n, hq, wq)
+            gbuf = gbuf.reshape(ci, n, s * hq, s * wq)
+        gx = gbuf[:, :, 1:1 + h, 1:1 + wd]
+        if half:
+            gx = ((gx[:, :, 0::2, 0::2] + gx[:, :, 0::2, 1::2])
+                  + (gx[:, :, 1::2, 0::2] + gx[:, :, 1::2, 1::2]))
+        return gx.transpose(1, 0, 2, 3)
 
     def backward(g: np.ndarray) -> None:
         if b.requires_grad:
@@ -377,38 +431,9 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
             for t, (_, _, p, off) in enumerate(taps):
                 np.matmul(gf, ph[p, :, off:off + span].T, out=gw[t])
             w._accumulate(gw.transpose(1, 2, 0).reshape(w.shape))
-        if any(t.requires_grad for t in blocks):
-            gph = np.zeros_like(ph)
-            # each tap's product overwrites the first span columns of tmp,
-            # whose other columns are set to +0.0 once; so one contiguous run
-            # of L entries adds it onto its phase, and the pad columns add
-            # exact zeros to the head of the next channel's row (gph starts
-            # at +0.0, so it never holds a -0.0 that such an add would flip)
-            tmp = np.empty((c, cols), dtype=dtype)
-            tmp[:, span:] = 0.0
-            L = c * cols - (cols - span)
-            gflat, tflat = gph.reshape(s * s, -1), tmp.reshape(-1)[:L]
-            # each tap's (co, c) block made contiguous: a strided operand sends
-            # matmul with out= down a slower path, and its transpose keeps the
-            # BLAS call (and the rounding) of `w.data[:, :, u, v].T @ gf`
-            wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))
-            for u, v, p, off in taps:
-                if co == 1:  # an outer product: numpy's k=1 matmul is far slower
-                    np.multiply(wt[u, v].T, gf, out=tmp[:, :span])
-                else:
-                    np.matmul(wt[u, v].T, gf, out=tmp[:, :span])
-                gflat[p, off:off + L] += tflat
-            del tmp, tflat  # not held while the input gradient is accumulated
-            if s == 1:
-                gbuf = gph.reshape(c, n, hq, wq)
-            else:
-                gbuf = np.empty((c, n, hq, s, wq, s), dtype=dtype)
-                for p in range(s * s):
-                    gbuf[:, :, :, p // s, :, p % s] = gph[p].reshape(c, n, hq, wq)
-                gbuf = gbuf.reshape(c, n, s * hq, s * wq)
-            for t, lo, hi in zip(blocks, bounds, bounds[1:]):
-                if t.requires_grad:
-                    t._accumulate(gbuf[lo:hi, :, 1:1 + h, 1:1 + wd].transpose(1, 0, 2, 3))
+        for t, lo, hi in zip(blocks, bounds, bounds[1:]):
+            if t.requires_grad:
+                t._accumulate(block_grad(gf, lo, hi, t.shape[2:] != full))
 
     # output pixel (k, o, i, j) sits at acc[o, (k*hq + i)*wq + j]; the largest
     # column read, ((n-1)*hq + ho-1)*wq + wo-1, is span - 1 at both strides
@@ -417,26 +442,6 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     out = np.lib.stride_tricks.as_strided(acc, (n, co, ho, wo), (hq * wq * e, span * e, wq * e, e),
                                           writeable=False)
     return Tensor._from_op(np.ascontiguousarray(out), (*blocks, w, b), backward)
-
-
-def nearest_upsample2(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x upsampling of the trailing two dimensions.
-
-    The backward sums each 2x2 output block as (top-left + top-right) +
-    (bottom-left + bottom-right), three strided adds.  That grouping rounds
-    exactly as numpy 2.4's `reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))`
-    whenever w > 1 (at w == 1 numpy adds the four in a row) at a fraction of
-    its cost.
-    """
-    if x.data.ndim != 4:
-        raise ValueError(f"nearest_upsample2: expected 4-D input, got {x.shape}")
-    out_data = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate((g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2])
-                      + (g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2]))
-
-    return Tensor._from_op(out_data, (x,), backward)
 
 
 # -- optimizer ----------------------------------------------------------------

@@ -23,7 +23,6 @@ from waveletcond.tensor import (
     ew_mul,
     matmul,
     mean,
-    nearest_upsample2,
     permute,
     reshape,
 )
@@ -84,7 +83,22 @@ def test_conv3x3_adjoint_in_w(stride, n, c, co, h, w, seed):
     assert gap < RTOL
 
 
-# -- wavelet transforms and resampling --------------------------------------------
+@pytest.mark.parametrize("stride", [1, 2])
+@ADJOINT
+@given(n=st.integers(1, 3), c=st.integers(1, 3), skip=st.integers(1, 2), co=st.integers(1, 4),
+       h=st.integers(1, 4), w=st.integers(1, 4), seed=SEEDS)
+@example(n=1, c=2, skip=1, co=1, h=3, w=1, seed=0)
+def test_conv3x3_adjoint_in_half_resolution_block(stride, n, c, skip, co, h, w, seed):
+    # a block of half the height and width, read nearest-upsampled, beside a
+    # full-size one, as in the UNet's `up` conv
+    r = np.random.default_rng(seed)
+    weight = Tensor(r.standard_normal((co, c + skip, 3, 3)))
+    gap = adjoint_gap(lambda *xs: conv3x3(list(xs), weight, np.zeros(co), stride),
+                      [(n, c, h, w), (n, skip, 2 * h, 2 * w)], r)
+    assert gap < RTOL
+
+
+# -- wavelet transforms ------------------------------------------------------------
 
 
 @ADJOINT
@@ -98,13 +112,6 @@ def test_dwt2_adjoint(lead, h, w, seed):
 @given(lead=st.lists(SIDES, max_size=2).map(tuple), h=SIDES, w=SIDES, seed=SEEDS)
 def test_idwt2_adjoint(lead, h, w, seed):
     gap = adjoint_gap(idwt2, [(4, *lead, h, w)], np.random.default_rng(seed))
-    assert gap < RTOL
-
-
-@ADJOINT
-@given(shape=st.tuples(SIDES, SIDES, SIDES, SIDES), seed=SEEDS)
-def test_nearest_upsample2_adjoint(shape, seed):
-    gap = adjoint_gap(nearest_upsample2, [shape], np.random.default_rng(seed))
     assert gap < RTOL
 
 

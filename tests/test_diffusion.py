@@ -369,7 +369,8 @@ def test_train_ignores_stale_caller_gradients():
 
 def test_train_holds_one_graph_and_no_spent_gradients():
     # a step's peak holds one graph and the leaves' gradients: keeping either
-    # the previous step's graph or every intermediate .grad reads 14-15 MB
+    # the previous step's graph or every intermediate .grad reads 14-15 MB;
+    # a 4x copy of the bottleneck and its gradient in the up conv, 9.8 MiB
     cfg = dataclasses.replace(TrainConfig(seed=1), steps=3)
     ds = make_synthetic_dataset(cfg.n_clips, cfg.frames, cfg.height, cfg.width, seed=cfg.seed,
                                 samples_per_frame=cfg.samples_per_frame,
@@ -381,7 +382,27 @@ def test_train_holds_one_graph_and_no_spent_gradients():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 2**20
+    assert peak <= 9.3 * 2**20
+
+
+def test_unet_forward_without_tape_stays_small():
+    # constant params build no tape; the peak is the activations of one pass
+    # and the conv workspaces (2.25 MiB; with a 4x copy of the bottleneck, 2.75 MiB)
+    cfg = TrainConfig()
+    clip = make_synthetic_dataset(1, cfg.frames, cfg.height, cfg.width, seed=cfg.seed,
+                                  samples_per_frame=cfg.samples_per_frame,
+                                  amplitude=cfg.amplitude)[0]
+    params = {k: Tensor(p.data) for k, p in init_model_params(cfg).items()}
+    win = audio_to_windows(clip.audio, cfg)
+    unet_forward(clip.frames, 3, win, clip.frames[0], params, cfg)  # warm-up
+    tracemalloc.start()
+    try:
+        out = unet_forward(clip.frames, 3, win, clip.frames[0], params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not out.requires_grad
+    assert peak <= 2.5 * 2**20
 
 
 def test_train_emits_loss_every_k_steps():

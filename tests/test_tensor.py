@@ -19,13 +19,13 @@ from waveletcond.tensor import (
     ew_mul,
     matmul,
     mean,
-    nearest_upsample2,
     permute,
     relu,
     reshape,
     sigmoid,
     softmax_rows,
 )
+from waveletcond.wavelet import dwt2, idwt2
 
 from gradcheck import check_gradients, max_rel_error, numeric_grad
 
@@ -443,14 +443,13 @@ def _case_conv_c_out_1(r):
 
 @fd_case("conv3x3_two_blocks")
 def _case_conv_two_blocks(r):
-    # the `up` conv's layout: an upsampled block that needs a gradient and a skip block
-    # that does not
+    # the `up` conv's layout: a half-resolution block that needs a gradient and a skip
+    # block that does not
     x = Tensor(r.standard_normal((2, 3, 2, 3)), requires_grad=True)
     skip = Tensor(r.standard_normal((2, 2, 4, 6)))
     w = Tensor(r.standard_normal((4, 5, 3, 3)) * 0.3, requires_grad=True)
     b = Tensor(r.standard_normal(4), requires_grad=True)
-    return {"x": x, "w": w, "b": b}, lambda: total(sigmoid(
-        conv3x3([nearest_upsample2(x), skip], w, b)))
+    return {"x": x, "w": w, "b": b}, lambda: total(sigmoid(conv3x3([x, skip], w, b)))
 
 
 @fd_case("conv3x3_three_blocks")
@@ -465,10 +464,14 @@ def _case_conv_three_blocks(r):
         conv3x3([x0, x1, x2], w, b, stride=2)))
 
 
-@fd_case("nearest_upsample2")
-def _case_upsample(r):
+@fd_case("conv3x3_half_resolution_stride2")
+def _case_conv_half_resolution_stride2(r):
+    # a half-resolution block and a full one, both needing gradients, at stride 2
     x = Tensor(r.standard_normal((2, 3, 3, 3)), requires_grad=True)
-    return {"x": x}, lambda: total(sigmoid(nearest_upsample2(x)))
+    skip = Tensor(r.standard_normal((2, 2, 6, 6)), requires_grad=True)
+    w = Tensor(r.standard_normal((3, 5, 3, 3)) * 0.3)
+    b = Tensor(r.standard_normal(3))
+    return {"x": x, "skip": skip}, lambda: total(sigmoid(conv3x3([x, skip], w, b, stride=2)))
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
@@ -706,6 +709,11 @@ def test_conv3x3_forward_is_strided_accumulation(xs, ws, stride, dtype):
     assert np.array_equal(out, _strided_conv3x3_forward(x, w, stride) + b[:, None, None])
 
 
+def _upsampled(x, h):
+    """A block as the conv reads it at full height h: nearest-upsampled 2x if half size."""
+    return x if x.shape[2] == h else np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+
+
 def _unet_block_inputs(name, r, dtype):
     """The channel blocks that unet_forward hands the `in` or `up` conv, with its weights."""
     cfg = TrainConfig()
@@ -715,10 +723,9 @@ def _unet_block_inputs(name, r, dtype):
         ref = _scaled_normal(r, (c // 2, h, wd), dtype)
         blocks = [_scaled_normal(r, (n, c // 2, h, wd), dtype),
                   np.broadcast_to(ref, (n, c // 2, h, wd))]
-    else:  # [upsampled bottleneck, skip]
+    else:  # [bottleneck at half resolution, skip]
         mid = 2 * cfg.base_channels
-        blocks = [np.repeat(np.repeat(_scaled_normal(r, (n, mid, h // 2, wd // 2), dtype),
-                                      2, axis=2), 2, axis=3),
+        blocks = [_scaled_normal(r, (n, mid, h // 2, wd // 2), dtype),
                   _scaled_normal(r, (n, c - mid, h, wd), dtype)]
     return blocks, _scaled_normal(r, ws, dtype), _scaled_normal(r, ws[0], dtype)
 
@@ -729,7 +736,9 @@ def test_conv3x3_blocks_forward_equals_concatenated_input(name, dtype):
     # blocks written straight into the conv's buffer round as their concatenation would
     blocks, w, b = _unet_block_inputs(name, rng(15), dtype)
     out = conv3x3([Tensor(blocks[0]), blocks[1]], Tensor(w), Tensor(b)).data
-    want = _strided_conv3x3_forward(np.concatenate(blocks, axis=1), w, 1) + b[:, None, None]
+    h = blocks[1].shape[2]
+    full = np.concatenate([_upsampled(x, h) for x in blocks], axis=1)
+    want = _strided_conv3x3_forward(full, w, 1) + b[:, None, None]
     assert out.dtype == dtype
     assert np.array_equal(out, want)
 
@@ -737,8 +746,16 @@ def test_conv3x3_blocks_forward_equals_concatenated_input(name, dtype):
 def test_conv3x3_rejects_mismatched_blocks_and_bias():
     r = rng(16)
     x, w = Tensor(r.standard_normal((2, 3, 4, 4))), Tensor(r.standard_normal((5, 3, 3, 3)))
-    with pytest.raises(ValueError, match="agree on"):
-        conv3x3([x, np.zeros((2, 1, 4, 5))], Tensor(r.standard_normal((5, 4, 3, 3))), np.zeros(5))
+    w4 = Tensor(r.standard_normal((5, 4, 3, 3)))
+    with pytest.raises(ValueError, match=r"agree on.*\(2, 3, 4, 4\).*\(2, 1, 4, 5\)"):
+        conv3x3([x, np.zeros((2, 1, 4, 5))], w4, np.zeros(5))
+    # a different n, at full and at half size
+    for other in [(3, 1, 4, 4), (3, 1, 2, 2)]:
+        with pytest.raises(ValueError, match="agree on"):
+            conv3x3([x, np.zeros(other)], w4, np.zeros(5))
+    # half of 5x7 rounded down is not exactly half
+    with pytest.raises(ValueError, match=r"agree on.*\(2, 1, 5, 7\).*\(2, 3, 2, 3\)"):
+        conv3x3([np.zeros((2, 1, 5, 7)), np.zeros((2, 3, 2, 3))], w4, np.zeros(5))
     with pytest.raises(ValueError, match="channel mismatch"):
         conv3x3([x, np.zeros((2, 1, 4, 4))], w, np.zeros(5))
     with pytest.raises(ValueError, match="bias"):
@@ -750,30 +767,34 @@ def test_conv3x3_rejects_mismatched_blocks_and_bias():
 
 
 def _upsample_grad_oracle(g):
-    """The nearest_upsample2 gradient as one reduction over each 2x2 block."""
+    """The nearest-upsampling gradient as one reduction over each 2x2 block."""
     n, c, h2, w2 = g.shape
     return g.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("xs", [(16, 16, 8, 8), (2, 3, 3, 3), (1, 2, 5, 2), (3, 1, 1, 4)],
                          ids=["unet_mid", "3x3", "5x2", "1x4"])
-def test_nearest_upsample2_grad_matches_reshape_sum_oracle(xs, dtype):
-    # Widths above 1 only: at width 1 numpy's reduction adds the four entries in
-    # a row, which rounds differently.  The upstream gradient is the first block's
-    # slice of a conv3x3 input gradient, as in unet_forward's `up` conv.
+def test_conv3x3_half_resolution_block_matches_upsample_oracles(xs, stride, dtype):
+    # The half-resolution block reads as its np.repeat copy, and its gradient is
+    # the reshape-sum of the gradient a full-resolution copy gets.  Widths above 1
+    # only: at width 1 numpy's reduction adds the four entries in a row, which
+    # rounds differently.
     r = rng(13)
     x = Tensor(r.standard_normal(xs).astype(dtype), requires_grad=True)
     n, c, h, wd = xs
     skip = Tensor(r.standard_normal((n, 2, 2 * h, 2 * wd)).astype(dtype))
     w = Tensor(_scaled_normal(r, (3, c + 2, 3, 3), dtype))
     b = Tensor(_scaled_normal(r, 3, dtype))
-    up = nearest_upsample2(x)
-    out = conv3x3([up, skip], w, b)
+    out = conv3x3([x, skip], w, b, stride=stride)
+    up = _upsampled(x.data, 2 * h)
+    want = _strided_conv3x3_forward(np.concatenate([up, skip.data], axis=1), w.data, stride)
+    assert np.array_equal(out.data, want + b.data[:, None, None])
     g = _scaled_normal(r, out.shape, dtype)
     total(ew_mul(out, g)).backward()
-    leaf = Tensor(up.data, requires_grad=True)  # the same conv, its first block a leaf
-    total(ew_mul(conv3x3([leaf, skip], w, b), g)).backward()
+    leaf = Tensor(up, requires_grad=True)  # the same conv, its first block at full size
+    total(ew_mul(conv3x3([leaf, skip], w, b, stride=stride), g)).backward()
     assert np.array_equal(x.grad, _upsample_grad_oracle(leaf.grad))
 
 
@@ -912,3 +933,30 @@ def test_dtype_follows_data():
     assert out.dtype == np.float32
     T.mean(out).backward()
     assert x4.grad.dtype == w4.grad.dtype == b4.grad.dtype == np.float32
+
+
+# every one-operand primitive, with an input shape it accepts
+ONE_OPERAND = {
+    "sigmoid": (sigmoid, (2, 2)),
+    "relu": (relu, (2, 2)),
+    "softmax_rows": (softmax_rows, (2, 2)),
+    "mean": (mean, (2, 2)),
+    "reshape": (lambda x: reshape(x, (4,)), (2, 2)),
+    "permute": (lambda x: permute(x, (1, 0)), (2, 2)),
+    "dwt2": (dwt2, (2, 2)),
+    "idwt2": (idwt2, (4, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", ["f64", "f32", "int", "memoryview"])
+@pytest.mark.parametrize("name", sorted(ONE_OPERAND))
+def test_lone_operand_follows_the_tensor_rule(name, kind):
+    # a non-tensor lone operand becomes a constant as Tensor(x) would make it
+    op, shape = ONE_OPERAND[name]
+    data = np.arange(-2, np.prod(shape) - 2).reshape(shape)
+    x = {"f64": data.astype(np.float64), "f32": data.astype(np.float32), "int": data,
+         "memoryview": memoryview(data.astype(np.float32))}[kind]
+    out, want = op(x), op(Tensor(x))
+    assert not out.requires_grad
+    assert out.dtype == want.dtype == Tensor(x).dtype
+    assert np.array_equal(out.data, want.data)
