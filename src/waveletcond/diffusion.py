@@ -219,13 +219,15 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
     temb = params["unet.temb"]
     h1 = relu(add(h1, reshape(matmul(np.eye(1, temb.shape[0], t - 1), temb), (-1, 1, 1))))
 
-    h2 = relu(conv3x3(h1, params["unet.down_w"], params["unet.down_b"], stride=2))
-    m = relu(conv3x3(h2, params["unet.mid1_w"], params["unet.mid1_b"]))
+    # each bottleneck result rebinds m, so without a tape no spent one (the
+    # down conv's output, the attention's token matrix) lives into the up conv
+    m = relu(conv3x3(h1, params["unet.down_w"], params["unet.down_b"], stride=2))
+    m = relu(conv3x3(m, params["unet.mid1_w"], params["unet.mid1_b"]))
 
     f, cmid, hb, wb = m.shape
-    vid_tokens = reshape(permute(m, (0, 2, 3, 1)), (f * hb * wb, cmid))
-    vid_tokens = audio_attention(vid_tokens, tokens, params)
-    m = permute(reshape(vid_tokens, (f, hb, wb, cmid)), (0, 3, 1, 2))
+    m = reshape(permute(m, (0, 2, 3, 1)), (f * hb * wb, cmid))
+    m = audio_attention(m, tokens, params)
+    m = permute(reshape(m, (f, hb, wb, cmid)), (0, 3, 1, 2))
 
     m = relu(conv3x3(m, params["unet.mid2_w"], params["unet.mid2_b"]))
     if cfg.use_sfm:

@@ -71,6 +71,8 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
         raise ValueError(f"ssim: expected 2-D images, got shape {a.shape}")
     if min(a.shape) < SSIM_WINDOW:
         raise ValueError(f"ssim: image {a.shape} smaller than window {SSIM_WINDOW}")
+    if not 0.0 < peak < math.inf:
+        raise ValueError(f"ssim: peak must be finite and positive, got {peak}")
     kh, kw = (_window_matrix(n) for n in a.shape)
     mu_a, mu_b, e_aa, e_bb, e_ab = kh @ np.stack([a, b, a * a, b * b, a * b]) @ kw.T
     var_a = e_aa - mu_a ** 2

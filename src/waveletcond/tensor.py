@@ -11,8 +11,9 @@ run.
 
 Contractions (`matmul`, `conv3x3`) go through `np.matmul`, so they run as
 BLAS matrix products; `conv3x3`'s docstring describes its algorithm.  It reads
-channel blocks, a half-resolution one nearest-upsampled 2x, and takes the
-input gradient one block at a time.
+channel blocks, a half-resolution one nearest-upsampled 2x, keeps only the
+blocks on the tape (its backward rebuilds their zero-padded buffer), and takes
+the input gradient one block at a time.
 
 `add`, `ew_mul` and `matmul` broadcast like numpy (`matmul` over the axes
 before the last two); each operand's gradient is summed back onto its own
@@ -28,6 +29,7 @@ replaces parameter tensors instead of mutating them.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -312,20 +314,27 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     nearest-upsampled 2x (as the UNet's `up` conv reads its bottleneck).
 
     Nine per-tap matmuls over shifted column ranges of one flat buffer; no tap
-    is copied and no (n*ho*wo, c*9) column matrix is built.  Each block is
-    written once, a half-size one through a broadcast view, into its channel
-    range of a zeroed, channel-major (c, n, s*hq, s*wq) buffer (s the stride,
-    hq = ho + 2//s, wq = wo + 2//s), seen as s*s polyphase components of shape
-    (c, n*hq*wq): a reshape at stride 1, one transposing copy at stride 2.
+    is copied and no (n*ho*wo, c*9) column matrix is built.  The zero-padded,
+    channel-major (c, n, s*hq, s*wq) input (s the stride, hq = ho + 2//s,
+    wq = wo + 2//s) is held as its s*s polyphase components of shape
+    (c, n*hq*wq), padded row s*i + p being row i of phase p (columns alike).
+    Each block is written straight into its channel range of the zeroed
+    phases: at stride 1 a full-size block by one assignment and a half-size one
+    by four strided assignments of the block itself, one per pixel of each 2x2
+    cell; at stride 2 by four strided assignments, one per phase, of the
+    block's even or odd rows and columns (of the whole block if it is
+    half-size), so no padded buffer is transposed.
     Column (k*hq + i)*wq + j holds output pixel (i, j) of image k, and tap
     (u, v) reads phase (u%s, v%s) shifted by (u//s)*wq + v//s columns.  The
     nine products add into one contiguous (co, span) accumulator, span the
     columns every tap can reach, the bias is added along its long rows, and the
     output is read from it through one strided view.  Columns with i >= ho or
     j >= wo are scratch and are not read.  The backward walks the same taps
-    over the output gradient laid out alike with zero borders; the closure
-    keeps only the phases.  The weight gradient is nine matmuls written into
-    one (9, co, c) buffer, the bias gradient the output gradient summed over
+    over the output gradient laid out alike with zero borders.  The closure
+    keeps the blocks, not the phases: only when the weight needs a gradient
+    does the backward rebuild the phases from the blocks, for the weight
+    gradient's nine matmuls into one (9, co, c) buffer, then free them before
+    the input gradients.  The bias gradient is the output gradient summed over
     (n, h, w).  The input gradient is taken one block at a time, only for a
     block that needs it, so its workspaces are c_i channels wide: with a
     contiguous copy of the block's weight columns, each tap's product
@@ -369,12 +378,22 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     ho, wo = (h - 1) // s + 1, (wd - 1) // s + 1
     hq, wq = ho + 2 // s, wo + 2 // s
     dtype = np.result_type(*(t.data for t in blocks), w.data)
-    buf = np.zeros((c, n, s * hq, s * wq), dtype=dtype)
-    for t, lo, hi in zip(blocks, bounds, bounds[1:]):
-        k = 1 if t.shape[2:] == full else 2  # a split-axes reshape of a view is a view
-        buf[lo:hi, :, 1:1 + h, 1:1 + wd].reshape(hi - lo, n, h // k, k, wd // k, k)[...] = \
-            t.data.transpose(1, 0, 2, 3)[:, :, :, None, :, None]
-    ph = buf.reshape(c, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s * s, c, -1)
+
+    def phases() -> np.ndarray:
+        """The blocks' zero-padded buffer as its (s*s, c, n*hq*wq) polyphase components."""
+        ph = np.zeros((s, s, c, n, hq, wq), dtype=dtype)
+        for t, lo, hi in zip(blocks, bounds, bounds[1:]):
+            k = 1 if t.shape[2:] == full else 2  # a half-size block repeats each row and column
+            m = max(s, k)  # padded rows e, e + m, ... (1 <= e <= m) share a phase and stride
+            d = m // s
+            xt = t.data.transpose(1, 0, 2, 3)
+            for e, f in itertools.product(range(1, m + 1), repeat=2):
+                src = xt[:, :, (e - 1) // k::m // k, (f - 1) // k::m // k]
+                (hn, wn), i, j = src.shape[2:], e // s, f // s
+                ph[e % s, f % s, lo:hi, :, i:i + d * hn:d, j:j + d * wn:d] = src
+        return ph.reshape(s * s, c, -1)
+
+    ph = phases()
     taps = [(u, v, (u % s) * s + v % s, (u // s) * wq + v // s) for u in range(3) for v in range(3)]
     cols = n * hq * wq
     span = cols - taps[-1][3]  # tap (2, 2) reaches furthest
@@ -427,9 +446,11 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         gf[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
         gf = gf.reshape(co, cols)[:, :span]
         if w.requires_grad:
+            ph = phases()
             gw = np.empty((9, co, c), dtype=dtype)
             for t, (_, _, p, off) in enumerate(taps):
                 np.matmul(gf, ph[p, :, off:off + span].T, out=gw[t])
+            del ph  # not held while the input gradients are taken
             w._accumulate(gw.transpose(1, 2, 0).reshape(w.shape))
         for t, lo, hi in zip(blocks, bounds, bounds[1:]):
             if t.requires_grad:
@@ -470,8 +491,8 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
     parameters advance in place.  Each parameter's bias correction uses its
     own step count, so skipped steps do not count.
     """
-    if lr <= 0.0:
-        raise ValueError(f"adam_step: lr must be positive, got {lr}")
+    if not 0.0 < lr < math.inf:
+        raise ValueError(f"adam_step: lr must be positive and finite, got {lr}")
     new_params: dict[str, Tensor] = {}
     for k, p in params.items():
         g = grads.get(k)

@@ -132,6 +132,16 @@ def test_ssim_rejects_small_images():
         ssim(np.zeros((8, 8)), np.zeros((8, 8)))
 
 
+@pytest.mark.parametrize("metric", [psnr, ssim])
+@pytest.mark.parametrize("peak", [-1.0, 0.0, math.nan, math.inf])
+def test_psnr_and_ssim_reject_peak_not_finite_and_positive(metric, peak):
+    # ssim used to read peak=-1 as 1 (only its square enters), return nan for
+    # nan, and stop on a RuntimeWarning for inf
+    a = rng(10).random((12, 12))
+    with pytest.raises(ValueError, match="peak must be finite and positive"):
+        metric(a, 0.5 * a, peak=peak)
+
+
 def test_ssim_window_normalized():
     w = gaussian_window()
     assert w.shape == (11, 11)

@@ -617,6 +617,27 @@ def test_conv3x3_peak_memory_stays_near_input_size(xs, ws, stride, bound):
     assert peak < bound
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv3x3_tape_keeps_no_padded_buffer(stride):
+    # with a trainable weight the tape keeps the input blocks, which the
+    # caller holds anyway, and the backward rebuilds the padded buffer from
+    # them; a closure holding that buffer (0.99 MB for these blocks at stride 1)
+    # keeps far more than the output
+    r = rng(12)
+    xs = [Tensor(r.standard_normal((16, 16, 8, 8)), requires_grad=True),
+          Tensor(r.standard_normal((16, 8, 16, 16)), requires_grad=True)]
+    w = Tensor(r.standard_normal((8, 24, 3, 3)), requires_grad=True)
+    b = Tensor(r.standard_normal(8), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = conv3x3(xs, w, b, stride=stride)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert kept <= out.data.nbytes + 16 * 2**10
+
+
 def _per_tap_input_grad(w, g, stride, x_shape):
     """The conv input gradient tap by tap: `w[:, :, u, v].T @ g`, u-major, onto the padded input."""
     n, c, h, wd = x_shape
@@ -878,6 +899,16 @@ def test_adam_rejects_nonpositive_lr():
     state = AdamState(params)
     with pytest.raises(ValueError, match="lr"):
         adam_step(params, {"w": np.array([1.0])}, state, lr=0.0)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_adam_rejects_nonfinite_lr(lr):
+    # nan made every updated parameter nan, and inf made them infinite
+    params = {"w": Tensor([1.0], requires_grad=True)}
+    state = AdamState(params)
+    with pytest.raises(ValueError, match=f"lr must be positive and finite, got {lr}"):
+        adam_step(params, {"w": np.array([1.0])}, state, lr=lr)
+    assert state.step["w"] == 0
 
 
 def test_adam_rejects_shape_mismatch():
