@@ -125,16 +125,27 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommand bodies ---------------------------------------------------------------
 
 
+def finite_result(command: str, compute, *inputs: np.ndarray) -> np.ndarray:
+    """`compute()` without numpy's float warnings; a non-finite result of finite
+    `inputs` is a numeric failure, raised before any file is written."""
+    with np.errstate(all="ignore"):
+        out = compute()
+    if not np.isfinite(out).all() and all(np.isfinite(x).all() for x in inputs):
+        raise DivergenceError(f"{command}: non-finite result from finite input")
+    return out
+
+
 def cmd_dwt(args) -> int:
-    bands = dwt2_data(sgtf.read_tensor(args.input))
+    x = sgtf.read_tensor(args.input)
+    bands = finite_result("dwt", lambda: dwt2_data(x), x)
     for name, band in zip(BAND_ORDER, bands):
         sgtf.write_tensor(f"{args.out_prefix}.{name}.sgtf", band)
     return EXIT_OK
 
 
 def cmd_idwt(args) -> int:
-    bands = [sgtf.read_tensor(f"{args.in_prefix}.{name}.sgtf") for name in BAND_ORDER]
-    sgtf.write_tensor(args.output, idwt2_data(np.stack(bands)))
+    bands = np.stack([sgtf.read_tensor(f"{args.in_prefix}.{name}.sgtf") for name in BAND_ORDER])
+    sgtf.write_tensor(args.output, finite_result("idwt", lambda: idwt2_data(bands), bands))
     return EXIT_OK
 
 
@@ -170,7 +181,8 @@ def cmd_msm_apply(args) -> int:
         raise ValueError(f"msm-apply: audio length {audio.shape[1]} not divisible by "
                          f"{latent.shape[0]} latent frames")
     require_params(params, init_msm_params(latent.shape), args.params)
-    out = msm_forward(audio, latent, params)
+    # every input is finite: `read_model_input` and `load_params` check
+    out = finite_result("msm-apply", lambda: msm_forward(audio, latent, params).data)
     sgtf.write_tensor(args.out, out)
     return EXIT_OK
 
@@ -179,7 +191,7 @@ def cmd_sfm_apply(args) -> int:
     params = sgtf.load_params(args.params)
     features = read_model_input(args.features)
     require_params(params, init_sfm_params(features.shape), args.params)
-    out = sfm_forward(features, params)
+    out = finite_result("sfm-apply", lambda: sfm_forward(features, params).data)
     sgtf.write_tensor(args.out, out)
     return EXIT_OK
 
@@ -335,6 +347,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # a backstop for sizes no input check bounds
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -329,29 +329,30 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     nine products add into one contiguous (co, span) accumulator, span the
     columns every tap can reach, the bias is added along its long rows, and the
     output is read from it through one strided view.  Columns with i >= ho or
-    j >= wo are scratch and are not read.  The backward walks the same taps
-    over the output gradient laid out alike with zero borders.  The closure
-    keeps the blocks, not the phases: only when the weight needs a gradient
-    does the backward rebuild the phases from the blocks, for the weight
-    gradient's nine matmuls into one (9, co, c) buffer, then free them before
+    j >= wo are scratch and are not read.  The backward lays the output
+    gradient out once in that layout, zero-led: gz is (co, pad + cols), pad the
+    furthest tap shift (2*wq + 2 at stride 1, wq + 1 at stride 2).  The closure
+    keeps the blocks, not the phases: only when the weight needs a gradient does
+    the backward rebuild the phases, for the weight gradient's nine matmuls with
+    gz's span layout columns into one (9, co, c) buffer, and free them before
     the input gradients.  The bias gradient is the output gradient summed over
-    (n, h, w).  The input gradient is taken one block at a time, only for a
-    block that needs it, so its workspaces are c_i channels wide: with a
-    contiguous copy of the block's weight columns, each tap's product
-    overwrites the first span columns of a zeroed (c_i, n*hq*wq) workspace and
-    adds onto its phase as one contiguous flat run, the unwritten columns
-    adding exact zeros; with one output channel that product is an outer
-    product, taken by `np.multiply` (exact, and far cheaper than numpy's
-    inner-dimension-1 matmul).  At stride 2 four strided assignments merge the
-    phases back into the padded input layout.  A half-size block's gradient is
-    its slice summed over each 2x2 cell as (top-left + top-right) +
-    (bottom-left + bottom-right), which rounds as numpy 2.4's
-    `reshape(...).sum(axis=(3, 5))` whenever w/2 > 1.  Both accumulations stay
-    in contiguous memory because numpy adds into a strided column slice several
-    times slower at the 8x8 bottleneck shapes.  The output and every gradient
-    round exactly as the per-tap `w @ ph`, `w.T @ gf` and `gf @ ph.T` products
-    summed tap by tap, with the bias added last; a block's rows of `w.T @ gf`
-    are the same BLAS products.
+    (n, h, w).  The input gradient of a correlation is the correlation of the
+    zero-padded output gradient with the transposed, mirrored taps (Dumoulin &
+    Visin 2016, arXiv 1603.07285): the forward's tap loop read at mirrored
+    offsets.  It is taken one block at a time, only for a block that needs it:
+    tap by tap, `w[:, lo:hi, u, v].T @ gz[:, pad - off:pad - off + cols]` adds
+    into its phase of a contiguous (s*s, c_i, cols) accumulator.  With one
+    output channel that product is an outer product, taken by `*` (exact, and
+    about 3x cheaper than numpy's inner-dimension-1 matmul).  At stride 2 four
+    strided assignments merge the phases back into the padded input layout.  A
+    half-size block's gradient is its slice summed over each 2x2 cell as
+    (top-left + top-right) + (bottom-left + bottom-right), which rounds as
+    numpy 2.4's `reshape(...).sum(axis=(3, 5))` whenever w/2 > 1.  Every
+    accumulation stays in contiguous memory because numpy adds into a strided
+    column slice several times slower at the 8x8 bottleneck shapes.  The output
+    and every gradient round exactly as the per-tap `w @ ph`, `w.T @ gf` and
+    `gf @ ph.T` products summed tap by tap, with the bias added last; each
+    block's gradient as those of its own weight columns.
     """
     if stride not in (1, 2):
         raise ValueError(f"conv3x3: stride must be 1 or 2, got {stride}")
@@ -396,36 +397,20 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     ph = phases()
     taps = [(u, v, (u % s) * s + v % s, (u // s) * wq + v // s) for u in range(3) for v in range(3)]
     cols = n * hq * wq
-    span = cols - taps[-1][3]  # tap (2, 2) reaches furthest
+    pad = taps[-1][3]  # tap (2, 2) reaches furthest
+    span = cols - pad
     acc = np.zeros((co, span), dtype=dtype)
     for u, v, p, off in taps:
         acc += w.data[:, :, u, v] @ ph[p, :, off:off + span]
     acc += b.data[:, None]
 
-    def block_grad(gf: np.ndarray, lo: int, hi: int, half: bool) -> np.ndarray:
+    def block_grad(gz: np.ndarray, lo: int, hi: int, half: bool) -> np.ndarray:
         """The input gradient of channels lo:hi, in their block's (n, c_i, ., .) layout."""
         ci = hi - lo
         gph = np.zeros((s * s, ci, cols), dtype=dtype)
-        # each tap's product overwrites the first span columns of tmp, whose
-        # other columns are set to +0.0 once; so one contiguous run of L
-        # entries adds it onto its phase, and the pad columns add exact zeros
-        # to the head of the next channel's row (gph starts at +0.0, so it
-        # never holds a -0.0 that such an add would flip)
-        tmp = np.empty((ci, cols), dtype=dtype)
-        tmp[:, span:] = 0.0
-        L = ci * cols - (cols - span)
-        gflat, tflat = gph.reshape(s * s, -1), tmp.reshape(-1)[:L]
-        # each tap's (co, c_i) block made contiguous: a strided operand sends
-        # matmul with out= down a slower path, and its transpose keeps the
-        # BLAS call (and the rounding) of `w.data[:, lo:hi, u, v].T @ gf`
-        wt = np.ascontiguousarray(w.data[:, lo:hi].transpose(2, 3, 0, 1))
         for u, v, p, off in taps:
-            if co == 1:  # an outer product: numpy's k=1 matmul is far slower
-                np.multiply(wt[u, v].T, gf, out=tmp[:, :span])
-            else:
-                np.matmul(wt[u, v].T, gf, out=tmp[:, :span])
-            gflat[p, off:off + L] += tflat
-        del tmp, tflat  # not held while the phases are merged
+            wt, gt = w.data[:, lo:hi, u, v].T, gz[:, pad - off:pad - off + cols]
+            gph[p] += wt * gt if co == 1 else wt @ gt  # numpy's k=1 matmul is far slower
         if s == 1:
             gbuf = gph.reshape(ci, n, hq, wq)
         else:
@@ -442,11 +427,10 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)))
-        gf = np.zeros((co, n, hq, wq), dtype=g.dtype)
-        gf[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
-        gf = gf.reshape(co, cols)[:, :span]
+        gz = np.zeros((co, pad + cols), dtype=g.dtype)
+        gz[:, pad:].reshape(co, n, hq, wq, copy=False)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
         if w.requires_grad:
-            ph = phases()
+            ph, gf = phases(), gz[:, pad:pad + span]
             gw = np.empty((9, co, c), dtype=dtype)
             for t, (_, _, p, off) in enumerate(taps):
                 np.matmul(gf, ph[p, :, off:off + span].T, out=gw[t])
@@ -454,7 +438,7 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
             w._accumulate(gw.transpose(1, 2, 0).reshape(w.shape))
         for t, lo, hi in zip(blocks, bounds, bounds[1:]):
             if t.requires_grad:
-                t._accumulate(block_grad(gf, lo, hi, t.shape[2:] != full))
+                t._accumulate(block_grad(gz, lo, hi, t.shape[2:] != full))
 
     # output pixel (k, o, i, j) sits at acc[o, (k*hq + i)*wq + j]; the largest
     # column read, ((n-1)*hq + ho-1)*wq + wo-1, is span - 1 at both strides

@@ -86,6 +86,24 @@ def test_dwt_and_idwt_pass_non_finite_values_through(tmp_path):
     assert nan[:2, :2].all() and nan.sum() == 4
 
 
+@pytest.mark.parametrize("argv", [
+    lambda d: ["dwt", put(d / "x.sgtf", np.full((4, 4), 1e308)), str(d / "b")],
+    lambda d: idwt_argv(d, np.full((2, 2), 1e308), others=np.full((2, 2), 1e308)),
+    lambda d: msm_argv(d, audio=np.full((4, 8), 1e308)),
+    lambda d: sfm_argv(d, features=np.full((2, 3, 4, 4), 1e308)),
+], ids=["dwt", "idwt", "msm-apply", "sfm-apply"])
+def test_overflowed_result_exits_3_and_writes_nothing(tmp_path, capsys, argv):
+    # finite inputs whose result overflows: a numeric failure, not an inf or NaN file
+    # (and no numpy warning, which pytest's filterwarnings would raise)
+    argv = argv(tmp_path)
+    inputs = set(tmp_path.rglob("*"))
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric failure: {argv[0]}: non-finite result")
+    assert "Traceback" not in err
+    assert set(tmp_path.rglob("*")) == inputs
+
+
 def test_dwt_odd_input_exits_2(tmp_path, capsys):
     sgtf.write_tensor(tmp_path / "x.sgtf", np.zeros((5, 5)))
     assert main(["dwt", str(tmp_path / "x.sgtf"), str(tmp_path / "b")]) == 2
@@ -232,6 +250,17 @@ def test_train_toy_unknown_config_key_exits_2(tmp_path, capsys):
     cfg_path.write_text("stepz=3\n")
     assert main(["train-toy", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_train_toy_past_memory_exits_2(tmp_path, capsys):
+    # the first array, 4e15 audio samples, lies past the 47-bit address space: its
+    # allocation fails at once, and nothing is touched
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(config_with(f"frames={10**15}"))
+    assert main(["train-toy", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory:") and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("command", ["train-toy", "ablate"])
@@ -531,9 +560,9 @@ def sample_argv(d, run, audio=np.zeros(8), ref=np.zeros((1, 8, 8))):
             "--ref", put(d / "r.sgtf", ref), "--out", str(d / "c.sgtf")]
 
 
-def idwt_argv(d, ll):
+def idwt_argv(d, ll, others=np.zeros((2, 2))):
     for name in ("lh", "hl", "hh"):
-        put(d / f"b.{name}.sgtf", np.zeros((2, 2)))
+        put(d / f"b.{name}.sgtf", others)
     if ll is not None:
         put(d / "b.ll.sgtf", ll)
     return ["idwt", str(d / "b"), str(d / "x.sgtf")]

@@ -690,6 +690,24 @@ def test_conv3x3_input_grad_is_per_tap_matmul_at_unet_shapes(xs, ws, stride, dty
     assert np.array_equal(x.grad, _per_tap_input_grad(w.data, g, stride, xs))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv3x3_one_channel_blocks_input_grad_is_per_tap_matmul(stride, dtype):
+    # the `in` conv's real layout: two 1-channel blocks (latent, reference frame),
+    # each checked against the per-tap products of its own weight columns
+    r = rng(17)
+    (n, c, h, wd), ws, _ = UNET_CONVS[0]
+    blocks = [Tensor(_scaled_normal(r, (n, 1, h, wd), dtype), requires_grad=True)
+              for _ in range(c)]
+    w = Tensor(_scaled_normal(r, ws, dtype))
+    out = conv3x3(blocks, w, _scaled_normal(r, ws[0], dtype), stride=stride)
+    g = _scaled_normal(r, out.shape, dtype)
+    total(ew_mul(out, g)).backward()
+    for lo, x in enumerate(blocks):
+        want = _per_tap_input_grad(w.data[:, lo:lo + 1], g, stride, x.shape)
+        assert np.array_equal(x.grad, want)
+
+
 def _strided_conv3x3_forward(x, w, stride):
     """The conv forward with each tap's product added into a strided column slice.
 
