@@ -160,8 +160,11 @@ def interleave(items: dict) -> dict:
 
 def child(args) -> dict:
     sys.path.insert(0, args.child)
-    # each package's __init__ imports every module that the workloads use
-    sides = {side: importlib.import_module(f"wc_{side}") for side in SIDES}
+    # importing `training` binds it, `diffusion` and `tensor` (which it imports) on the
+    # package, so `wc.training`, `wc.diffusion` and `wc.tensor` resolve on either side
+    for side in SIDES:
+        importlib.import_module(f"wc_{side}.training")
+    sides = {side: sys.modules[f"wc_{side}"] for side in SIDES}
     runs = {}
     for name, cls in (("train", TrainStep), ("sample", UnetForward)):
         runs[name] = interleave({side: cls(wc) for side, wc in sides.items()})

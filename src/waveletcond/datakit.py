@@ -78,9 +78,9 @@ class SourceMeta:
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
     def to_json_dict(self) -> dict:
-        return {"source_id": self.source_id, "duration_s": self.duration_s, "fps": self.fps,
-                "width": self.width, "height": self.height,
-                "face_bboxes": [[f, list(b)] for f, b in self.face_bboxes]}
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["face_bboxes"] = [[f, list(b)] for f, b in self.face_bboxes]
+        return d
 
 
 @dataclass

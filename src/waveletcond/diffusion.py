@@ -14,7 +14,7 @@ chunks along axis 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,10 +98,9 @@ class TrainConfig:
     log_every: int = 10
 
     def __post_init__(self):
-        for name in ("frames", "height", "width", "channels", "base_channels", "h_msm", "d_audio",
-                     "samples_per_frame", "timesteps", "steps", "n_clips", "log_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"TrainConfig: {name} must be >= 1, got {getattr(self, name)}")
+        for f in fields(self):  # f.type is the annotation string; seed alone may be 0
+            if f.type == "int" and f.name != "seed" and getattr(self, f.name) < 1:
+                raise ValueError(f"TrainConfig: {f.name} must be >= 1, got {getattr(self, f.name)}")
         if self.seed < 0:
             raise ValueError(f"TrainConfig: seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.lr) and self.lr > 0):

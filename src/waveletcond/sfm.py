@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import Tensor, add, as_tensor, ew_mul, matmul, reshape, sigmoid
-from .wavelet import dwt2_batched, idwt2_batched
+# perfbench/spans.py binds these two names in this module
+from .wavelet import dwt2 as dwt2_batched, idwt2 as idwt2_batched
 
 
 def init_sfm_params(feature_shape: tuple[int, ...]) -> dict[str, Tensor]:

@@ -105,9 +105,3 @@ def idwt2(s: Tensor) -> Tensor:
 
     return Tensor._from_op(idwt2_data(s.data), (s,), backward)
 
-
-# Batched aliases: the cores already apply per 2-D slice across all leading
-# dimensions.  sfm calls through them because perfbench/spans.py binds these names.
-dwt2_batched = dwt2
-idwt2_batched = idwt2
-

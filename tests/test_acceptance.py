@@ -282,12 +282,3 @@ def test_c9_datakit_arithmetic():
     assert len(train_sources) == 4 and len(test_sources) == 1
     assert not train_sources & test_sources
     print("\n[criterion 9] datakit arithmetic: PASS")
-
-
-def test_every_exported_name_resolves():
-    # a deleted type must leave no dangling entry in the package's public names
-    import waveletcond
-
-    missing = [name for name in waveletcond.__all__ if not hasattr(waveletcond, name)]
-    assert not missing
-    assert len(set(waveletcond.__all__)) == len(waveletcond.__all__)

@@ -286,7 +286,8 @@ def test_nonfinite_config_exits_2(tmp_path, capsys, command, line):
 
 
 @pytest.mark.parametrize("command", ["train-toy", "ablate"])
-@pytest.mark.parametrize("line", ["h_msm=0", "d_audio=0", "height=0", "width=-4", "n_clips=0"])
+@pytest.mark.parametrize("line", ["h_msm=0", "d_audio=0", "height=0", "width=-4", "n_clips=0",
+                                  "frames=0", "timesteps=0"])
 def test_nonpositive_size_config_exits_2(tmp_path, capsys, command, line):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(config_with(line))

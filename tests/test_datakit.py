@@ -256,6 +256,16 @@ def test_sources_roundtrip(tmp_path):
     assert read_sources(path) == sources
 
 
+def test_sources_line_is_pinned(tmp_path):
+    # every field, in declaration order, with the boxes written as lists
+    path = tmp_path / "s.jsonl"
+    write_sources(path, [SourceMeta(source_id="a", duration_s=3.5, fps=25.0, width=64, height=48,
+                                    face_bboxes=[(0, (4, 6, 20, 24)), (25, [8, 2, 30, 40])])])
+    assert path.read_text() == (
+        '{"source_id": "a", "duration_s": 3.5, "fps": 25.0, "width": 64, "height": 48, '
+        '"face_bboxes": [[0, [4, 6, 20, 24]], [25, [8, 2, 30, 40]]]}\n')
+
+
 # -- record validation ------------------------------------------------------------------
 
 

@@ -1,11 +1,16 @@
-"""No library module keeps an import it never uses.
+"""No library module keeps an import it never uses, and the package root imports nothing.
 
 No linter ships with the project, so this parses each `src/waveletcond/*.py`
 with `ast`: every module-level import must be read somewhere in its module
-or be listed in the module's `__all__`.
+or be listed in the module's `__all__`.  Every public name has one import
+path, its submodule's, so the root binds nothing but the submodules.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +51,31 @@ def test_unused_imports_flags_only_unread_unexported_names():
               "def f(xs: Sequence[int]):\n"
               "    return np.asarray(xs)\n")
     assert unused_imports(source) == ["Iterable", "os"]
+
+
+def run_fresh(code: str):
+    """The JSON that `code` prints in a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+LOADED = ("import json, sys; "
+          "print(json.dumps(sorted(m for m in sys.modules if m.startswith('waveletcond'))))")
+
+
+def test_package_root_loads_no_submodule():
+    assert run_fresh("import waveletcond; " + LOADED) == ["waveletcond"]
+    assert run_fresh("import waveletcond.sgtf; " + LOADED) == [
+        "waveletcond", "waveletcond.sgtf", "waveletcond.tensor"]
+
+
+def test_package_root_binds_only_submodules():
+    modules = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+    code = ("import importlib, json, types, waveletcond\n"
+            f"for m in {modules!r}: importlib.import_module('waveletcond.' + m)\n"
+            "print(json.dumps(sorted(n for n, v in vars(waveletcond).items()\n"
+            "    if not n.startswith('_') and not isinstance(v, types.ModuleType))))")
+    assert run_fresh(code) == []

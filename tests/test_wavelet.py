@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveletcond.tensor import Tensor, ew_mul, sigmoid
-from waveletcond.wavelet import (
-    dwt2,
-    dwt2_batched,
-    dwt2_data,
-    idwt2,
-    idwt2_batched,
-    idwt2_data,
-)
+from waveletcond.wavelet import dwt2, dwt2_data, idwt2, idwt2_data
 
 from gradcheck import check_gradients
 from test_tensor import total
@@ -138,7 +131,7 @@ def test_idwt2_rejects_mismatched_bands():
 
 def test_batch_equals_stacked_single_slices():
     x = rng(2).standard_normal((2, 6, 6))
-    batched = dwt2_batched(Tensor(x))
+    batched = dwt2(Tensor(x))
     for i in range(2):
         single = dwt2(Tensor(x[i]))
         for bb, sb in zip(batched.data, single.data):
@@ -147,13 +140,13 @@ def test_batch_equals_stacked_single_slices():
 
 def test_batched_roundtrip():
     x = rng(3).standard_normal((4, 3, 8, 10))
-    back = idwt2_batched(dwt2_batched(Tensor(x)))
+    back = idwt2(dwt2(Tensor(x)))
     assert np.max(np.abs(back.data - x)) < 1e-10
 
 
 def test_batched_vs_loop_of_single_bit_identical():
     x = rng(4).standard_normal((5, 6, 6))
-    batched = dwt2_batched(Tensor(x)).data
+    batched = dwt2(Tensor(x)).data
     for i in range(5):
         single = dwt2_data(x[i])
         for bb, sb in zip(batched, single):
