@@ -1,46 +1,95 @@
-"""Paired perfbench runs of two git revisions, written as one BENCH_<n>.json.
+"""Paired runs of two git revisions, written as one BENCH_<n>.json.
 
 Run from the repository root, for example:
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --number 7 \\
         --pairs train=10 --pairs sample=4 --pairs score=4 --note "what changed"
 
-It writes BENCH_<number>.json at the repository root.
+It writes BENCH_<number>.json at the repository root.  Without `--pairs`
+the file holds only the in-process A/B and the bit-identity check: a quick
+answer to "does the arithmetic cost more?".
 
 To measure uncommitted work, stage it (`git add -A`) and pass
 `--change "$(git stash create)"`, a commit of the index and working tree
 that moves no branch.
 
-Both revisions are exported with `git archive` into two sibling directories
-of equal name length under one temporary parent, so neither side runs from
-the repository checkout (its location moves `sample`).  Pair i runs every
-workload that has more than i pairs, each as
+Both revisions are exported once with `git archive` into two sibling
+directories of equal name length under one temporary parent, so neither
+side runs from the repository checkout (its location moves `sample`).
+
+end_to_end: pair i runs every workload that has more than i pairs, each as
 `perfbench/run.py --workload W --seed <100 * number + 1 + i> --seconds S --trace 0`
 with S the change's BENCHMARK.json `run_seconds`, one process at a time;
 an even pair index runs the parent first, an odd one the change.  Each
 side's medians, quartiles (inclusive method) and every run go to the output
-file, with the machine information of the first run, the per-pair win count
-and median change of every end-to-end metric (the direction read from the
-change's BENCHMARK.json), and both sides' output of `scripts/bit_identity.py`.
-Beside the metrics, each side also gets every run's minor page faults (the
-`RUSAGE_CHILDREN` `ru_minflt` delta around its subprocess, so set-up and the
-reference check count too) and those faults over the run's attempted items.
-Per-layer figures are not collected.
+file, with the machine information of the first run and the per-pair win
+count and median change of every end-to-end metric (the direction read from
+the change's BENCHMARK.json).  Beside the metrics, each side also gets every
+run's minor page faults (the `RUSAGE_CHILDREN` `ru_minflt` delta around its
+subprocess, so set-up and the reference check count too) and those faults
+over the run's attempted items.  Per-layer figures are not collected.
+
+in_process: each copy's package is linked as `wc_parent` and `wc_change` so
+that both import into one process (`src/` uses only relative imports).
+That process has one BLAS thread and a pinned heap: `MALLOC_MMAP_THRESHOLD_`
+(32 MiB) and `MALLOC_TRIM_THRESHOLD_` (64 MiB), set in its environment
+only.  With glibc's heap as it comes, two package copies in one heap put
+the `train` steps in glibc's trim mode, and which side pays the page faults
+depends on the heap, not the code.  Setting the trim threshold alone also
+turns off glibc's dynamic mmap threshold, so every buffer over 128 KiB is
+mapped and unmapped per call: never pin one without the other.  The
+process alternates single items of each workload, A B B A ...: pair i runs
+the parent first when i is even and the change first when it is odd.
+
+Both workloads start from the initial parameters perturbed as perfbench's
+`sample` perturbs them: at the initial parameters the output conv's weight
+is zero, so every gradient behind it is zero and no output could show a
+change to the backward.
+- train: one default `training.train` step (`TrainConfig()`, steps=1) at
+  draw seed 10 + i (10 untimed items per side come first); its output is
+  the updated parameters, which depend on every gradient of the step.
+- sample: one tape-free `diffusion.unet_forward` of the default sampler's
+  shapes at timestep i % timesteps + 1 on a fixed latent; its output is
+  the UNet's.
+
+Each workload reports both sides' median time over PAIRS pairs, the median
+of the per-pair ratios change / parent with a bootstrap 95% interval (2,000
+resamples of the pairs), their quartiles, both sides' minor faults per item,
+and whether the two sides' outputs are equal bit for bit in every pair.
+It answers "does the arithmetic cost more?" and not an end-to-end step's
+cost, which the perfbench pairs measure.
+
+bit_identity: both sides' output of `scripts/bit_identity.py`.
 """
 
 import argparse
+import importlib
 import io
 import json
+import os
 import resource
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np  # the measuring process's BLAS thread count is set in its environment
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+PINNED_HEAP = {"MALLOC_MMAP_THRESHOLD_": str(32 * 2**20),
+               "MALLOC_TRIM_THRESHOLD_": str(64 * 2**20)}
+BOOTSTRAP_RESAMPLES = 2000
+PAIRS = 800  # timed in-process pairs per workload
+WARMUP = 10  # untimed items per side before each workload's pairs
+# the measuring process: run from scripts/, given the directory holding wc_parent and wc_change
+MEASURER = "import bench_pairs, json, sys; json.dump(bench_pairs.measure(sys.argv[1]), sys.stdout)"
 
 
 def parse_args(argv):
@@ -49,8 +98,8 @@ def parse_args(argv):
     p.add_argument("--change", required=True, help="git revision of the change")
     p.add_argument("--number", type=int, required=True,
                    help="names BENCH_<number>.json and sets the seeds")
-    p.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
-                   help="run N >= 2 pairs of this workload (repeatable)")
+    p.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=N",
+                   help="run N >= 2 perfbench pairs of this workload (repeatable)")
     p.add_argument("--note", default="", help="one line on what the change does")
     args = p.parse_args(argv)
     pairs = {}
@@ -131,6 +180,127 @@ def compare(parent: dict, change: dict, better: dict) -> dict:
     return out
 
 
+# -- in_process: the measuring process ------------------------------------------------
+
+
+def perturbed_params(wc, cfg, rng) -> dict:
+    """`cfg`'s initial parameters plus 0.05 standard normal noise, as perfbench's `sample`."""
+    return {k: wc.tensor.Tensor(p.data + 0.05 * rng.standard_normal(p.shape))
+            for k, p in wc.diffusion.init_model_params(cfg).items()}
+
+
+class TrainStep:
+    """One default `train` step per item, from one side's perturbed initial parameters."""
+
+    def __init__(self, wc):
+        self.training = wc.training
+        self.cfg = wc.diffusion.TrainConfig()
+        cfg = self.cfg
+        self.dataset = wc.training.make_synthetic_dataset(
+            cfg.n_clips, cfg.frames, cfg.height, cfg.width, seed=cfg.seed,
+            samples_per_frame=cfg.samples_per_frame, amplitude=cfg.amplitude)
+        self.params = perturbed_params(wc, cfg, np.random.default_rng(cfg.seed))
+
+    def __call__(self, i: int) -> dict:
+        params, _ = self.training.train(self.dataset, replace(self.cfg, steps=1, seed=i),
+                                        params=self.params)
+        return {k: p.data for k, p in params.items()}
+
+
+class UnetForward:
+    """One tape-free UNet forward per item, as each of `sample`'s steps runs it."""
+
+    def __init__(self, wc):
+        self.diffusion, self.cfg = wc.diffusion, wc.diffusion.TrainConfig()
+        cfg = self.cfg
+        rng = np.random.default_rng(cfg.seed)
+        self.params = perturbed_params(wc, cfg, rng)
+        clip = wc.training.make_synthetic_dataset(
+            1, cfg.frames, cfg.height, cfg.width, seed=cfg.seed,
+            samples_per_frame=cfg.samples_per_frame, amplitude=cfg.amplitude)[0]
+        self.windows = wc.diffusion.audio_to_windows(clip.audio, cfg)
+        self.ref = clip.frames[0]
+        self.z = rng.standard_normal(cfg.latent_shape)
+
+    def __call__(self, i: int) -> np.ndarray:
+        t = i % self.cfg.timesteps + 1
+        return self.diffusion.unet_forward(self.z, t, self.windows, self.ref, self.params,
+                                           self.cfg).data
+
+
+def bits(output):
+    """An item's output as exact bits: an array's dtype, shape and bytes, or a name → bits dict."""
+    if isinstance(output, dict):
+        return {k: bits(v) for k, v in output.items()}
+    return output.dtype.str, output.shape, output.tobytes()
+
+
+def interleave(items: dict) -> dict:
+    """Time PAIRS A B B A ... pairs of items; the raw times, faults and output mismatches."""
+    for i in range(WARMUP):
+        for side in SIDES:
+            items[side](i)
+    times = {side: [] for side in SIDES}
+    faults = {side: 0 for side in SIDES}
+    mismatches = 0
+    for j in range(PAIRS):
+        outputs = {}
+        for side in SIDES if j % 2 == 0 else SIDES[::-1]:
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            t0 = time.perf_counter()
+            outputs[side] = items[side](WARMUP + j)
+            times[side].append(time.perf_counter() - t0)
+            faults[side] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+        mismatches += bits(outputs["parent"]) != bits(outputs["change"])
+    return {"times": times, "faults": faults, "mismatches": mismatches}
+
+
+def summarize(run: dict) -> dict:
+    t = {side: np.array(run["times"][side]) for side in SIDES}
+    ratios = t["change"] / t["parent"]
+    boot = np.random.default_rng(0).choice(ratios, (BOOTSTRAP_RESAMPLES, ratios.size))
+    lo, hi = np.percentile(np.median(boot, axis=1), [2.5, 97.5])
+    q1, _, q3 = statistics.quantiles(ratios.tolist(), n=4, method="inclusive")
+    return {
+        "pairs": int(ratios.size),
+        "parent_median_ms": sig(1e3 * float(np.median(t["parent"]))),
+        "change_median_ms": sig(1e3 * float(np.median(t["change"]))),
+        "ratio_median": sig(float(np.median(ratios))),
+        "ratio_ci95": [sig(lo), sig(hi)],
+        "ratio_q1": sig(q1), "ratio_q3": sig(q3),
+        "parent_minor_faults_per_item": sig(run["faults"]["parent"] / ratios.size),
+        "change_minor_faults_per_item": sig(run["faults"]["change"] / ratios.size),
+        "outputs_bit_identical": run["mismatches"] == 0,
+        "output_mismatches": run["mismatches"],
+    }
+
+
+def measure(lib: str) -> dict:
+    """Both workloads' summaries for the packages `wc_parent` and `wc_change` under `lib`."""
+    sys.path.insert(0, lib)
+    # importing `training` binds it, `diffusion` and `tensor` (which it imports) on the
+    # package, so `wc.training`, `wc.diffusion` and `wc.tensor` resolve on either side
+    for side in SIDES:
+        importlib.import_module(f"wc_{side}.training")
+    sides = {side: sys.modules[f"wc_{side}"] for side in SIDES}
+    return {name: summarize(interleave({side: cls(wc) for side, wc in sides.items()}))
+            for name, cls in (("train", TrainStep), ("sample", UnetForward))}
+
+
+def in_process(trees: dict, lib: Path) -> dict:
+    """`measure` run on the exported trees' packages in a pinned-heap, one-BLAS-thread child."""
+    lib.mkdir()
+    for side, tree in trees.items():
+        (lib / f"wc_{side}").symlink_to(tree / "src" / "waveletcond", target_is_directory=True)
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"), **PINNED_HEAP}
+    out = subprocess.run([sys.executable, "-c", MEASURER, str(lib)], cwd=ROOT / "scripts",
+                         env=env, check=True, stdout=subprocess.PIPE, text=True).stdout
+    return {"how": ("Both revisions imported into one process with a pinned heap, single items "
+                    "alternating A B B A ..., one BLAS thread, unscaled wall-clock; ratio is "
+                    "change / parent per pair."),
+            "warmup_items_per_side": WARMUP, "pinned_heap": PINNED_HEAP, **json.loads(out)}
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     revs = {"parent": git("rev-parse", "--verify", f"{args.parent}^{{commit}}"),
@@ -146,7 +316,7 @@ def main(argv=None) -> int:
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         seconds, seed_base = spec["run_seconds"], 100 * args.number + 1
         records = {w: {side: [] for side in SIDES} for w in args.pairs}
-        for i in range(max(args.pairs.values())):
+        for i in range(max(args.pairs.values(), default=0)):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for workload, count in args.pairs.items():
                 if i >= count:
@@ -157,8 +327,14 @@ def main(argv=None) -> int:
                     print(f"pair {i} {workload} {side}: " + ", ".join(
                         f"{m} {rec['metrics'][m]['value']:.4g}" for m in better)
                           + f", minor_faults {rec['minor_faults']}", flush=True)
+        steps = in_process(trees, Path(tmp) / "lib")
+        for name in ("train", "sample"):
+            s = steps[name]
+            print(f"in_process {name}: ratio {s['ratio_median']} "
+                  f"[{s['ratio_ci95'][0]}, {s['ratio_ci95'][1]}], "
+                  f"parent {s['parent_median_ms']} ms, change {s['change_median_ms']} ms, "
+                  f"bit-identical {s['outputs_bit_identical']}", flush=True)
         identity = {side: bit_identity(trees[side]) for side in SIDES}
-    first = next(iter(records.values()))["parent"][0]
     end_to_end = {}
     for workload, by_side in records.items():
         n = args.pairs[workload]
@@ -171,18 +347,22 @@ def main(argv=None) -> int:
         "change": args.note,
         "parent_commit": revs["parent"][:7],
         "change_commit": revs["change"][:7],
-        "how": ("Written by scripts/bench_pairs.py from the perfbench result files "
-                "(.perfbench-out/<workload>-seed<S>-trace0.json). Parent and change ran from "
-                "two sibling copies exported with git archive, one run at a time; each pair "
-                "index ran its workloads in the order listed."),
-        "command": (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
-                    "--trace 0"),
-        "machine": first["machine"],
-        "units": {m["name"]: m["unit"] for m in spec["end_to_end"]},
-        "end_to_end": end_to_end,
-        "bit_identity": {"command": "python3 scripts/bit_identity.py", **identity,
-                         "parent_equal": identity["parent"] == identity["change"]},
+        "how": ("Written by scripts/bench_pairs.py. Parent and change ran from two sibling "
+                "copies exported with git archive, one process at a time. end_to_end is read "
+                "from the perfbench result files (.perfbench-out/<workload>-seed<S>-trace0.json); "
+                "each pair index ran its workloads in the order listed."),
     }
+    if end_to_end:
+        report.update({
+            "command": (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
+                        "--trace 0"),
+            "machine": next(iter(records.values()))["parent"][0]["machine"],
+            "units": {m["name"]: m["unit"] for m in spec["end_to_end"]},
+            "end_to_end": end_to_end,
+        })
+    report["in_process"] = steps
+    report["bit_identity"] = {"command": "python3 scripts/bit_identity.py", **identity,
+                              "parent_equal": identity["parent"] == identity["change"]}
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}")

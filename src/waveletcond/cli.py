@@ -77,8 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="run directory from train-toy")
     p.add_argument("--audio", required=True, help="raw audio sample track (SGTF, 1-D)")
     p.add_argument("--ref", required=True, help="reference frame (SGTF, c x h x w)")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                   help="sampling seed (default 0); also accepted before the subcommand")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 

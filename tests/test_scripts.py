@@ -1,0 +1,88 @@
+"""The benchmark collector's in-process measurer and the bit-identity script.
+
+`scripts/bench_pairs.py` times two package copies in one process and says
+whether their outputs match bit for bit; `scripts/bit_identity.py` prints
+the hashes that pin the library's numbers.  Both run here on this tree.
+"""
+
+import importlib.util
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "waveletcond"
+spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+SUMMARY_FIELDS = {"pairs", "parent_median_ms", "change_median_ms", "ratio_median", "ratio_ci95",
+                  "ratio_q1", "ratio_q3", "parent_minor_faults_per_item",
+                  "change_minor_faults_per_item", "outputs_bit_identical", "output_mismatches"}
+
+
+def test_bit_identity_prints_its_eight_checks_as_16_hex_digits():
+    out = subprocess.run([sys.executable, "scripts/bit_identity.py"], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout
+    lines = [line.split() for line in out.splitlines()]
+    assert [name for name, _ in lines] == [
+        "train_float64", "train_float32", "ablate_freeze_backbone_off",
+        "ablate_freeze_backbone_on", "sample_float64", "sample_float32", "metrics_report",
+        "manifest"]
+    assert all(re.fullmatch("[0-9a-f]{16}", digest) for _, digest in lines)
+
+
+@pytest.mark.parametrize("parent, change", [
+    ({"a": np.zeros(2)}, {"a": np.zeros(2), "b": np.zeros(2)}),
+    ({"a": np.zeros(2), "b": np.zeros(2)}, {"a": np.zeros(2)}),
+    ({"a": np.zeros(2)}, {"b": np.zeros(2)}),
+    (np.zeros((3, 2)), np.zeros((2, 2))),
+    (np.zeros(2), np.zeros(2, dtype=np.float32)),
+    (np.zeros(2), -np.zeros(2)),
+], ids=["extra_param", "missing_param", "renamed_param", "leading_length", "dtype", "signed_zero"])
+def test_interleave_counts_every_pair_whose_outputs_differ_in_bits(monkeypatch, parent, change):
+    monkeypatch.setattr(bench_pairs, "PAIRS", 3)
+    monkeypatch.setattr(bench_pairs, "WARMUP", 1)
+    run = bench_pairs.interleave({"parent": lambda i: parent, "change": lambda i: change})
+    assert run["mismatches"] == 3
+    assert bench_pairs.interleave({"parent": lambda i: parent,
+                                   "change": lambda i: parent})["mismatches"] == 0
+
+
+@pytest.fixture
+def lib(tmp_path, monkeypatch):
+    """A directory holding two copies of this tree's package, `wc_parent` and `wc_change`."""
+    for side in bench_pairs.SIDES:
+        shutil.copytree(PACKAGE, tmp_path / f"wc_{side}",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(bench_pairs, "PAIRS", 3)
+    monkeypatch.setattr(bench_pairs, "WARMUP", 1)
+    yield tmp_path
+    for name in [m for m in sys.modules if m.partition(".")[0] in ("wc_parent", "wc_change")]:
+        del sys.modules[name]
+
+
+def test_measurer_on_two_copies_of_one_package_reports_identical_outputs(lib):
+    runs = bench_pairs.measure(str(lib))
+    assert set(runs) == {"train", "sample"}
+    for summary in runs.values():
+        assert set(summary) == SUMMARY_FIELDS
+        assert summary["pairs"] == 3
+        assert summary["outputs_bit_identical"] and summary["output_mismatches"] == 0
+
+
+def test_measurer_reports_train_mismatches_when_adam_eps_changes(lib):
+    tensor = lib / "wc_change" / "tensor.py"
+    text = tensor.read_text()
+    assert text.count("ADAM_EPS = 1e-8\n") == 1
+    tensor.write_text(text.replace("ADAM_EPS = 1e-8\n", "ADAM_EPS = 1e-7\n"))
+    runs = bench_pairs.measure(str(lib))
+    assert runs["train"]["output_mismatches"] == 3
+    assert not runs["train"]["outputs_bit_identical"]
+    assert runs["sample"]["outputs_bit_identical"]
