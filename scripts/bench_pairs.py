@@ -57,7 +57,9 @@ of the per-pair ratios change / parent with a bootstrap 95% interval (2,000
 resamples of the pairs), their quartiles, both sides' minor faults per item,
 and whether the two sides' outputs are equal bit for bit in every pair.
 It answers "does the arithmetic cost more?" and not an end-to-end step's
-cost, which the perfbench pairs measure.
+cost, which the perfbench pairs measure.  After its pairs, `train` also
+records each side's tracemalloc peak of one step (item 0), taken once per
+side outside the timed pairs: a memory figure that glibc's heap cannot move.
 
 bit_identity: both sides' output of `scripts/bit_identity.py`.
 """
@@ -74,6 +76,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -275,6 +278,16 @@ def summarize(run: dict) -> dict:
     }
 
 
+def traced_peak_mib(item) -> float:
+    """The tracemalloc peak of one call `item(0)`, in MiB."""
+    tracemalloc.start()
+    try:
+        item(0)
+        return sig(tracemalloc.get_traced_memory()[1] / 2**20)
+    finally:
+        tracemalloc.stop()
+
+
 def measure(lib: str) -> dict:
     """Both workloads' summaries for the packages `wc_parent` and `wc_change` under `lib`."""
     sys.path.insert(0, lib)
@@ -283,8 +296,12 @@ def measure(lib: str) -> dict:
     for side in SIDES:
         importlib.import_module(f"wc_{side}.training")
     sides = {side: sys.modules[f"wc_{side}"] for side in SIDES}
-    return {name: summarize(interleave({side: cls(wc) for side, wc in sides.items()}))
-            for name, cls in (("train", TrainStep), ("sample", UnetForward))}
+    train = {side: TrainStep(wc) for side, wc in sides.items()}
+    runs = {"train": summarize(interleave(train))}
+    for side in SIDES:  # untimed: tracing slows every allocation
+        runs["train"][f"{side}_traced_peak_mib"] = traced_peak_mib(train[side])
+    runs["sample"] = summarize(interleave({side: UnetForward(wc) for side, wc in sides.items()}))
+    return runs
 
 
 def in_process(trees: dict, lib: Path) -> dict:
@@ -334,6 +351,8 @@ def main(argv=None) -> int:
                   f"[{s['ratio_ci95'][0]}, {s['ratio_ci95'][1]}], "
                   f"parent {s['parent_median_ms']} ms, change {s['change_median_ms']} ms, "
                   f"bit-identical {s['outputs_bit_identical']}", flush=True)
+        print(f"in_process train traced peak: parent {steps['train']['parent_traced_peak_mib']} "
+              f"MiB, change {steps['train']['change_traced_peak_mib']} MiB", flush=True)
         identity = {side: bit_identity(trees[side]) for side in SIDES}
     end_to_end = {}
     for workload, by_side in records.items():

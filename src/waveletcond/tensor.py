@@ -9,10 +9,19 @@ every linear one by an adjoint (dot-product) test.  `backward()` leaves a
 gradient only on the leaves: each op output drops its own once its rule has
 run.
 
+The tape is made of nodes, not tensors.  A tensor that needs a gradient owns
+a `_Node` (its shape, dtype, transient gradient, its inputs' nodes and its
+backward rule), and each rule keeps only the arrays it reads: `ew_mul` and
+`matmul` an operand only when the other one needs a gradient, `sigmoid`,
+`relu` and `softmax_rows` their output, `conv3x3` its blocks only for the
+weight gradient and its weight only for a block's, and the other ops shapes
+alone.  So an intermediate that no rule reads is freed during the forward,
+when its last name goes.
+
 Contractions (`matmul`, `conv3x3`) go through `np.matmul`, so they run as
 BLAS matrix products; `conv3x3`'s docstring describes its algorithm.  It reads
-channel blocks, a half-resolution one nearest-upsampled 2x, keeps only the
-blocks on the tape (its backward rebuilds their zero-padded buffer), and takes
+channel blocks, a half-resolution one nearest-upsampled 2x, keeps the blocks'
+arrays, not their zero-padded buffer (its backward rebuilds that), and takes
 the input gradient one block at a time.
 
 `add`, `ew_mul` and `matmul` broadcast like numpy (`matmul` over the axes
@@ -35,18 +44,43 @@ from typing import Callable, Sequence
 import numpy as np
 
 
+class _Node:
+    """The tape entry of a tensor that needs a gradient.
+
+    `grad` is added into during a `backward()` sweep.  A leaf has no parents
+    and no rule; an op output has the nodes of its inputs that need a
+    gradient and a rule that routes its upstream gradient to them.
+    """
+
+    __slots__ = ("shape", "dtype", "grad", "_parents", "_backward_fn")
+
+    def __init__(self, shape: tuple[int, ...], dtype, parents: tuple[_Node, ...] = (),
+                 backward_fn: Callable[[np.ndarray], None] | None = None):
+        self.shape = shape
+        self.dtype = dtype
+        self.grad: np.ndarray | None = None
+        self._parents = parents
+        self._backward_fn = backward_fn
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = np.zeros(self.shape, dtype=self.dtype)
+        self.grad += g
+
+
 class Tensor:
     """N-dimensional real array with shape metadata, row-major storage.
 
-    A tensor produced by an operation keeps references to its parent tensors
-    and a closure that routes upstream gradients to them; `backward()` walks
-    that record in reverse topological order.
+    A tensor that needs a gradient owns a tape node; an op output's node
+    holds its inputs' nodes and a closure that routes upstream gradients to
+    them, and `backward()` walks those nodes in reverse topological order.
+    A tensor's data is not on the tape unless a rule reads it.
 
     Precision follows the data: f32 data stays f32 and anything else becomes
     f64, unless `dtype` is given.  Gradient checks are only reliable at f64.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.array(data, dtype=dtype)
@@ -54,29 +88,24 @@ class Tensor:
             arr = arr.astype(np.float64, copy=False)
         arr.setflags(write=False)
         self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[np.ndarray], None] | None = None
+        self._node = _Node(arr.shape, arr.dtype) if requires_grad else None
 
     @classmethod
-    def _from_op(cls, data: np.ndarray, parents: Sequence["Tensor"],
+    def _from_op(cls, data: np.ndarray, parents: Sequence[_Node | None],
                  backward_fn: Callable[[np.ndarray], None]) -> "Tensor":
-        """Wrap an op result; records the tape edge only if a parent needs grad.
+        """Wrap an op result; `parents` are its inputs' nodes, None for a constant.
 
-        Invariant: an op output has `requires_grad` exactly when it recorded
-        a tape edge (parents and a backward rule).  A leaf has no edge, so
-        `requires_grad` alone tells a backward rule whether an input wants a
-        gradient; rules test it before computing that gradient.
+        Invariant: an op output needs a gradient exactly when one of its
+        inputs does, and then its node records the inputs' nodes and the
+        rule.  A rule tests an input's node for None before computing that
+        input's gradient.
         """
         out = cls.__new__(cls)
         arr = np.asarray(data)
         arr.setflags(write=False)
         out.data = arr
-        out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
-        out._parents = tuple(parents) if out.requires_grad else ()
-        out._backward_fn = backward_fn if out.requires_grad else None
+        out._node = (_Node(arr.shape, arr.dtype, tuple(filter(None, parents)), backward_fn)
+                     if any(parents) else None)
         return out
 
     # -- basic introspection ------------------------------------------------
@@ -101,12 +130,34 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
-    # -- gradient accumulation ----------------------------------------------
+    # -- the tape node, read through the tensor ---------------------------------
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros(self.data.shape, dtype=self.data.dtype)
-        self.grad += g
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        if self._node is not None:
+            self._node.grad = g
+        elif g is not None:
+            raise ValueError("grad: a tensor that needs no gradient holds none")
+
+    @property
+    def _parents(self) -> tuple[_Node, ...]:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward_fn(self) -> Callable[[np.ndarray], None] | None:
+        return None if self._node is None else self._node._backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn: Callable[[np.ndarray], None]) -> None:
+        self._node._backward_fn = fn
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar node, adding into the leaves' `.grad`.
@@ -117,11 +168,13 @@ class Tensor:
         graph therefore adds the same leaf gradients again, as a fresh graph
         would.
         """
+        if self._node is None:
+            raise ValueError("backward() requires a tensor that needs a gradient")
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.shape}")
-        order: list[Tensor] = []
+        order: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -134,7 +187,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones(self.data.shape, dtype=self.data.dtype))
+        self._node._accumulate(np.ones(self._node.shape, dtype=self._node.dtype))
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
@@ -172,13 +225,15 @@ def add(a: Tensor, b) -> Tensor:
     except ValueError:
         raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}") from None
 
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+    na, nb = a._node, b._node
 
-    return Tensor._from_op(out_data, (a, b), backward)
+    def backward(g: np.ndarray) -> None:
+        if na is not None:
+            na._accumulate(_unbroadcast(g, na.shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(g, nb.shape))
+
+    return Tensor._from_op(out_data, (na, nb), backward)
 
 
 def ew_mul(a: Tensor, b) -> Tensor:
@@ -189,13 +244,17 @@ def ew_mul(a: Tensor, b) -> Tensor:
     except ValueError:
         raise ValueError(f"ew_mul: shape mismatch {a.shape} vs {b.shape}") from None
 
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+    na, nb = a._node, b._node
+    # each operand is read only for the other's gradient
+    ad, bd = a.data if nb is not None else None, b.data if na is not None else None
 
-    return Tensor._from_op(out_data, (a, b), backward)
+    def backward(g: np.ndarray) -> None:
+        if na is not None:
+            na._accumulate(_unbroadcast(g * bd, na.shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(g * ad, nb.shape))
+
+    return Tensor._from_op(out_data, (na, nb), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -207,13 +266,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul: inner dimensions differ: {a.shape} vs {b.shape}")
     out_data = np.matmul(a.data, b.data)
 
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+    na, nb = a._node, b._node
+    # each operand is read only for the other's gradient
+    ad, bd = a.data if nb is not None else None, b.data if na is not None else None
 
-    return Tensor._from_op(out_data, (a, b), backward)
+    def backward(g: np.ndarray) -> None:
+        if na is not None:
+            na._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), na.shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), nb.shape))
+
+    return Tensor._from_op(out_data, (na, nb), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -225,21 +288,24 @@ def sigmoid(x: Tensor) -> Tensor:
     """
     x = as_tensor(x)
     out_data = np.exp(np.minimum(x.data, 0.0)) / (1.0 + np.exp(-np.abs(x.data)))
+    nx = x._node
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(g * out_data * (1.0 - out_data))
+        nx._accumulate(g * out_data * (1.0 - out_data))
 
-    return Tensor._from_op(out_data, (x,), backward)
+    return Tensor._from_op(out_data, (nx,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
     x = as_tensor(x)
     out_data = np.maximum(x.data, 0.0)
+    nx = x._node
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(g * (x.data > 0.0).astype(g.dtype))
+        # out > 0 exactly where x > 0, for -0.0 and NaN too: the input need not be kept
+        nx._accumulate(g * (out_data > 0.0).astype(g.dtype))
 
-    return Tensor._from_op(out_data, (x,), backward)
+    return Tensor._from_op(out_data, (nx,), backward)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -250,12 +316,13 @@ def softmax_rows(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=1, keepdims=True)
+    nx = x._node
 
     def backward(g: np.ndarray) -> None:
         dot = np.sum(g * out_data, axis=1, keepdims=True)
-        x._accumulate(out_data * (g - dot))
+        nx._accumulate(out_data * (g - dot))
 
-    return Tensor._from_op(out_data, (x,), backward)
+    return Tensor._from_op(out_data, (nx,), backward)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -267,12 +334,12 @@ def mean(x: Tensor, axis: int | tuple[int, ...] | None = None) -> Tensor:
     if x.data.size == 0:
         raise ValueError("mean: empty tensor")
     kept = x.data.mean(axis=axis, keepdims=True)
-    n = x.data.size // kept.size
+    n, kept_shape, nx = x.data.size // kept.size, kept.shape, x._node
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(np.broadcast_to(g.reshape(kept.shape) / n, x.data.shape))
+        nx._accumulate(np.broadcast_to(g.reshape(kept_shape) / n, nx.shape))
 
-    return Tensor._from_op(np.squeeze(kept, axis=axis), (x,), backward)
+    return Tensor._from_op(np.squeeze(kept, axis=axis), (nx,), backward)
 
 
 # -- shape manipulation ---------------------------------------------------------
@@ -282,11 +349,12 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     x = as_tensor(x)
     shape = tuple(int(s) for s in shape)
     out_data = x.data.reshape(shape)
+    nx = x._node
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(g.reshape(x.data.shape))
+        nx._accumulate(g.reshape(nx.shape))
 
-    return Tensor._from_op(out_data, (x,), backward)
+    return Tensor._from_op(out_data, (nx,), backward)
 
 
 def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
@@ -294,11 +362,12 @@ def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inv = np.argsort(axes)
     out_data = x.data.transpose(axes)
+    nx = x._node
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(g.transpose(inv))
+        nx._accumulate(g.transpose(inv))
 
-    return Tensor._from_op(out_data, (x,), backward)
+    return Tensor._from_op(out_data, (nx,), backward)
 
 
 # -- convolution -----------------------------------------------------------------
@@ -332,10 +401,11 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     j >= wo are scratch and are not read.  The backward lays the output
     gradient out once in that layout, zero-led: gz is (co, pad + cols), pad the
     furthest tap shift (2*wq + 2 at stride 1, wq + 1 at stride 2).  The closure
-    keeps the blocks, not the phases: only when the weight needs a gradient does
-    the backward rebuild the phases, for the weight gradient's nine matmuls with
-    gz's span layout columns into one (9, co, c) buffer, and free them before
-    the input gradients.  The bias gradient is the output gradient summed over
+    keeps the blocks' arrays, not the phases, and only when the weight needs a
+    gradient; then the backward rebuilds the phases, for the weight gradient's
+    nine matmuls with gz's span layout columns into one (9, co, c) buffer, and
+    frees them before the input gradients.  It keeps w's array only when a block
+    needs a gradient.  The bias gradient is the output gradient summed over
     (n, h, w).  The input gradient of a correlation is the correlation of the
     zero-padded output gradient with the transposed, mirrored taps (Dumoulin &
     Visin 2016, arXiv 1603.07285): the forward's tap loop read at mirrored
@@ -378,23 +448,24 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     c = bounds[-1]
     ho, wo = (h - 1) // s + 1, (wd - 1) // s + 1
     hq, wq = ho + 2 // s, wo + 2 // s
-    dtype = np.result_type(*(t.data for t in blocks), w.data)
+    xs = [t.data for t in blocks]
+    dtype = np.result_type(*xs, w.data)
 
-    def phases() -> np.ndarray:
+    def phases(xs: list[np.ndarray]) -> np.ndarray:
         """The blocks' zero-padded buffer as its (s*s, c, n*hq*wq) polyphase components."""
         ph = np.zeros((s, s, c, n, hq, wq), dtype=dtype)
-        for t, lo, hi in zip(blocks, bounds, bounds[1:]):
-            k = 1 if t.shape[2:] == full else 2  # a half-size block repeats each row and column
+        for xb, lo, hi in zip(xs, bounds, bounds[1:]):
+            k = 1 if xb.shape[2:] == full else 2  # a half-size block repeats each row and column
             m = max(s, k)  # padded rows e, e + m, ... (1 <= e <= m) share a phase and stride
             d = m // s
-            xt = t.data.transpose(1, 0, 2, 3)
+            xt = xb.transpose(1, 0, 2, 3)
             for e, f in itertools.product(range(1, m + 1), repeat=2):
                 src = xt[:, :, (e - 1) // k::m // k, (f - 1) // k::m // k]
                 (hn, wn), i, j = src.shape[2:], e // s, f // s
                 ph[e % s, f % s, lo:hi, :, i:i + d * hn:d, j:j + d * wn:d] = src
         return ph.reshape(s * s, c, -1)
 
-    ph = phases()
+    ph = phases(xs)
     taps = [(u, v, (u % s) * s + v % s, (u // s) * wq + v // s) for u in range(3) for v in range(3)]
     cols = n * hq * wq
     pad = taps[-1][3]  # tap (2, 2) reaches furthest
@@ -403,13 +474,17 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     for u, v, p, off in taps:
         acc += w.data[:, :, u, v] @ ph[p, :, off:off + span]
     acc += b.data[:, None]
+    nodes, nw, nb = [t._node for t in blocks], w._node, b._node
+    # the rule reads the blocks only for the weight's gradient, the weight only for the blocks'
+    xs = xs if nw is not None else None
+    wdata = w.data if any(nodes) else None
 
     def block_grad(gz: np.ndarray, lo: int, hi: int, half: bool) -> np.ndarray:
         """The input gradient of channels lo:hi, in their block's (n, c_i, ., .) layout."""
         ci = hi - lo
         gph = np.zeros((s * s, ci, cols), dtype=dtype)
         for u, v, p, off in taps:
-            wt, gt = w.data[:, lo:hi, u, v].T, gz[:, pad - off:pad - off + cols]
+            wt, gt = wdata[:, lo:hi, u, v].T, gz[:, pad - off:pad - off + cols]
             gph[p] += wt * gt if co == 1 else wt @ gt  # numpy's k=1 matmul is far slower
         if s == 1:
             gbuf = gph.reshape(ci, n, hq, wq)
@@ -425,20 +500,20 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         return gx.transpose(1, 0, 2, 3)
 
     def backward(g: np.ndarray) -> None:
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 2, 3)))
+        if nb is not None:
+            nb._accumulate(g.sum(axis=(0, 2, 3)))
         gz = np.zeros((co, pad + cols), dtype=g.dtype)
         gz[:, pad:].reshape(co, n, hq, wq, copy=False)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
-        if w.requires_grad:
-            ph, gf = phases(), gz[:, pad:pad + span]
+        if nw is not None:
+            ph, gf = phases(xs), gz[:, pad:pad + span]
             gw = np.empty((9, co, c), dtype=dtype)
             for t, (_, _, p, off) in enumerate(taps):
                 np.matmul(gf, ph[p, :, off:off + span].T, out=gw[t])
             del ph  # not held while the input gradients are taken
-            w._accumulate(gw.transpose(1, 2, 0).reshape(w.shape))
-        for t, lo, hi in zip(blocks, bounds, bounds[1:]):
-            if t.requires_grad:
-                t._accumulate(block_grad(gz, lo, hi, t.shape[2:] != full))
+            nw._accumulate(gw.transpose(1, 2, 0).reshape(nw.shape))
+        for nt, sh, lo, hi in zip(nodes, shapes, bounds, bounds[1:]):
+            if nt is not None:
+                nt._accumulate(block_grad(gz, lo, hi, sh[2:] != full))
 
     # output pixel (k, o, i, j) sits at acc[o, (k*hq + i)*wq + j]; the largest
     # column read, ((n-1)*hq + ho-1)*wq + wo-1, is span - 1 at both strides
@@ -446,7 +521,7 @@ def conv3x3(x, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     e = acc.itemsize
     out = np.lib.stride_tricks.as_strided(acc, (n, co, ho, wo), (hq * wq * e, span * e, wq * e, e),
                                           writeable=False)
-    return Tensor._from_op(np.ascontiguousarray(out), (*blocks, w, b), backward)
+    return Tensor._from_op(np.ascontiguousarray(out), (*nodes, nw, nb), backward)
 
 
 # -- optimizer ----------------------------------------------------------------

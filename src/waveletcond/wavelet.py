@@ -89,19 +89,21 @@ def dwt2(x: Tensor) -> Tensor:
     dimensions must be even.
     """
     x = as_tensor(x)
+    nx = x._node
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(idwt2_data(g))
+        nx._accumulate(idwt2_data(g))
 
-    return Tensor._from_op(dwt2_data(x.data), (x,), backward)
+    return Tensor._from_op(dwt2_data(x.data), (nx,), backward)
 
 
 def idwt2(s: Tensor) -> Tensor:
     """Reconstruct the signal from a (4, ...) band stack (exact inverse of dwt2)."""
     s = as_tensor(s)
+    ns = s._node
 
     def backward(g: np.ndarray) -> None:
-        s._accumulate(dwt2_data(g))
+        ns._accumulate(dwt2_data(g))
 
-    return Tensor._from_op(idwt2_data(s.data), (s,), backward)
+    return Tensor._from_op(idwt2_data(s.data), (ns,), backward)
 

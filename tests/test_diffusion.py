@@ -367,11 +367,33 @@ def test_train_ignores_stale_caller_gradients():
     assert stale_losses == clean_losses
 
 
+def test_default_forward_tape_holds_only_what_backward_rules_read():
+    # 2.0 MiB; keeping every op output's data until the loss goes, 4.0 MiB
+    cfg = TrainConfig()
+    clip = make_synthetic_dataset(1, cfg.frames, cfg.height, cfg.width, seed=cfg.seed,
+                                  samples_per_frame=cfg.samples_per_frame,
+                                  amplitude=cfg.amplitude)[0]
+    params = init_model_params(cfg)
+    sched = linear_schedule(cfg.timesteps)
+    batch = [(clip, 5, rng(3).standard_normal(clip.frames.shape))]
+    train_loss(batch, params, sched, cfg)  # warm-up
+    tracemalloc.start()
+    try:
+        loss = train_loss(batch, params, sched, cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2.5 * 2**20
+    loss.backward()
+    assert all(p.grad is not None for p in params.values())
+
+
 def test_train_holds_one_graph_and_no_spent_gradients():
-    # a step's peak holds one graph and the leaves' gradients (6.6 MiB):
-    # keeping either the previous step's graph or every intermediate .grad
-    # reads 14-15 MB; a 4x copy of the bottleneck and its gradient in the up
-    # conv, 9.8 MiB; a padded copy of each conv's input on the tape, 8.7 MiB
+    # a step's peak holds one graph and the leaves' gradients (4.6 MiB):
+    # keeping every op output's data on the tape reads 6.6 MiB; either the
+    # previous step's graph or every intermediate .grad, 14-15 MB; a 4x copy
+    # of the bottleneck and its gradient in the up conv, 9.8 MiB; a padded
+    # copy of each conv's input on the tape, 8.7 MiB
     cfg = dataclasses.replace(TrainConfig(seed=1), steps=3)
     ds = make_synthetic_dataset(cfg.n_clips, cfg.frames, cfg.height, cfg.width, seed=cfg.seed,
                                 samples_per_frame=cfg.samples_per_frame,
@@ -383,7 +405,7 @@ def test_train_holds_one_graph_and_no_spent_gradients():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7.5 * 2**20
+    assert peak <= 5.25 * 2**20
 
 
 def test_unet_forward_without_tape_stays_small():

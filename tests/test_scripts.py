@@ -24,6 +24,7 @@ spec.loader.exec_module(bench_pairs)
 SUMMARY_FIELDS = {"pairs", "parent_median_ms", "change_median_ms", "ratio_median", "ratio_ci95",
                   "ratio_q1", "ratio_q3", "parent_minor_faults_per_item",
                   "change_minor_faults_per_item", "outputs_bit_identical", "output_mismatches"}
+TRAIN_FIELDS = {"parent_traced_peak_mib", "change_traced_peak_mib"}
 
 
 def test_bit_identity_prints_its_eight_checks_as_16_hex_digits():
@@ -71,10 +72,16 @@ def lib(tmp_path, monkeypatch):
 def test_measurer_on_two_copies_of_one_package_reports_identical_outputs(lib):
     runs = bench_pairs.measure(str(lib))
     assert set(runs) == {"train", "sample"}
+    assert set(runs["train"]) == SUMMARY_FIELDS | TRAIN_FIELDS
+    assert set(runs["sample"]) == SUMMARY_FIELDS
     for summary in runs.values():
-        assert set(summary) == SUMMARY_FIELDS
         assert summary["pairs"] == 3
         assert summary["outputs_bit_identical"] and summary["output_mismatches"] == 0
+    # one default step holds its params, Adam moments, graph and gradients: a few MiB,
+    # the same on two copies of one package
+    parent, change = (runs["train"][f"{side}_traced_peak_mib"] for side in bench_pairs.SIDES)
+    assert 1.0 < parent < 64.0
+    assert change == pytest.approx(parent, rel=0.01)
 
 
 def test_measurer_reports_train_mismatches_when_adam_eps_changes(lib):

@@ -1,6 +1,7 @@
 """Tensor primitives, the gradient tape, and the Adam update."""
 
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -277,6 +278,81 @@ def test_second_backward_adds_the_leaf_gradients_again():
     loss.backward()
     assert np.array_equal(x.grad, 2 * gx)
     assert np.array_equal(w.grad, 2 * gw)
+
+
+def test_backward_on_a_tensor_that_needs_no_gradient_raises():
+    # as torch does; it would otherwise leave a gradient on a constant
+    c = Tensor(np.ones(3))
+    out = mean(add(c, Tensor(np.ones(3))))
+    for t in (out, Tensor(1.0)):
+        with pytest.raises(ValueError, match="needs a gradient"):
+            t.backward()
+        assert t.grad is None and not t.requires_grad
+    assert c.grad is None
+    with pytest.raises(ValueError, match="needs no gradient"):
+        c.grad = np.ones(3)
+
+
+def test_relu_gradient_mask_is_x_above_zero_with_signed_zero_and_nan():
+    x = Tensor([-0.0, 0.0, np.nan, -1.0, 2.0, 5e-324], requires_grad=True)
+    total(relu(x)).backward()
+    assert x.grad.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("reader", [relu, lambda h: add(h, 1.0)], ids=["relu", "add"])
+def test_an_intermediate_no_rule_reads_is_freed_with_its_tensor(reader):
+    r = rng(16)
+    x = Tensor(r.standard_normal((3, 4)), requires_grad=True)
+    w = Tensor(r.standard_normal((4, 2)), requires_grad=True)
+    h = matmul(x, w)
+    held = weakref.ref(h.data)
+    loss = mean(reader(h))
+    del h
+    assert held() is None  # freed while the graph is still alive
+    loss.backward()
+    assert x.grad is not None and w.grad is not None
+
+
+def test_ew_mul_keeps_an_operand_only_for_the_other_operands_gradient():
+    r = rng(17)
+    a = Tensor(r.standard_normal(5), requires_grad=True)
+    b = Tensor(r.standard_normal(5))
+    a_held, b_held = weakref.ref(a.data), weakref.ref(b.data)
+    loss = mean(ew_mul(a, b))
+    del a, b
+    assert a_held() is None  # b needs no gradient, so nothing reads a
+    assert b_held() is not None  # read for a's gradient
+    loss.backward()
+    assert b_held() is not None
+    del loss
+    assert b_held() is None
+
+
+def test_a_replaced_backward_fn_reroutes_its_nodes_rule():
+    # perfbench's tracer times each op's backward by wrapping the rule on its output
+    r = rng(18)
+    xd, wd = r.standard_normal((3, 4)), r.standard_normal((4, 2))
+
+    def leaf_grads(wrap):
+        x, w = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
+        h = matmul(x, w)
+        calls = []
+        if wrap:
+            rule = h._backward_fn
+
+            def counted(g):
+                calls.append(g.shape)
+                rule(g)
+
+            h._backward_fn = counted
+            assert h._backward_fn is counted
+        mean(sigmoid(h)).backward()
+        return x.grad, w.grad, calls
+
+    gx, gw, calls = leaf_grads(True)
+    want_gx, want_gw, _ = leaf_grads(False)
+    assert calls == [(3, 2)]
+    assert np.array_equal(gx, want_gx) and np.array_equal(gw, want_gw)
 
 
 # -- backward: every primitive against finite differences ----------------------------
