@@ -201,10 +201,10 @@ def cmd_train_toy(args) -> int:
     dataset = make_synthetic_dataset(cfg.n_clips, cfg.frames, cfg.height, cfg.width,
                                      seed=cfg.seed, samples_per_frame=cfg.samples_per_frame,
                                      amplitude=cfg.amplitude)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # before training: an unusable --out fails at once
     params, losses = train(dataset, cfg,
                            on_step=lambda s, v: print(f"step {s}: loss {v:.6f}"))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     sgtf.save_params(out / "params", params)
     (out / "config.txt").write_text(config_to_text(cfg))
     (out / "losses.csv").write_text(
@@ -255,10 +255,14 @@ def parse_index_spec(spec: str, count: int) -> list[int]:
         part = part.strip()
         if not part:
             continue
+        bad = ValueError(f"index spec {spec!r}: {part!r} is not a range within [0, {count})")
         lo, dash, hi = part.partition("-")
-        lo, hi = int(lo), int(hi if dash else lo)
+        try:
+            lo, hi = int(lo), int(hi if dash else lo)
+        except ValueError:
+            raise bad from None
         if not 0 <= lo <= hi < count:
-            raise ValueError(f"index spec {spec!r}: {part!r} is not a range within [0, {count})")
+            raise bad
         out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError(f"empty index spec: {spec!r}")
@@ -282,7 +286,7 @@ def cmd_metrics(args) -> int:
             metrics.load_landmarks_csv(gt_dir / rec.landmark_path),
             metrics.load_beats(gt_dir / rec.beats_path), fps=rec.fps,
             mouth=(parse_index_spec(args.mouth_indices, pred_lm.shape[1])
-                   if args.mouth_indices else None),
+                   if args.mouth_indices is not None else None),
             peak=args.peak)
         rows.append({"clip_id": rec.clip_id, **row})
     report = metrics.json_safe({
@@ -324,11 +328,15 @@ def cmd_manifest_crop(args) -> int:
 
 def cmd_manifest_split(args) -> int:
     train_parts, _, test_parts = args.ratio.partition(":")
+    try:
+        train_parts, test_parts = int(train_parts), int(test_parts or 1)
+    except ValueError:
+        raise ValueError(f"--ratio must be TRAIN:TEST with integer parts, "
+                         f"got {args.ratio!r}") from None
     records = datakit.read_manifest(args.manifest)
     seed = 0 if args.seed is None else args.seed
-    labelled = datakit.split_dataset(records, seed=seed,
-                                     train_parts=int(train_parts),
-                                     test_parts=int(test_parts or 1))
+    labelled = datakit.split_dataset(records, seed=seed, train_parts=train_parts,
+                                     test_parts=test_parts)
     datakit.write_manifest(args.out, labelled)
     n_train = sum(1 for r in labelled if r.split == "train")
     print(f"split {len(labelled)} clips: {n_train} train / {len(labelled) - n_train} test "

@@ -152,19 +152,14 @@ def diversity(a: LandmarkSequence) -> float:
 # -- beat alignment ------------------------------------------------------------------
 
 
-def displacement_magnitudes(motion: LandmarkSequence) -> np.ndarray:
-    """Mean landmark displacement between consecutive frames; entry j is frame j+1."""
-    deltas = np.diff(motion.frames, axis=0)
-    return np.mean(np.sqrt(np.sum(deltas ** 2, axis=2)), axis=1)
-
-
 def motion_beat_frames(motion: LandmarkSequence) -> list[int]:
     """Frames at strict local minima of displacement magnitude.
 
     A plateau bounded by strictly larger values on both sides counts once,
     at its earliest frame; array endpoints never qualify.
     """
-    disp = displacement_magnitudes(motion)
+    # mean landmark displacement between consecutive frames; entry j is frame j+1
+    disp = np.mean(np.sqrt(np.sum(np.diff(motion.frames, axis=0) ** 2, axis=2)), axis=1)
     beats: list[int] = []
     i = 0
     n = disp.size
@@ -176,13 +171,6 @@ def motion_beat_frames(motion: LandmarkSequence) -> list[int]:
             beats.append(i + 1)  # disp index i is the step arriving at frame i+1
         i = j + 1
     return beats
-
-
-def motion_beat_times(motion: LandmarkSequence, fps: float) -> np.ndarray:
-    """Motion beat frames in seconds at `fps` frames per second."""
-    if not 0 < fps < math.inf:
-        raise ValueError(f"motion_beat_times: fps must be finite and positive, got {fps}")
-    return np.asarray([f / fps for f in motion_beat_frames(motion)])
 
 
 def bas_from_beats(audio_times: np.ndarray, motion_times: np.ndarray,
@@ -209,7 +197,10 @@ def bas(audio_beats: BeatTrack, motion: LandmarkSequence, fps: float) -> float:
     The Gaussian's sigma is 3 frames, converted to seconds by the motion's
     fps.  The rules of `bas_from_beats` apply.
     """
-    return bas_from_beats(audio_beats.timestamps, motion_beat_times(motion, fps), 3.0 / fps)
+    if not 0 < fps < math.inf:
+        raise ValueError(f"bas: fps must be finite and positive, got {fps}")
+    return bas_from_beats(audio_beats.timestamps, [f / fps for f in motion_beat_frames(motion)],
+                          3.0 / fps)
 
 
 # -- file formats ---------------------------------------------------------------------

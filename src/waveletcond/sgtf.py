@@ -87,18 +87,24 @@ def save_params(dirpath, params: dict[str, Tensor]) -> None:
 def load_params(dirpath) -> dict[str, Tensor]:
     """Load a parameter directory written by save_params, as constant tensors.
 
-    A parameter file that holds a NaN or infinite value is an error naming it.
+    A malformed manifest, one of a version other than 1, and a parameter file
+    that holds a NaN or infinite value are each an error naming its path.
     """
     d = Path(dirpath)
     manifest_path = d / "manifest.json"
     if not manifest_path.exists():
         raise ValueError(f"{dirpath}: missing manifest.json")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != "sgtf-params":
         raise ValueError(f"{dirpath}: not a parameter directory")
     names = manifest.get("tensors")
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise ValueError(f"{dirpath}: manifest 'tensors' must be a list of names")
+    if manifest.get("version") != 1:
+        raise ValueError(f"{dirpath}: unsupported params version {manifest.get('version')!r}")
     params: dict[str, Tensor] = {}
     for name in names:
         if Path(name).name != name:

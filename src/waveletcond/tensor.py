@@ -18,11 +18,8 @@ weight gradient and its weight only for a block's, and the other ops shapes
 alone.  So an intermediate that no rule reads is freed during the forward,
 when its last name goes.
 
-Contractions (`matmul`, `conv3x3`) go through `np.matmul`, so they run as
-BLAS matrix products; `conv3x3`'s docstring describes its algorithm.  It reads
-channel blocks, a half-resolution one nearest-upsampled 2x, keeps the blocks'
-arrays, not their zero-padded buffer (its backward rebuilds that), and takes
-the input gradient one block at a time.
+Contractions (`matmul`, `conv3x3`) run as BLAS products through `np.matmul`;
+`conv3x3`'s docstring describes its algorithm.
 
 `add`, `ew_mul` and `matmul` broadcast like numpy (`matmul` over the axes
 before the last two); each operand's gradient is summed back onto its own
@@ -142,14 +139,12 @@ class Tensor:
 
     @grad.setter
     def grad(self, g: np.ndarray | None) -> None:
+        if g is not None and self._node is None:
+            raise ValueError("grad: a tensor that needs no gradient holds none")
+        if g is not None and g.shape != self.shape:
+            raise ValueError(f"grad: shape {g.shape} != tensor shape {self.shape}")
         if self._node is not None:
             self._node.grad = g
-        elif g is not None:
-            raise ValueError("grad: a tensor that needs no gradient holds none")
-
-    @property
-    def _parents(self) -> tuple[_Node, ...]:
-        return () if self._node is None else self._node._parents
 
     @property
     def _backward_fn(self) -> Callable[[np.ndarray], None] | None:
@@ -541,25 +536,23 @@ class AdamState:
         self.step = dict.fromkeys(params, 0)
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState,
-              lr: float) -> dict[str, Tensor]:
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> dict[str, Tensor]:
     """One bias-corrected Adam update (the ADAM_* constants); returns fresh tensors.
 
-    A parameter missing from `grads`, or whose grad is None, is returned as
-    is and its moments and step count stay untouched; those of the other
-    parameters advance in place.  Each parameter's bias correction uses its
-    own step count, so skipped steps do not count.
+    Each parameter's gradient is its own `.grad`.  One without (a constant, or
+    one the loss did not reach) is returned as is and its moments and step
+    count stay untouched; those of the other parameters advance in place.
+    Each parameter's bias correction uses its own step count, so skipped
+    steps do not count.
     """
     if not 0.0 < lr < math.inf:
         raise ValueError(f"adam_step: lr must be positive and finite, got {lr}")
     new_params: dict[str, Tensor] = {}
     for k, p in params.items():
-        g = grads.get(k)
+        g = p.grad
         if g is None:
             new_params[k] = p
             continue
-        if g.shape != p.shape:
-            raise ValueError(f"adam_step: grad shape {g.shape} != param shape {p.shape} for {k!r}")
         state.step[k] += 1
         t = state.step[k]
         m = state.m[k]
@@ -573,4 +566,3 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
         new_data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_params[k] = Tensor(new_data, requires_grad=p.requires_grad)
     return new_params
-

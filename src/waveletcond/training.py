@@ -131,7 +131,7 @@ def train(dataset: list[Clip], cfg: TrainConfig,
             raise DivergenceError(f"train: non-finite loss {value} at step {step}")
         losses.append(value)
         loss.backward()
-        params = adam_step(params, {k: p.grad for k, p in params.items()}, state, lr=cfg.lr)
+        params = adam_step(params, state, lr=cfg.lr)
         del loss  # the next forward builds its graph with this one freed
         if on_step is not None and (step % cfg.log_every == 0 or step == cfg.steps - 1):
             on_step(step, value)

@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand, exit codes, byte determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +310,25 @@ def test_ablate_byte_identical_reports(tmp_path):
         ["w/o MSM", "w/o SFM", "w/o both", "full"]
 
 
+def test_ablate_without_out_writes_the_global_seeds_report_to_stdout(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(config_with("steps=2"))
+    assert main(["--seed", "9", "ablate", "--config", str(cfg_path)]) == 0
+    text = capsys.readouterr().out
+    assert text.endswith("}\n") and json.loads(text)["config"]["seed"] == 9
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_train_toy_makes_its_run_directory_before_training(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: calls.append(args))
+    argv = config_argv("train-toy", tmp_path, TINY_CONFIG)
+    put(tmp_path / "out", "an --out that names a file")
+    assert main(argv) == 2
+    assert "File exists" in capsys.readouterr().err
+    assert calls == []
+
+
 # -- metrics ------------------------------------------------------------------------------
 
 
@@ -396,6 +416,13 @@ def test_parse_index_spec():
 @pytest.mark.parametrize("spec", ["0-10000000000", "10000000000", "60-68", "68", "7-5", "5-"])
 def test_parse_index_spec_rejects_indices_past_count_before_expanding(spec):
     with pytest.raises(ValueError):
+        parse_index_spec(spec, 68)
+
+
+@pytest.mark.parametrize("spec", ["48-", "a-3", "-3", "4-b"])
+def test_parse_index_spec_names_a_part_that_is_not_a_range(spec):
+    with pytest.raises(ValueError, match=f"^index spec '{spec}': '{spec}' is not a range "
+                                         r"within \[0, 68\)$"):
         parse_index_spec(spec, 68)
 
 
@@ -497,6 +524,14 @@ def test_manifest_split_bad_ratio_exits_2(tmp_path, capsys, ratio):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_manifest_split_ratio_without_a_colon_is_train_parts_to_one(tmp_path):
+    argv = manifest_argv("split", tmp_path)
+    assert main([*argv, "--ratio", "4:1"]) == 0
+    want = (tmp_path / "o.jsonl").read_bytes()
+    assert main([*argv, "--ratio", "4"]) == 0
+    assert (tmp_path / "o.jsonl").read_bytes() == want
+
+
 @pytest.mark.parametrize("line", ["[1, 2]", '"abc"', "7"])
 @pytest.mark.parametrize("command", ["segment", "crop"])
 def test_manifest_non_object_source_line_exits_2(tmp_path, capsys, command, line):
@@ -575,7 +610,8 @@ MSM_LATENT = (2, 1, 8, 8)
 
 def msm_argv(d, audio=np.zeros((4, 8)), latent=np.zeros(MSM_LATENT), drop=(), hidden=4,
              **replace):
-    params = init_msm_params(latent.shape, hidden=hidden)
+    # a latent that init_msm_params rejects goes with the default latent's params
+    params = init_msm_params(latent.shape if latent.ndim == 4 else MSM_LATENT, hidden=hidden)
     return ["msm-apply", "--audio", put(d / "a.sgtf", audio),
             "--latent", put(d / "z.sgtf", latent),
             "--params", params_dir(d / "p", params, drop, **replace), "--out", str(d / "o.sgtf")]
@@ -641,6 +677,13 @@ def without(d, key):
     return {k: v for k, v in d.items() if k != key}
 
 
+def with_params_version(run, version):
+    """The run directory `run` with its params manifest's version set to `version`."""
+    manifest = Path(run) / "params" / "manifest.json"
+    put(manifest, json.dumps({**json.loads(manifest.read_text()), "version": version}))
+    return run
+
+
 HOSTILE_ARGV = {
     "dwt/garbage": lambda d: ["dwt", put(d / "x.sgtf", GARBAGE), str(d / "b")],
     "dwt/rank1": lambda d: ["dwt", put(d / "x.sgtf", np.zeros(4)), str(d / "b")],
@@ -657,6 +700,7 @@ HOSTILE_ARGV = {
     "msm-apply/out_bias_shape": lambda d: msm_argv(d, **{"msm.fc2_b": np.zeros(1)}),
     "msm-apply/indivisible_audio": lambda d: msm_argv(d, latent=np.zeros((3, 1, 8, 8))),
     "msm-apply/nan_audio": lambda d: msm_argv(d, audio=with_value((4, 8), (2, 6), np.nan)),
+    "msm-apply/rank3_latent": lambda d: msm_argv(d, latent=np.zeros((1, 8, 8))),
     "sfm-apply/garbage": lambda d: sfm_argv(d, features=GARBAGE),
     "sfm-apply/missing_key": lambda d: sfm_argv(d, drop=("sfm.gate_w",)),
     "sfm-apply/rank3": lambda d: sfm_argv(d, features=np.zeros((3, 4, 4))),
@@ -668,6 +712,11 @@ HOSTILE_ARGV = {
     "train-toy/missing_key": lambda d: config_argv("train-toy", d, TINY_CONFIG + "=5\n"),
     "train-toy/missing_value": lambda d: config_argv("train-toy", d, TINY_CONFIG + "steps=\n"),
     "train-toy/repeated_key": lambda d: config_argv("train-toy", d, TINY_CONFIG + "frames=8\n"),
+    "train-toy/height_6": lambda d: config_argv("train-toy", d, config_with("height=6")),
+    "train-toy/width_10": lambda d: config_argv("train-toy", d, config_with("width=10")),
+    "ablate/odd_samples_per_frame": lambda d: config_argv("ablate", d,
+                                                          config_with("samples_per_frame=3")),
+    "ablate/odd_d_audio": lambda d: config_argv("ablate", d, config_with("d_audio=3")),
     "sample/garbage": lambda d: sample_argv(d, run_dir(d), audio=GARBAGE),
     "sample/garbage_config": lambda d: sample_argv(d, run_dir(d, config=GARBAGE_TEXT)),
     "sample/missing_key": lambda d: sample_argv(d, run_dir(d, drop=("unet.mid1_w",))),
@@ -683,6 +732,7 @@ HOSTILE_ARGV = {
         d, run_dir(d, **{"unet.mid1_w": with_value((8, 8, 3, 3), (1, 2, 0, 1), np.nan)})),
     "sample/timesteps_past_temb": lambda d: sample_argv(
         d, run_dir(d, config=TINY_CONFIG.replace("timesteps=5", "timesteps=9"))),
+    "sample/params_version_2": lambda d: sample_argv(d, with_params_version(run_dir(d), 2)),
     "ablate/garbage": lambda d: config_argv("ablate", d, GARBAGE_TEXT),
     "ablate/missing_key": lambda d: config_argv("ablate", d, TINY_CONFIG + "=5\n"),
     "ablate/missing_value": lambda d: config_argv("ablate", d, TINY_CONFIG + "lr=\n"),
@@ -703,6 +753,11 @@ HOSTILE_ARGV = {
     "metrics/nan_landmark": lambda d: metrics_argv(d, asset="landmark_path",
                                                    content=NAN_LANDMARKS),
     "metrics/empty_beats": lambda d: metrics_argv(d, asset="beats_path", content="", root="gt"),
+    "metrics/empty_manifest": lambda d: metrics_argv(d, record=lambda rec: ""),
+    "metrics/empty_mouth_indices": lambda d: metrics_argv(d, "--mouth-indices", ""),
+    "metrics/blank_mouth_indices": lambda d: metrics_argv(d, "--mouth-indices", " "),
+    "metrics/open_mouth_range": lambda d: metrics_argv(d, "--mouth-indices", "1-"),
+    "metrics/letter_mouth_index": lambda d: metrics_argv(d, "--mouth-indices", "a-1"),
     "segment/garbage": lambda d: manifest_argv("segment", d, source=GARBAGE_TEXT),
     "segment/missing_key": lambda d: manifest_argv("segment", d, source=without(SOURCE, "fps")),
     "segment/rank1_bbox": lambda d: manifest_argv("segment", d,
@@ -737,6 +792,11 @@ HOSTILE_ARGV = {
     "crop/missing_key": lambda d: manifest_argv("crop", d, record=without(RECORD, "end_frame")),
     "crop/rank2_crop_box": lambda d: manifest_argv("crop", d,
                                                    record={**RECORD, "crop_box": [[1, 2]]}),
+    "crop/unknown_source": lambda d: manifest_argv("crop", d, record={**RECORD, "source_id": "s9"}),
+    "split/letter_ratio": lambda d: [*manifest_argv("split", d), "--ratio", "a:1"],
+    "split/letter_ratio_of_a_missing_manifest": lambda d: [
+        "manifest", "split", "--manifest", str(d / "missing.jsonl"), "--out", str(d / "o.jsonl"),
+        "--ratio", "4:b"],
     "split/garbage": lambda d: manifest_argv("split", d, record=GARBAGE_TEXT),
     "split/missing_key": lambda d: manifest_argv("split", d, record=without(RECORD, "source_id")),
     "split/rank0_crop_box": lambda d: manifest_argv("split", d, record={**RECORD, "crop_box": 5}),
@@ -807,6 +867,21 @@ HOSTILE_ERROR_NAMES = {
                              "non-empty string, got 5",
     "crop/string_duration": "duration_s must be a finite positive number, got '2'",
     "segment/missing_key": "missing 1 required positional argument: 'fps'",
+    "msm-apply/rank3_latent": "msm-apply: latent must be 4-D, got shape (1, 8, 8)",
+    "train-toy/height_6": "TrainConfig: height/width must be divisible by 4, got 6x8",
+    "train-toy/width_10": "TrainConfig: height/width must be divisible by 4, got 8x10",
+    "ablate/odd_samples_per_frame": "TrainConfig: samples_per_frame must be even",
+    "ablate/odd_d_audio": "TrainConfig: d_audio must be even",
+    "sample/params_version_2": "{d}/run/params: unsupported params version 2",
+    "metrics/empty_manifest": "metrics: empty manifest {d}/m.jsonl",
+    "metrics/empty_mouth_indices": "empty index spec: ''",
+    "metrics/blank_mouth_indices": "empty index spec: ' '",
+    "metrics/open_mouth_range": "index spec '1-': '1-' is not a range within [0, 2)",
+    "metrics/letter_mouth_index": "index spec 'a-1': 'a-1' is not a range within [0, 2)",
+    "crop/unknown_source": "manifest crop: no source metadata for s9",
+    "split/letter_ratio": "--ratio must be TRAIN:TEST with integer parts, got 'a:1'",
+    "split/letter_ratio_of_a_missing_manifest": "--ratio must be TRAIN:TEST with integer "
+                                                "parts, got '4:b'",
 }
 
 

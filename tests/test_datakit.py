@@ -221,6 +221,14 @@ def test_manifest_empty_file(tmp_path):
     assert read_manifest(path) == []
 
 
+def test_manifest_skips_blank_lines(tmp_path):
+    records = segment_clips(make_source(duration=6.0))[:2]
+    lines = [json.dumps(rec.to_json_dict()) for rec in records]
+    path = tmp_path / "m.jsonl"
+    path.write_text(f"\n{lines[0]}\n  \n\n{lines[1]}\n\n")
+    assert read_manifest(path) == records
+
+
 def test_manifest_unknown_field_preserved_byte_exact(tmp_path):
     rec = make_record(sid="x", extra={"quality": 0.93, "note": "ok"})
     path = tmp_path / "m.jsonl"

@@ -661,3 +661,42 @@ def test_parse_config_rejects_bad_line():
 def test_parse_config_rejects_bad_bool():
     with pytest.raises(ValueError, match="boolean"):
         parse_config_text("use_msm=maybe\n")
+
+
+# -- input checks ----------------------------------------------------------------------
+
+
+def _short_temb_forward():
+    """unet_forward at TINY with two timestep rows where TINY needs five."""
+    params = init_model_params(TINY)
+    params["unet.temb"] = Tensor(params["unet.temb"].data[:2])
+    clip = tiny_clip()
+    return unet_forward(clip.frames, 1, audio_to_windows(clip.audio, TINY), clip.frames[0],
+                        params, TINY)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: forward_diffuse(np.zeros((2, 1, 8, 8)), 1, np.zeros((2, 1, 8, 4)),
+                             linear_schedule(5)),
+     "forward_diffuse: shape mismatch (2, 1, 8, 8) vs (2, 1, 8, 4)"),
+    (_short_temb_forward, "unet_forward: unet.temb has fewer than 5 timestep rows"),
+], ids=["forward_diffuse_shape", "unet_forward_temb_rows"])
+def test_diffusion_input_checks_raise_value_error_naming_the_fault(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_synthetic_dataset(0, 2, 8, 8, seed=0),
+     "make_synthetic_dataset: bad sizes n=0 f=2 h=8 w=8"),
+    (lambda: make_synthetic_dataset(1, 2, 3, 8, seed=0),
+     "make_synthetic_dataset: bad sizes n=1 f=2 h=3 w=8"),
+    (lambda: validation_loss([], init_model_params(TINY), TINY), "validation_loss: empty dataset"),
+    (lambda: split_train_val([tiny_clip()]),
+     "split_train_val: dataset too small to hold out a validation clip"),
+], ids=["dataset_no_clips", "dataset_short_height", "validation_loss_empty", "split_one_clip"])
+def test_training_input_checks_raise_value_error_naming_the_fault(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

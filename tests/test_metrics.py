@@ -26,7 +26,6 @@ from waveletcond.metrics import (
     load_beats,
     load_landmarks_csv,
     motion_beat_frames,
-    motion_beat_times,
     psnr,
     save_beats,
     save_landmarks_csv,
@@ -325,7 +324,6 @@ def walk_with_displacements(disp):
 def test_motion_beats_at_displacement_minima():
     motion = seq(walk_with_displacements([2.0, 1.0, 2.0, 1.0, 2.0]))
     assert motion_beat_frames(motion) == [2, 4]
-    np.testing.assert_allclose(motion_beat_times(motion, fps=10.0), [0.2, 0.4])
 
 
 def test_motion_beats_plateau_earliest_frame():
@@ -409,10 +407,10 @@ def test_beat_track_rejects_non_finite_timestamps(bad):
 
 
 @pytest.mark.parametrize("fps", [0.0, -25.0, math.inf, math.nan])
-def test_motion_beat_times_rejects_bad_fps(fps):
+def test_bas_rejects_bad_fps(fps):
     motion = seq(walk_with_displacements([2.0, 1.0, 2.0]))
-    with pytest.raises(ValueError, match="fps"):
-        motion_beat_times(motion, fps)
+    with pytest.raises(ValueError, match=f"bas: fps must be finite and positive, got {fps}"):
+        bas(BeatTrack(np.array([0.08])), motion, fps)
 
 
 # -- file formats ----------------------------------------------------------------------
@@ -525,3 +523,32 @@ def test_evaluate_clip_and_aggregate():
 def test_json_safe_maps_infinities():
     out = json_safe({"PSNR": math.inf, "rows": [{"x": -math.inf}], "ok": 1.5})
     assert out == {"PSNR": "inf", "rows": [{"x": "-inf"}], "ok": 1.5}
+
+
+def test_load_beats_skips_blank_lines(tmp_path):
+    path = tmp_path / "beats.txt"
+    path.write_text("\n0.1\n\n  \n0.3\n\n")
+    np.testing.assert_array_equal(load_beats(path).timestamps, [0.1, 0.3])
+
+
+# -- input checks ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d: ssim(np.zeros((11, 11)), np.zeros((11, 12))),
+     "ssim: shape mismatch (11, 11) vs (11, 12)"),
+    (lambda d: ssim(np.zeros((2, 11, 11)), np.zeros((2, 11, 11))),
+     "ssim: expected 2-D images, got shape (2, 11, 11)"),
+    (lambda d: LandmarkSequence(np.zeros((3, 2))),
+     "LandmarkSequence: expected (n, k, 2), got (3, 2)"),
+    (lambda d: BeatTrack(np.zeros((2, 2))), "BeatTrack: expected 1-D timestamps, got (2, 2)"),
+    (lambda d: bas_from_beats([0.1], [0.1], 0.0), "bas: sigma must be positive, got 0.0"),
+    (lambda d: save_landmarks_csv(d / "lm.csv", np.zeros((3, 2, 3))),
+     "save_landmarks_csv: expected (n, k, 2), got (3, 2, 3)"),
+], ids=["ssim_shapes", "ssim_rank", "landmarks_shape", "beats_rank", "bas_sigma",
+        "save_landmarks_shape"])
+def test_input_checks_raise_value_error_naming_the_fault(tmp_path, call, message):
+    with pytest.raises(ValueError) as exc:
+        call(tmp_path)
+    assert str(exc.value) == message
+    assert list(tmp_path.iterdir()) == []

@@ -272,3 +272,18 @@ def test_audio_embedding_rejects_rank_3():
 def test_audio_embedding_rejects_indivisible_frames():
     with pytest.raises(ValueError, match="divisible"):
         frame_tokens(Tensor(np.zeros((4, 8))), frames=3)
+
+
+# -- input checks ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: init_msm_params((8, 4)), "init_msm_params: latent shape must be 4-D, got (8, 4)"),
+    (lambda: init_msm_params((2, 1, 6, 4)), "init_msm_params: latent width 6 not divisible by 4"),
+    (lambda: chunk_weights(Tensor(np.zeros((1, 8, 4))), init_msm_params(LATENT_SHAPE)),
+     "chunk_weights: latent must be 4-D (f,c,w,h), got (1, 8, 4)"),
+], ids=["init_rank", "init_width", "chunk_weights_rank"])
+def test_input_checks_raise_value_error_naming_the_fault(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

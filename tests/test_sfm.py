@@ -153,3 +153,18 @@ def test_sfm_gradients_match_finite_differences():
 
     params = dict(p, features=h)
     check_gradients(f, params, h=1e-4, rtol=1e-4)
+
+
+# -- input checks ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: init_sfm_params((2, 3, 5, 4)),
+     "init_sfm_params: spatial dims must be even, got (2, 3, 5, 4)"),
+    (lambda: gate_map(Tensor(np.zeros((3, 4, 4))), init_sfm_params(FEAT_SHAPE)),
+     "gate_map: features must be 4-D (f,c,h,w), got (3, 4, 4)"),
+], ids=["init_odd_spatial", "gate_map_rank"])
+def test_input_checks_raise_value_error_naming_the_fault(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -174,3 +174,27 @@ def test_load_params_rejects_bad_manifest_shape(tmp_path, manifest):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=str(tmp_path)):
         load_params(tmp_path)
+
+
+@pytest.mark.parametrize("version", [7, "x", None])
+def test_load_params_rejects_an_unsupported_version(tmp_path, version):
+    save_params(tmp_path, {"w": Tensor(np.ones(2))})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    (tmp_path / "manifest.json").write_text(json.dumps({**manifest, "version": version}))
+    with pytest.raises(ValueError) as exc:
+        load_params(tmp_path)
+    assert str(exc.value) == f"{tmp_path}: unsupported params version {version!r}"
+
+
+def test_load_params_names_a_malformed_manifest(tmp_path):
+    (tmp_path / "manifest.json").write_text('{"a" 1}')
+    with pytest.raises(ValueError) as exc:
+        load_params(tmp_path)
+    assert str(exc.value).startswith(f"{tmp_path / 'manifest.json'}: Expecting ':' delimiter")
+
+
+def test_write_tensor_rejects_f16(tmp_path):
+    with pytest.raises(ValueError) as exc:
+        write_tensor(tmp_path / "x.sgtf", np.zeros(2, dtype=np.float16))
+    assert str(exc.value) == "SGTF supports f64/f32 only, got dtype float16"
+    assert not (tmp_path / "x.sgtf").exists()

@@ -222,7 +222,7 @@ def test_detached_parameter_gets_zero_gradient():
     loss.backward()
     assert unused.grad is None
     params = {"x": x, "unused": unused}
-    out = adam_step(params, {k: p.grad for k, p in params.items()}, AdamState(params), lr=0.1)
+    out = adam_step(params, AdamState(params), lr=0.1)
     assert out["unused"] is unused
     assert out["x"].data[0] != 1.0
 
@@ -244,8 +244,8 @@ def test_backward_sum_of_independent_subgraphs_is_concat_of_grads():
 
 
 def _graph_nodes(root):
-    """Every tensor reachable from `root` through the tape's parent edges."""
-    seen, stack = {}, [root]
+    """Every tape node reachable from `root`'s through the tape's parent edges."""
+    seen, stack = {}, [root._node]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
@@ -916,26 +916,40 @@ def test_conv3x3_half_resolution_block_matches_upsample_oracles(xs, stride, dtyp
 # -- Adam -----------------------------------------------------------------------
 
 
+def with_grad(params, **grads):
+    """`params` with each named parameter's `.grad` set, as a `backward()` would leave it."""
+    for k, g in grads.items():
+        params[k].grad = g
+    return params
+
+
 def test_adam_zero_grad_leaves_params_unchanged():
     params = {"w": Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)}
     state = AdamState(params)
-    grads = {"w": np.zeros(3)}
     out = params
     for _ in range(5):
-        out = adam_step(out, grads, state, lr=0.1)
+        out = adam_step(with_grad(out, w=np.zeros(3)), state, lr=0.1)
     np.testing.assert_array_equal(out["w"].data, [1.0, -2.0, 3.0])
 
 
 def test_adam_missing_grad_leaves_param_and_moments():
     params = {"w": Tensor(np.array([0.9, -0.4]), requires_grad=True)}
     state = AdamState(params)
-    params = adam_step(params, {"w": np.array([0.5, -1.5])}, state, lr=0.1)
+    params = adam_step(with_grad(params, w=np.array([0.5, -1.5])), state, lr=0.1)
     m, v = state.m["w"].copy(), state.v["w"].copy()
-    for grads in ({}, {"w": None}):
-        out = adam_step(params, grads, state, lr=0.1)
-        assert out["w"] is params["w"]
-        np.testing.assert_array_equal(state.m["w"], m)
-        np.testing.assert_array_equal(state.v["w"], v)
+    out = adam_step(params, state, lr=0.1)
+    assert out["w"] is params["w"]
+    np.testing.assert_array_equal(state.m["w"], m)
+    np.testing.assert_array_equal(state.v["w"], v)
+
+
+def test_adam_never_moves_a_constant():
+    # a constant holds no gradient, so no gradient can move it
+    params = {"w": Tensor([1.0, 2.0], requires_grad=True), "c": Tensor([1.0, 2.0])}
+    state = AdamState(params)
+    out = adam_step(with_grad(params, w=np.array([1.0, -1.0])), state, lr=0.1)
+    assert out["c"] is params["c"] and state.step["c"] == 0
+    np.testing.assert_allclose(out["w"].data, [0.9, 2.1])
 
 
 def _adam_reference(theta, gs, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -956,7 +970,7 @@ def test_adam_first_step_matches_hand_computation():
     theta0 = np.array([1.0, 1.0, 1.0])
     params = {"w": Tensor(theta0, requires_grad=True)}
     state = AdamState(params)
-    out = adam_step(params, {"w": g}, state, lr=0.01)
+    out = adam_step(with_grad(params, w=g), state, lr=0.01)
     # first step: m_hat = g, v_hat = g^2, update = -lr * g / (|g| + eps)
     expected = theta0 - 0.01 * g / (np.abs(g) + 1e-8)
     np.testing.assert_allclose(out["w"].data, expected, rtol=0, atol=1e-12)
@@ -968,8 +982,8 @@ def test_adam_two_steps_match_reference_recurrence():
     theta0 = np.array([0.0, 2.0])
     params = {"w": Tensor(theta0, requires_grad=True)}
     state = AdamState(params)
-    out = adam_step(params, {"w": g}, state, lr=0.05)
-    out = adam_step(out, {"w": g}, state, lr=0.05)
+    out = adam_step(with_grad(params, w=g), state, lr=0.05)
+    out = adam_step(with_grad(out, w=g), state, lr=0.05)
     np.testing.assert_allclose(out["w"].data, _adam_reference(theta0, [g, g], 0.05), atol=1e-12)
 
 
@@ -980,9 +994,9 @@ def test_adam_skipped_step_equals_two_plain_steps():
     g = np.array([0.5])
     params = {"w": Tensor(theta0, requires_grad=True)}
     state = AdamState(params)
-    out = adam_step(params, {"w": g}, state, lr=0.1)
-    out = adam_step(out, {}, state, lr=0.1)
-    out = adam_step(out, {"w": g}, state, lr=0.1)
+    out = adam_step(with_grad(params, w=g), state, lr=0.1)
+    out = adam_step(out, state, lr=0.1)
+    out = adam_step(with_grad(out, w=g), state, lr=0.1)
     plain = _adam_reference(theta0, [g, g], 0.1)
     np.testing.assert_allclose(out["w"].data, plain, atol=1e-12)
     np.testing.assert_allclose(plain, [0.8], atol=1e-6)
@@ -992,7 +1006,7 @@ def test_adam_rejects_nonpositive_lr():
     params = {"w": Tensor([1.0], requires_grad=True)}
     state = AdamState(params)
     with pytest.raises(ValueError, match="lr"):
-        adam_step(params, {"w": np.array([1.0])}, state, lr=0.0)
+        adam_step(with_grad(params, w=np.array([1.0])), state, lr=0.0)
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
@@ -1001,15 +1015,17 @@ def test_adam_rejects_nonfinite_lr(lr):
     params = {"w": Tensor([1.0], requires_grad=True)}
     state = AdamState(params)
     with pytest.raises(ValueError, match=f"lr must be positive and finite, got {lr}"):
-        adam_step(params, {"w": np.array([1.0])}, state, lr=lr)
+        adam_step(with_grad(params, w=np.array([1.0])), state, lr=lr)
     assert state.step["w"] == 0
 
 
-def test_adam_rejects_shape_mismatch():
-    params = {"w": Tensor([1.0, 2.0], requires_grad=True)}
-    state = AdamState(params)
-    with pytest.raises(ValueError, match="shape"):
-        adam_step(params, {"w": np.zeros(3)}, state, lr=0.1)
+def test_grad_setter_rejects_shape_mismatch():
+    # the setter is the only way a foreign array reaches a node, so a gradient
+    # that reaches adam_step has its parameter's shape
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    with pytest.raises(ValueError, match=r"grad: shape \(3,\) != tensor shape \(2,\)"):
+        w.grad = np.zeros(3)
+    assert w.grad is None
 
 
 # -- misc contracts ----------------------------------------------------------------
@@ -1085,3 +1101,25 @@ def test_lone_operand_follows_the_tensor_rule(name, kind):
     assert not out.requires_grad
     assert out.dtype == want.dtype == Tensor(x).dtype
     assert np.array_equal(out.data, want.data)
+
+
+# -- input checks ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Tensor([1.0, 2.0]).item(), "item() requires a single-element tensor, got shape (2,)"),
+    (lambda: add(np.zeros(2), Tensor(np.zeros(3))), "add: shape mismatch (2,) vs (3,)"),
+    (lambda: matmul(Tensor(np.zeros(3)), np.zeros((3, 2))),
+     "matmul: expected operands of rank >= 2, got (3,) and (3, 2)"),
+    (lambda: softmax_rows(np.zeros(3)), "softmax_rows: expected 2-D input, got (3,)"),
+    (lambda: mean(np.zeros((2, 0))), "mean: empty tensor"),
+    (lambda: conv3x3(np.zeros((1, 1, 4, 4)), Tensor(np.zeros((1, 1, 3, 3))), np.zeros(1),
+                     stride=3), "conv3x3: stride must be 1 or 2, got 3"),
+    (lambda: conv3x3(np.zeros((1, 1, 4, 4)), Tensor(np.zeros((1, 1, 2, 2))), np.zeros(1)),
+     "conv3x3: bad weight shape w(1, 1, 2, 2)"),
+], ids=["item", "add", "matmul_rank", "softmax_rows_rank", "mean_empty", "conv3x3_stride",
+        "conv3x3_weight"])
+def test_input_checks_raise_value_error_naming_the_fault(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
