@@ -239,10 +239,13 @@ def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    out = Path(args.out) if args.out else None
+    if out is not None and (out.is_dir() or not out.parent.is_dir()):  # before training
+        raise ValueError(f"ablate: --out {out} is not a file path in an existing directory")
     report = ablate(cfg)
     text = report_to_json(report)
-    if args.out:
-        Path(args.out).write_text(text)
+    if out is not None:
+        out.write_text(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -281,13 +284,19 @@ def cmd_metrics(args) -> int:
         # freed first, their pages go back to the OS and fault in again for every clip.
         pred_frames = sgtf.read_tensor(pred_dir / rec.frames_path)
         gt_frames = sgtf.read_tensor(gt_dir / rec.frames_path)
-        row = metrics.evaluate_clip(
-            pred_frames, gt_frames, pred_lm,
-            metrics.load_landmarks_csv(gt_dir / rec.landmark_path),
-            metrics.load_beats(gt_dir / rec.beats_path), fps=rec.fps,
-            mouth=(parse_index_spec(args.mouth_indices, pred_lm.shape[1])
-                   if args.mouth_indices is not None else None),
-            peak=args.peak)
+        gt_lm = metrics.load_landmarks_csv(gt_dir / rec.landmark_path)
+        beats = metrics.load_beats(gt_dir / rec.beats_path)
+        mouth = (parse_index_spec(args.mouth_indices, pred_lm.shape[1])
+                 if args.mouth_indices is not None else None)
+        try:
+            with np.errstate(all="ignore"):  # psnr and SSIM raise on a non-finite result
+                row = metrics.evaluate_clip(pred_frames, gt_frames, pred_lm, gt_lm, beats,
+                                            fps=rec.fps, mouth=mouth, peak=args.peak)
+        except ValueError as exc:
+            raise ValueError(f"metrics: clip {rec.clip_id}: {exc}") from None
+        except OverflowError as exc:
+            raise DivergenceError(f"metrics: non-finite result from finite input in clip "
+                                  f"{rec.clip_id}: {exc}") from None
         rows.append({"clip_id": rec.clip_id, **row})
     report = metrics.json_safe({
         "report": "clip-metrics",

@@ -27,13 +27,21 @@ SSIM_K2 = 0.03
 
 
 def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / MSE) in dB; identical inputs give math.inf."""
+    """10 log10(peak^2 / MSE) in dB; identical inputs give math.inf.
+
+    A NaN or infinite input is a ValueError, and finite inputs whose MSE
+    overflows an OverflowError.
+    """
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"psnr: shape mismatch {a.shape} vs {b.shape}")
     if not 0.0 < peak < math.inf:
         raise ValueError(f"psnr: peak must be finite and positive, got {peak}")
     mse = float(np.mean((a - b) ** 2))
+    if not math.isfinite(mse):  # told apart only here, so a finite pair costs no extra pass
+        if np.isfinite(a).all() and np.isfinite(b).all():
+            raise OverflowError("psnr: the squared error overflows")
+        raise ValueError("psnr: a frame holds a non-finite value")
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)
@@ -279,7 +287,8 @@ def evaluate_clip(pred_frames: np.ndarray, gt_frames: np.ndarray, pred_landmarks
     """Per-clip metric row with the standard column names; "n/a" where unsupported.
 
     Frames are (f, c, h, w) or (f, h, w), landmarks (n, k, 2); `mouth`
-    selects the LMD points (every point when None).
+    selects the LMD points (every point when None).  Besides psnr's errors,
+    an SSIM that overflows on these finite frames is an OverflowError.
     """
     psnr_vals, ssim_vals = [], []
     for p, g in _frame_pairs(pred_frames, gt_frames):
@@ -287,6 +296,8 @@ def evaluate_clip(pred_frames: np.ndarray, gt_frames: np.ndarray, pred_landmarks
         ssim_vals.append(ssim(p, g, peak=peak))
     pred_seq = LandmarkSequence(pred_landmarks)
     row = {"SSIM": float(np.mean(ssim_vals)), "PSNR": float(np.mean(psnr_vals))}
+    if not math.isfinite(row["SSIM"]):  # every frame is finite, or psnr would have raised
+        raise OverflowError("ssim: the window statistics overflow")
     for col in UNSUPPORTED_COLUMNS:
         row[col] = "n/a"
     row["LMD"] = lmd(pred_seq, LandmarkSequence(gt_landmarks), mouth)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .diffusion import (
     DivergenceError,
-    NoiseSchedule,
     TrainConfig,
     audio_to_windows,
     forward_diffuse,
@@ -78,24 +77,17 @@ def make_synthetic_dataset(n: int, f: int, h: int, w: int, seed: int,
     return clips
 
 
-def train_loss(batch: list[tuple[Clip, int, np.ndarray]], params: dict[str, Tensor],
-               sched: NoiseSchedule, cfg: TrainConfig) -> Tensor:
-    """Noise-prediction MSE averaged over the batch's (clip, t, eps) draws and their elements.
+def train_loss(clip: Clip, t: int, eps: np.ndarray, params: dict[str, Tensor],
+               cfg: TrainConfig) -> Tensor:
+    """Noise-prediction MSE of one (clip, t, eps) draw under `linear_schedule(cfg.timesteps)`.
 
-    The first frame of each clip is its reference image; latents and noise
-    take the dtype of the params.
+    The clip's first frame is its reference image; latents and noise take
+    the dtype of the params.
     """
-    if not batch:
-        raise ValueError("train_loss: empty batch")
-    total = None
-    for clip, t, eps in batch:
-        z_t = forward_diffuse(clip.frames, t, eps, sched)
-        eps_hat = unet_forward(z_t, t, audio_to_windows(clip.audio, cfg), clip.frames[0],
-                               params, cfg)
-        diff = add(eps_hat, -eps)
-        mse = mean(ew_mul(diff, diff))
-        total = mse if total is None else add(total, mse)
-    return ew_mul(total, 1.0 / len(batch))
+    z_t = forward_diffuse(clip.frames, t, eps, linear_schedule(cfg.timesteps))
+    eps_hat = unet_forward(z_t, t, audio_to_windows(clip.audio, cfg), clip.frames[0], params, cfg)
+    diff = add(eps_hat, -eps)
+    return mean(ew_mul(diff, diff))
 
 
 def train(dataset: list[Clip], cfg: TrainConfig,
@@ -111,7 +103,6 @@ def train(dataset: list[Clip], cfg: TrainConfig,
     """
     if not dataset:
         raise ValueError("train: empty dataset")
-    sched = linear_schedule(cfg.timesteps)
     if params is None:
         params = init_model_params(cfg)
     # frozen parameters are constants: the backward computes no gradient for them
@@ -125,7 +116,7 @@ def train(dataset: list[Clip], cfg: TrainConfig,
         clip = dataset[int(rng.integers(0, len(dataset)))]
         t = int(rng.integers(1, cfg.timesteps + 1))
         eps = rng.standard_normal(clip.frames.shape)
-        loss = train_loss([(clip, t, eps)], params, sched, cfg)
+        loss = train_loss(clip, t, eps, params, cfg)
         value = loss.item()
         if not np.isfinite(value):
             raise DivergenceError(f"train: non-finite loss {value} at step {step}")
@@ -139,18 +130,17 @@ def train(dataset: list[Clip], cfg: TrainConfig,
 
 
 def validation_loss(dataset: list[Clip], params: dict[str, Tensor], cfg: TrainConfig) -> float:
-    """Deterministic held-out loss over VALIDATION_DRAWS (t, eps) draws per clip; no tape."""
+    """Mean `train_loss` over VALIDATION_DRAWS seeded (t, eps) draws per clip; no tape."""
     if not dataset:
         raise ValueError("validation_loss: empty dataset")
-    sched = linear_schedule(cfg.timesteps)
     rng = np.random.default_rng(VALIDATION_SEED)
-    draws = []
+    leaves = {k: Tensor(p.data) for k, p in params.items()}
+    total = 0.0  # summed in draw order; the first sum takes the params' dtype, so f32 stays f32
     for clip in dataset:
         for _ in range(VALIDATION_DRAWS):
             t = int(rng.integers(1, cfg.timesteps + 1))
-            draws.append((clip, t, rng.standard_normal(clip.frames.shape)))
-    leaves = {k: Tensor(p.data) for k, p in params.items()}
-    return train_loss(draws, leaves, sched, cfg).item()
+            total += train_loss(clip, t, rng.standard_normal(clip.frames.shape), leaves, cfg).data
+    return float(total * (1.0 / (len(dataset) * VALIDATION_DRAWS)))
 
 
 def split_train_val(dataset: list[Clip]) -> tuple[list[Clip], list[Clip]]:

@@ -22,7 +22,7 @@ from waveletcond.datakit import (
     split_dataset,
     write_manifest,
 )
-from waveletcond.diffusion import TrainConfig, init_model_params, linear_schedule
+from waveletcond.diffusion import TrainConfig, init_model_params
 from waveletcond.metrics import (
     BeatTrack,
     LandmarkSequence,
@@ -137,10 +137,9 @@ def test_c3_gradient_suite():
     clip = make_synthetic_dataset(1, GRAD_CFG.frames, GRAD_CFG.height, GRAD_CFG.width,
                                   seed=1, samples_per_frame=4)[0]
     eps = np.random.default_rng(2).standard_normal(clip.frames.shape)
-    sched = linear_schedule(GRAD_CFG.timesteps)
 
     def full_loss():
-        return train_loss([(clip, 3, eps)], params, sched, GRAD_CFG)
+        return train_loss(clip, 3, eps, params, GRAD_CFG)
 
     check_gradients(full_loss, params, h=1e-4, rtol=1e-3)
 

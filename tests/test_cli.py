@@ -92,7 +92,10 @@ def test_dwt_and_idwt_pass_non_finite_values_through(tmp_path):
     lambda d: idwt_argv(d, np.full((2, 2), 1e308), others=np.full((2, 2), 1e308)),
     lambda d: msm_argv(d, audio=np.full((4, 8), 1e308)),
     lambda d: sfm_argv(d, features=np.full((2, 3, 4, 4), 1e308)),
-], ids=["dwt", "idwt", "msm-apply", "sfm-apply"])
+    lambda d: metrics_argv(d, asset="frames_path", content=with_value(CLIP, PIXEL, 1e300)),
+    lambda d: metrics_argv(d, asset="frames_path", content=with_value(CLIP, PIXEL, 1e155),
+                           root="both"),
+], ids=["dwt", "idwt", "msm-apply", "sfm-apply", "metrics-psnr", "metrics-ssim"])
 def test_overflowed_result_exits_3_and_writes_nothing(tmp_path, capsys, argv):
     # finite inputs whose result overflows: a numeric failure, not an inf or NaN file
     # (and no numpy warning, which pytest's filterwarnings would raise)
@@ -327,6 +330,20 @@ def test_train_toy_makes_its_run_directory_before_training(tmp_path, capsys, mon
     assert main(argv) == 2
     assert "File exists" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("out", ["dir", "missing/r.json"])
+def test_ablate_checks_its_out_path_before_training(tmp_path, capsys, monkeypatch, out):
+    calls = []
+    monkeypatch.setattr(cli, "ablate", lambda *args: calls.append(args))
+    (tmp_path / "dir").mkdir()
+    argv = [*config_argv("ablate", tmp_path, TINY_CONFIG)[:-2], "--out", str(tmp_path / out)]
+    inputs = set(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ablate: --out {tmp_path / out}") and "Traceback" not in err
+    assert calls == []
+    assert set(tmp_path.rglob("*")) == inputs
 
 
 # -- metrics ------------------------------------------------------------------------------
@@ -633,17 +650,21 @@ def jsonl_line(obj):
 
 
 def metrics_argv(d, *extra, asset=None, content=None, record=None, root="pred"):
-    """metrics over one tiny clip; the `root` ("pred" or "gt") file of manifest field
+    """metrics over one tiny clip; the `root` ("pred", "gt" or "both") file of manifest field
     `asset` is overwritten with `content`, and `record` maps the manifest line to a new one."""
     manifest, pred, gt = build_metrics_tree(d, n_clips=1)
     rec = json.loads(manifest.read_text())
     if asset is not None:
-        put({"pred": pred, "gt": gt}[root] / rec[asset], content)
+        for path in {"pred": [pred], "gt": [gt], "both": [pred, gt]}[root]:
+            put(path / rec[asset], content)
     if record is not None:
         put(manifest, jsonl_line(record(rec)))
     return ["metrics", "--pred", str(pred), "--gt", str(gt), "--manifest", str(manifest),
             "--report", str(d / "report.json"), *extra]
 
+
+# build_metrics_tree's clip frames, and one pixel of them
+CLIP, PIXEL = (3, 1, 16, 16), (1, 0, 5, 7)
 
 # build_metrics_tree's 6 frames of 2 landmarks, with one NaN cell
 NAN_LANDMARKS = "frame,x0,y0,x1,y1\n" + "".join(
@@ -758,6 +779,10 @@ HOSTILE_ARGV = {
     "metrics/blank_mouth_indices": lambda d: metrics_argv(d, "--mouth-indices", " "),
     "metrics/open_mouth_range": lambda d: metrics_argv(d, "--mouth-indices", "1-"),
     "metrics/letter_mouth_index": lambda d: metrics_argv(d, "--mouth-indices", "a-1"),
+    "metrics/nan_frame": lambda d: metrics_argv(d, asset="frames_path",
+                                                content=with_value(CLIP, PIXEL, np.nan)),
+    "metrics/inf_frame": lambda d: metrics_argv(d, asset="frames_path", root="gt",
+                                                content=with_value(CLIP, PIXEL, -np.inf)),
     "segment/garbage": lambda d: manifest_argv("segment", d, source=GARBAGE_TEXT),
     "segment/missing_key": lambda d: manifest_argv("segment", d, source=without(SOURCE, "fps")),
     "segment/rank1_bbox": lambda d: manifest_argv("segment", d,
@@ -878,6 +903,8 @@ HOSTILE_ERROR_NAMES = {
     "metrics/blank_mouth_indices": "empty index spec: ' '",
     "metrics/open_mouth_range": "index spec '1-': '1-' is not a range within [0, 2)",
     "metrics/letter_mouth_index": "index spec 'a-1': 'a-1' is not a range within [0, 2)",
+    "metrics/nan_frame": "metrics: clip s0_000000: psnr: a frame holds a non-finite value",
+    "metrics/inf_frame": "metrics: clip s0_000000: psnr: a frame holds a non-finite value",
     "crop/unknown_source": "manifest crop: no source metadata for s9",
     "split/letter_ratio": "--ratio must be TRAIN:TEST with integer parts, got 'a:1'",
     "split/letter_ratio_of_a_missing_manifest": "--ratio must be TRAIN:TEST with integer "

@@ -236,8 +236,7 @@ def test_loss_zero_when_prediction_equals_noise():
     cfg = TINY
     params = init_model_params(dataclasses.replace(cfg, seed=0))  # zero out conv -> eps_hat == 0
     clip = tiny_clip(seed=3)
-    loss = train_loss([(clip, 1, np.zeros_like(clip.frames))], params,
-                      linear_schedule(cfg.timesteps), cfg)
+    loss = train_loss(clip, 1, np.zeros_like(clip.frames), params, cfg)
     assert loss.item() == 0.0
 
 
@@ -246,30 +245,33 @@ def test_loss_of_zero_predictor_is_mean_eps_squared():
     params = init_model_params(dataclasses.replace(cfg, seed=0))  # output conv zero-initialized
     clip = make_synthetic_dataset(1, 8, 16, 16, seed=4, samples_per_frame=4)[0]
     eps = rng(10).standard_normal(clip.frames.shape)  # 2048 elements
-    loss = train_loss([(clip, cfg.timesteps, eps)], params, linear_schedule(cfg.timesteps),
-                      cfg).item()
+    loss = train_loss(clip, cfg.timesteps, eps, params, cfg).item()
     np.testing.assert_allclose(loss, np.mean(eps ** 2), rtol=1e-12)
     assert abs(loss - 1.0) < 0.2  # statistical sanity for standard normal draws
 
 
-def test_loss_two_item_batch_vs_hand_computation():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_validation_loss_is_the_mean_of_train_loss_over_its_draws(dtype):
+    # the seeded draws of validation_loss, each scored by train_loss; their
+    # sum in draw order and its 1/len scaling stay in the params' dtype
     cfg = TINY
-    params = randomized_params(cfg, seed=11)
-    sched = linear_schedule(cfg.timesteps)
-    items = []
-    for seed in (5, 6):
-        clip = tiny_clip(seed=seed)
-        eps = rng(seed).standard_normal(clip.frames.shape)
-        items.append((clip, 2, eps))
-    got = train_loss(items, params, sched, cfg).item()
-    per_item = [train_loss([it], params, sched, cfg).item() for it in items]
-    want = 0.5 * (per_item[0] + per_item[1])
-    assert abs(got - want) < 1e-12
-
-
-def test_loss_rejects_empty_batch():
-    with pytest.raises(ValueError, match="empty"):
-        train_loss([], init_model_params(TINY), linear_schedule(TINY.timesteps), TINY)
+    params = {k: Tensor(p.data.astype(dtype))
+              for k, p in randomized_params(cfg, seed=11).items()}
+    clips = [tiny_clip(seed=5), tiny_clip(seed=6)]
+    r = np.random.default_rng(training.VALIDATION_SEED)
+    losses = []
+    for clip in clips:
+        for _ in range(training.VALIDATION_DRAWS):
+            t = int(r.integers(1, cfg.timesteps + 1))
+            losses.append(train_loss(clip, t, r.standard_normal(clip.frames.shape), params,
+                                     cfg).data)
+    want = losses[0]
+    for loss in losses[1:]:
+        want = want + loss
+    want = want * dtype(1.0 / len(losses))
+    assert want.dtype == dtype and len(losses) == 2 * training.VALIDATION_DRAWS
+    got = validation_loss(clips, params, cfg)
+    assert got.hex() == float(want).hex()
 
 
 def test_temb_gradient_is_row_t_only():
@@ -280,7 +282,7 @@ def test_temb_gradient_is_row_t_only():
     params = randomized_params(cfg, seed=12)
     clip = tiny_clip(seed=3)
     eps = rng(13).standard_normal(clip.frames.shape)
-    train_loss([(clip, 7, eps)], params, linear_schedule(cfg.timesteps), cfg).backward()
+    train_loss(clip, 7, eps, params, cfg).backward()
     g = params["unet.temb"].grad
     assert np.all(g[6] != 0.0)
     others = np.delete(g, 6, axis=0)
@@ -374,12 +376,11 @@ def test_default_forward_tape_holds_only_what_backward_rules_read():
                                   samples_per_frame=cfg.samples_per_frame,
                                   amplitude=cfg.amplitude)[0]
     params = init_model_params(cfg)
-    sched = linear_schedule(cfg.timesteps)
-    batch = [(clip, 5, rng(3).standard_normal(clip.frames.shape))]
-    train_loss(batch, params, sched, cfg)  # warm-up
+    eps = rng(3).standard_normal(clip.frames.shape)
+    train_loss(clip, 5, eps, params, cfg)  # warm-up
     tracemalloc.start()
     try:
-        loss = train_loss(batch, params, sched, cfg)
+        loss = train_loss(clip, 5, eps, params, cfg)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -539,7 +540,7 @@ def test_f32_training_and_sampling_track_f64():
                            p32, cfg)
     assert eps_hat.dtype == np.float32
     eps = rng(15).standard_normal(clip.frames.shape)
-    loss = train_loss([(clip, 2, eps)], p32, sched, cfg)
+    loss = train_loss(clip, 2, eps, p32, cfg)
     assert loss.dtype == np.float32
     loss.backward()
     assert all(p.grad.dtype == np.float32 for p in p32.values())

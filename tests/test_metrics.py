@@ -67,6 +67,20 @@ def test_psnr_rejects_shape_mismatch():
         psnr(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_psnr_rejects_a_non_finite_value_in_either_frame(value):
+    bad = np.zeros((4, 4))
+    bad[1, 2] = value
+    for pair in ((bad, np.zeros((4, 4))), (np.zeros((4, 4)), bad)):
+        with pytest.raises(ValueError, match="psnr: a frame holds a non-finite value"):
+            psnr(*pair)
+
+
+def test_psnr_of_finite_frames_whose_squared_error_overflows_raises_overflow():
+    with np.errstate(over="ignore"), pytest.raises(OverflowError, match="psnr: the squared"):
+        psnr(np.full((4, 4), 1e300), np.zeros((4, 4)))
+
+
 # -- SSIM ---------------------------------------------------------------------
 
 
@@ -518,6 +532,15 @@ def test_evaluate_clip_and_aggregate():
     assert agg["clips"] == 2
     assert abs(agg["SSIM"] - row["SSIM"]) < 1e-15
     assert agg["FVD"] == "n/a"
+
+
+def test_evaluate_clip_raises_overflow_when_ssim_overflows_on_finite_frames():
+    # equal frames give PSNR inf, but their 1e155 pixel squares past the largest float
+    frames = np.zeros((2, 16, 16))
+    frames[1, 5, 7] = 1e155
+    lm = walk_with_displacements([2.0])
+    with np.errstate(all="ignore"), pytest.raises(OverflowError, match="ssim"):
+        evaluate_clip(frames, frames.copy(), lm, lm, BeatTrack(np.array([0.04])), fps=25.0)
 
 
 def test_json_safe_maps_infinities():

@@ -84,3 +84,28 @@ def test_metrics_spans_one_ssim_and_psnr_per_frame_pair():
     names = [span[0] for span in tracer.spans]
     assert names.count("metrics.ssim") == 3
     assert names.count("metrics.psnr") == 3
+
+
+def test_training_spans_one_train_loss_per_draw():
+    """train and validation_loss score each draw through the name the tracer binds.
+
+    Fails when either is routed around `training.train_loss`, which would
+    leave `train.training.train_loss_ms` reading zero.
+    """
+    from waveletcond import diffusion, training
+
+    cfg = diffusion.TrainConfig(frames=2, height=8, width=8, base_channels=4, h_msm=4,
+                                d_audio=4, samples_per_frame=4, timesteps=5, steps=1)
+    clips = training.make_synthetic_dataset(3, cfg.frames, cfg.height, cfg.width, seed=0,
+                                            samples_per_frame=cfg.samples_per_frame)
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+        params, _ = training.train(clips, cfg)
+        trained = [span[0] for span in tracer.spans].count("training.train_loss")
+        training.validation_loss(clips, params, cfg)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert trained == 1
+    assert names.count("training.train_loss") == 1 + 3 * training.VALIDATION_DRAWS

@@ -24,7 +24,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from waveletcond.diffusion import TrainConfig, linear_schedule
+from waveletcond.diffusion import TrainConfig
 from waveletcond.tensor import Tensor
 from waveletcond.training import make_synthetic_dataset, train, train_loss
 
@@ -37,15 +37,14 @@ def remainder_ratios(cfg: TrainConfig, seed: int, t: int) -> list[float]:
                                 samples_per_frame=cfg.samples_per_frame)
     params, _ = train(ds, cfg)
     r = np.random.default_rng(seed)
-    batch = [(ds[0], t, r.standard_normal(ds[0].frames.shape))]
+    eps = r.standard_normal(ds[0].frames.shape)
     v = {k: r.standard_normal(p.shape) for k, p in params.items()}
-    sched = linear_schedule(cfg.timesteps)
-    loss = train_loss(batch, params, sched, cfg)
+    loss = train_loss(ds[0], t, eps, params, cfg)
     loss.backward()
     # a parameter off the forward path (MSM's, with use_msm off) gets no gradient
     slope = sum(float(np.vdot(p.grad, v[k])) for k, p in params.items() if p.grad is not None)
-    rem = [abs(train_loss(batch, {k: Tensor(p.data + h * v[k]) for k, p in params.items()},
-                          sched, cfg).item() - loss.item() - h * slope) for h in STEPS]
+    rem = [abs(train_loss(ds[0], t, eps, {k: Tensor(p.data + h * v[k]) for k, p in params.items()},
+                          cfg).item() - loss.item() - h * slope) for h in STEPS]
     return [a / b for a, b in zip(rem, rem[1:])]
 
 
