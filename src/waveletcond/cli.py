@@ -235,13 +235,19 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def output_file(command: str, flag: str, path) -> Path:
+    """`path` checked as a file to write before any work: not a directory, in an existing one."""
+    out = Path(path)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ValueError(f"{command}: {flag} {out} is not a file path in an existing directory")
+    return out
+
+
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    out = Path(args.out) if args.out else None
-    if out is not None and (out.is_dir() or not out.parent.is_dir()):  # before training
-        raise ValueError(f"ablate: --out {out} is not a file path in an existing directory")
+    out = output_file("ablate", "--out", args.out) if args.out else None
     report = ablate(cfg)
     text = report_to_json(report)
     if out is not None:
@@ -273,6 +279,7 @@ def parse_index_spec(spec: str, count: int) -> list[int]:
 
 
 def cmd_metrics(args) -> int:
+    report_path = output_file("metrics", "--report", args.report)
     records = datakit.read_manifest(args.manifest)
     if not records:
         raise ValueError(f"metrics: empty manifest {args.manifest}")
@@ -304,8 +311,8 @@ def cmd_metrics(args) -> int:
         "aggregate": metrics.aggregate_rows(rows),
         "per_clip": rows,
     })
-    Path(args.report).write_text(report_to_json(report))
-    print(f"scored {len(rows)} clips -> {args.report}")
+    report_path.write_text(report_to_json(report))
+    print(f"scored {len(rows)} clips -> {report_path}")
     return EXIT_OK
 
 

@@ -59,10 +59,14 @@ class SourceMeta:
             if not _is_count(v):
                 raise ValueError(f"SourceMeta {self.source_id}: {name} must be a non-negative "
                                  f"int, got {v!r}")
+        keyframes = set()
         for frame, box in self.face_bboxes:
             if not _is_count(frame):
                 raise ValueError(f"SourceMeta {self.source_id}: keyframe must be a non-negative "
                                  f"int, got {frame!r}")
+            if frame in keyframes:
+                raise ValueError(f"SourceMeta {self.source_id}: two boxes at keyframe {frame}")
+            keyframes.add(frame)
             if not isinstance(box, (list, tuple)) or len(box) != 4 or not all(map(_is_count, box)):
                 raise ValueError(f"SourceMeta {self.source_id}: bbox at frame {frame} must be "
                                  f"four non-negative ints, got {box!r}")
@@ -292,4 +296,14 @@ def write_sources(path, sources: list[SourceMeta]) -> None:
 
 
 def read_sources(path) -> list[SourceMeta]:
-    return _read_jsonl(path, SourceMeta.from_json_dict, "source")
+    """Sources from JSON lines, each source id on one line only."""
+    seen: set[str] = set()
+
+    def parse(obj: dict) -> SourceMeta:
+        src = SourceMeta.from_json_dict(obj)
+        if src.source_id in seen:
+            raise ValueError(f"repeated source_id {src.source_id!r}")
+        seen.add(src.source_id)
+        return src
+
+    return _read_jsonl(path, parse, "source")

@@ -1,11 +1,12 @@
 """Desk-scale denoising-diffusion harness.
 
 A tiny encoder-decoder UNet predicts the noise added to clips of raw toy
-latents.  Audio conditioning enters through cross-attention at the
-bottleneck; the conditioned audio embedding comes from the spectral module
-(bypassable), and the bottleneck features pass through the self-adaptive
-filter (bypassable).  Both switches only gate forward paths: parameter
-construction is identical for every ablation variant under one seed.
+latents.  Audio conditioning enters through the UNet's own single-head
+cross-attention at the bottleneck, whose zero value projection makes it the
+identity at init; the conditioned audio embedding comes from the spectral
+module (bypassable), and the bottleneck features pass through the
+self-adaptive filter (bypassable).  Both switches only gate forward paths:
+parameter construction is identical for every ablation variant under one seed.
 
 Latent layout is (frames, channels, axis2, axis3); the spectral module
 chunks along axis 2.
@@ -18,23 +19,20 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .msm import (
-    audio_attention,
-    frame_tokens,
-    init_attention_params,
-    init_msm_params,
-    msm_forward,
-)
+from .msm import init_msm_params, msm_forward
 from .sfm import init_sfm_params, sfm_forward
 from .tensor import (
     Tensor,
     add,
     as_tensor,
     conv3x3,
+    ew_mul,
     matmul,
+    mean,
     permute,
     relu,
     reshape,
+    softmax_rows,
 )
 
 
@@ -166,7 +164,13 @@ def init_model_params(cfg: TrainConfig) -> dict[str, Tensor]:
     params["unet.down_b"] = zeros(mid)
     params["unet.mid1_w"] = conv_w(mid, mid)
     params["unet.mid1_b"] = zeros(mid)
-    params.update(init_attention_params(mid, cfg.d_audio, rng))
+    # bottleneck cross-attention: video queries, audio keys and values; the zero
+    # value projection makes attention the identity on video tokens at init
+    params["att.q_w"] = Tensor(rng.standard_normal((mid, mid)) / np.sqrt(mid),
+                               requires_grad=True)
+    params["att.k_w"] = Tensor(rng.standard_normal((cfg.d_audio, mid)) / np.sqrt(cfg.d_audio),
+                               requires_grad=True)
+    params["att.v_w"] = zeros((cfg.d_audio, mid))
     params["unet.mid2_w"] = conv_w(mid, mid)
     params["unet.mid2_b"] = zeros(mid)
     params["unet.up_w"] = conv_w(base, mid + base)
@@ -182,6 +186,34 @@ def encode_audio(audio_windows: np.ndarray, params: dict[str, Tensor]) -> Tensor
     """Toy audio encoder: shared affine map per window column -> (d_audio, l)."""
     cols = np.asarray(audio_windows).T  # (l, window)
     return permute(add(matmul(cols, params["enc.w"]), params["enc.b"]), (1, 0))
+
+
+def frame_tokens(values: Tensor, frames: int) -> Tensor:
+    """Average the embedding's columns over contiguous segments, one token per frame.
+
+    (d_a, l) -> (frames, d_a) by mean-pooling each run of l/frames columns.
+    """
+    d_a, l = values.shape
+    if l % frames:
+        raise ValueError(f"frame_tokens: length {l} not divisible by frames {frames}")
+    return permute(mean(reshape(values, (d_a, frames, l // frames)), axis=2), (1, 0))
+
+
+def audio_attention(video_tokens: Tensor, audio_tokens: Tensor, p: dict[str, Tensor]) -> Tensor:
+    """Cross-attend video tokens over audio tokens; the result adds residually.
+
+    Softmax rows sum to one; a zero value projection therefore returns the
+    video tokens unchanged.
+    """
+    if audio_tokens.shape[0] == 0:
+        raise ValueError("audio_attention: need at least one audio token")
+    d = video_tokens.shape[1]
+    q = matmul(video_tokens, p["att.q_w"])
+    k = matmul(audio_tokens, p["att.k_w"])
+    v = matmul(audio_tokens, p["att.v_w"])
+    logits = ew_mul(matmul(q, permute(k, (1, 0))), 1.0 / np.sqrt(d))
+    attn = softmax_rows(logits)
+    return add(video_tokens, matmul(attn, v))
 
 
 def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.ndarray,

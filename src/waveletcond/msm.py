@@ -3,27 +3,14 @@
 A noisy video latent drives four scalar importance weights (one per Haar
 sub-band).  The audio embedding is decomposed, its sub-bands rescaled by
 those weights, and the result reconstructed by the inverse transform,
-yielding a conditioned audio vector of the original shape.  A single-head
-cross-attention then injects the conditioned audio into the video feature
-stream.
+yielding a conditioned audio vector of the original shape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (
-    Tensor,
-    add,
-    as_tensor,
-    ew_mul,
-    matmul,
-    mean,
-    permute,
-    relu,
-    reshape,
-    softmax_rows,
-)
+from .tensor import Tensor, add, as_tensor, ew_mul, matmul, mean, relu, reshape
 from .wavelet import dwt2, idwt2
 
 
@@ -89,48 +76,3 @@ def msm_forward(audio: Tensor, z_t: Tensor, p: dict[str, Tensor]) -> Tensor:
         raise ValueError(f"msm_forward: expected a 2-D (d_a, l) audio embedding, got {audio.shape}")
     weights = chunk_weights(z_t, p)
     return idwt2(ew_mul(dwt2(audio), reshape(weights, (4, 1, 1))))
-
-
-def init_attention_params(d_video: int, d_audio: int,
-                          rng: np.random.Generator) -> dict[str, Tensor]:
-    """Projections for single-head cross-attention (video queries, audio keys/values).
-
-    `att.q_w` is (d_video, d_video) and `att.k_w` (d_audio, d_video), both
-    scaled standard normal draws; `att.v_w` is (d_audio, d_video), init 0,
-    so attention starts as the identity on video tokens.
-    """
-    return {
-        "att.q_w": Tensor(rng.standard_normal((d_video, d_video)) / np.sqrt(d_video),
-                          requires_grad=True),
-        "att.k_w": Tensor(rng.standard_normal((d_audio, d_video)) / np.sqrt(d_audio),
-                          requires_grad=True),
-        "att.v_w": Tensor(np.zeros((d_audio, d_video)), requires_grad=True),
-    }
-
-
-def frame_tokens(values: Tensor, frames: int) -> Tensor:
-    """Average the embedding's columns over contiguous segments, one token per frame.
-
-    (d_a, l) -> (frames, d_a) by mean-pooling each run of l/frames columns.
-    """
-    d_a, l = values.shape
-    if l % frames:
-        raise ValueError(f"frame_tokens: length {l} not divisible by frames {frames}")
-    return permute(mean(reshape(values, (d_a, frames, l // frames)), axis=2), (1, 0))
-
-
-def audio_attention(video_tokens: Tensor, audio_tokens: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """Cross-attend video tokens over audio tokens; the result adds residually.
-
-    Softmax rows sum to one; a zero value projection therefore returns the
-    video tokens unchanged.
-    """
-    if audio_tokens.shape[0] == 0:
-        raise ValueError("audio_attention: need at least one audio token")
-    d = video_tokens.shape[1]
-    q = matmul(video_tokens, p["att.q_w"])
-    k = matmul(audio_tokens, p["att.k_w"])
-    v = matmul(audio_tokens, p["att.v_w"])
-    logits = ew_mul(matmul(q, permute(k, (1, 0))), 1.0 / np.sqrt(d))
-    attn = softmax_rows(logits)
-    return add(video_tokens, matmul(attn, v))

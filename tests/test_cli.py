@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from waveletcond import cli, sgtf
+from waveletcond import cli, metrics, sgtf
 from waveletcond.cli import main, parse_index_spec
 from waveletcond.datakit import ClipRecord, SourceMeta, write_manifest, write_sources
 from waveletcond.diffusion import TrainConfig, init_model_params
@@ -402,6 +402,22 @@ def test_metrics_identical_frames_reports_inf_psnr(tmp_path):
     assert report["aggregate"]["PSNR"] == "inf"
 
 
+@pytest.mark.parametrize("report", ["dir", "missing/r.json"])
+def test_metrics_checks_its_report_path_before_scoring(tmp_path, capsys, monkeypatch, report):
+    calls = []
+    monkeypatch.setattr(metrics, "evaluate_clip", lambda *args, **kwargs: calls.append(args))
+    argv = metrics_argv(tmp_path)
+    argv[argv.index("--report") + 1] = str(tmp_path / report)
+    (tmp_path / "dir").mkdir()
+    inputs = set(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: metrics: --report {tmp_path / report}")
+    assert "Traceback" not in err
+    assert calls == []
+    assert set(tmp_path.rglob("*")) == inputs
+
+
 def test_metrics_missing_manifest_exits_2(tmp_path):
     assert main(["metrics", "--pred", str(tmp_path), "--gt", str(tmp_path),
                  "--manifest", str(tmp_path / "nope.jsonl"),
@@ -673,6 +689,7 @@ NAN_LANDMARKS = "frame,x0,y0,x1,y1\n" + "".join(
 SOURCE = {"source_id": "s0", "duration_s": 2.0, "fps": 25.0, "width": 64, "height": 64,
           "face_bboxes": [[0, [8, 8, 16, 16]]]}
 BOXLESS_SOURCE = {**SOURCE, "face_bboxes": []}
+REPEATED_KEYFRAME = {**SOURCE, "face_bboxes": [[0, [8, 8, 16, 16]], [0, [4, 4, 16, 16]]]}
 RECORD = {"source_id": "s0", "start_frame": 0, "end_frame": 50}
 
 
@@ -809,6 +826,12 @@ HOSTILE_ARGV = {
         "segment", d, source={**SOURCE, "face_bboxes": [[-50, [8, 8, 16, 16]]]}),
     "segment/float_bbox": lambda d: manifest_argv(
         "segment", d, source={**SOURCE, "face_bboxes": [[0, [8.7, 8, 16, 16]]]}),
+    "segment/repeated_source_id": lambda d: manifest_argv(
+        "segment", d, source=jsonl_line(SOURCE) + json.dumps({**SOURCE, "duration_s": 4.0})),
+    "crop/repeated_source_id": lambda d: manifest_argv(
+        "crop", d, source=jsonl_line(SOURCE) + json.dumps({**SOURCE, "duration_s": 4.0})),
+    "segment/repeated_keyframe": lambda d: manifest_argv("segment", d, source=REPEATED_KEYFRAME),
+    "crop/repeated_keyframe": lambda d: manifest_argv("crop", d, source=REPEATED_KEYFRAME),
     "segment/ratio_above_one": lambda d: [*manifest_argv("segment", d, source=BOXLESS_SOURCE),
                                           "--ratio", "7"],
     "crop/ratio_zero": lambda d: [*manifest_argv("crop", d, source=BOXLESS_SOURCE),
@@ -872,6 +895,12 @@ HOSTILE_ERROR_NAMES = {
     "msm-apply/out_bias_shape": "parameter 'msm.fc2_b' has shape (1,), expected (4,)",
     "sfm-apply/bias_shape": "channel count 3 does not match gate bias (1,)",
     "train-toy/repeated_key": f"config line {TINY_CONFIG_END}: repeated key 'frames'",
+    "segment/repeated_source_id": "sources.jsonl:2: bad source: repeated source_id 's0'",
+    "crop/repeated_source_id": "sources.jsonl:2: bad source: repeated source_id 's0'",
+    "segment/repeated_keyframe": "sources.jsonl:1: bad source: SourceMeta s0: two boxes at "
+                                 "keyframe 0",
+    "crop/repeated_keyframe": "sources.jsonl:1: bad source: SourceMeta s0: two boxes at "
+                              "keyframe 0",
     "segment/ratio_above_one": "face ratio must be in (0, 1], got 7.0",
     "crop/ratio_zero": "face ratio must be in (0, 1], got 0.0",
     "sample/wrong_shape": "parameter 'att.v_w' has shape (4, 1), expected (4, 8)",

@@ -1,24 +1,28 @@
-"""Noise schedule, toy UNet, training loop, sampler, synthetic data."""
+"""Noise schedule, toy UNet and its cross-attention, training loop, sampler, synthetic data."""
 
 import dataclasses
+import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from waveletcond import diffusion, training
+from waveletcond import diffusion, msm, sfm, training
 from waveletcond.diffusion import (
     DivergenceError,
     NoiseSchedule,
     TrainConfig,
+    audio_attention,
     audio_to_windows,
     forward_diffuse,
+    frame_tokens,
     init_model_params,
     linear_schedule,
     sample,
     unet_forward,
 )
-from waveletcond.tensor import Tensor
+from waveletcond.tensor import Tensor, mean, sigmoid
 from waveletcond.training import (
     ablate,
     config_to_text,
@@ -30,6 +34,8 @@ from waveletcond.training import (
     train_loss,
     validation_loss,
 )
+
+from gradcheck import check_gradients
 
 TINY = TrainConfig(frames=2, height=8, width=8, base_channels=4, h_msm=4, d_audio=4,
                    samples_per_frame=4, timesteps=5)
@@ -149,6 +155,167 @@ def test_unet_rejects_bad_t_and_shapes():
         unet_forward(Tensor(np.zeros((2, 1, 4, 4))), 1, win, clip.frames[0], params, TINY)
     with pytest.raises(ValueError, match="reference frame"):
         unet_forward(Tensor(clip.frames), 1, win, np.zeros((1, 2, 2)), params, TINY)
+
+
+# -- bottleneck cross-attention ----------------------------------------------------------
+
+
+def test_frame_tokens_segment_average():
+    vals = Tensor(np.arange(12.0).reshape(2, 6))
+    toks = frame_tokens(vals, frames=3)
+    # columns [0,1], [2,3], [4,5] averaged, then transposed to (frames, d_a)
+    want = np.array([[0.5, 6.5], [2.5, 8.5], [4.5, 10.5]])
+    np.testing.assert_allclose(toks.data, want, atol=1e-15)
+
+
+def test_attention_zero_value_projection_is_identity():
+    r = rng(20)
+    p = {
+        "att.q_w": Tensor(r.standard_normal((3, 3)), requires_grad=True),
+        "att.k_w": Tensor(r.standard_normal((2, 3)), requires_grad=True),
+        "att.v_w": Tensor(np.zeros((2, 3)), requires_grad=True),
+    }
+    video = Tensor(r.standard_normal((5, 3)))
+    audio = Tensor(r.standard_normal((4, 2)))
+    out = audio_attention(video, audio, p)
+    np.testing.assert_array_equal(out.data, video.data)
+
+
+def test_attention_single_token_weights_are_one():
+    r = rng(21)
+    p = {
+        "att.q_w": Tensor(r.standard_normal((3, 3)) / np.sqrt(3), requires_grad=True),
+        "att.k_w": Tensor(r.standard_normal((2, 3)) / np.sqrt(2), requires_grad=True),
+        "att.v_w": Tensor(r.standard_normal((2, 3)), requires_grad=True),
+    }
+    video = Tensor(r.standard_normal((4, 3)))
+    audio = Tensor(r.standard_normal((1, 2)))
+    out = audio_attention(video, audio, p)
+    want = video.data + np.broadcast_to(audio.data @ p["att.v_w"].data, (4, 3))
+    np.testing.assert_array_equal(out.data, want)
+
+
+def test_attention_equal_keys_give_exact_half_weights():
+    r = rng(22)
+    video = Tensor(r.standard_normal((3, 4)))
+    audio_np = np.stack([np.ones(2), np.ones(2)])  # two identical tokens
+    values = r.standard_normal((2, 4))
+    p = {
+        "att.q_w": Tensor(r.standard_normal((4, 4))),
+        "att.k_w": Tensor(r.standard_normal((2, 4))),
+        "att.v_w": Tensor(values),
+    }
+    out = audio_attention(video, Tensor(audio_np), p)
+    want = video.data + 0.5 * (audio_np @ values) .sum(axis=0, keepdims=True)
+    np.testing.assert_allclose(out.data, want, atol=1e-15)
+
+
+def test_attention_rejects_empty_audio():
+    r = rng(23)
+    p = {
+        "att.q_w": Tensor(r.standard_normal((3, 3)) / np.sqrt(3), requires_grad=True),
+        "att.k_w": Tensor(r.standard_normal((2, 3)) / np.sqrt(2), requires_grad=True),
+        "att.v_w": Tensor(np.zeros((2, 3)), requires_grad=True),
+    }
+    with pytest.raises(ValueError, match="audio token"):
+        audio_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((0, 2))), p)
+
+
+def test_attention_gradients_match_finite_differences():
+    r = rng(24)
+    p = {
+        "att.q_w": Tensor(r.standard_normal((3, 3)), requires_grad=True),
+        "att.k_w": Tensor(r.standard_normal((2, 3)), requires_grad=True),
+        "att.v_w": Tensor(r.standard_normal((2, 3)), requires_grad=True),
+    }
+    video = Tensor(r.standard_normal((4, 3)), requires_grad=True)
+    audio = Tensor(r.standard_normal((3, 2)), requires_grad=True)
+
+    def f():
+        return mean(sigmoid(audio_attention(video, audio, p)))
+
+    params = dict(p, video=video, audio=audio)
+    check_gradients(f, params, h=1e-4, rtol=1e-4)
+
+
+def test_audio_embedding_rejects_indivisible_frames():
+    with pytest.raises(ValueError, match="divisible"):
+        frame_tokens(Tensor(np.zeros((4, 8))), frames=3)
+
+
+def test_attention_is_the_identity_at_init():
+    params = init_model_params(TINY)
+    mid = 2 * TINY.base_channels
+    video = Tensor(rng(25).standard_normal((6, mid)))
+    audio = Tensor(rng(26).standard_normal((TINY.frames, TINY.d_audio)))
+    out = audio_attention(video, audio, params)
+    np.testing.assert_array_equal(out.data, video.data)
+
+
+# sha256 prefixes of each TrainConfig() init tensor's bytes, in creation order
+DEFAULT_INIT_DIGESTS = [
+    ("enc.w", "685cc6c2c545ee6f"),
+    ("enc.b", "f5a5fd42d16a2030"),
+    ("unet.in_w", "e02ca6f8a80e509c"),
+    ("unet.in_b", "f5a5fd42d16a2030"),
+    ("unet.temb", "dffd43e6609c6fb9"),
+    ("unet.down_w", "5084a618fd2a9144"),
+    ("unet.down_b", "38723a2e5e8a17aa"),
+    ("unet.mid1_w", "4bab11c2bbf30899"),
+    ("unet.mid1_b", "38723a2e5e8a17aa"),
+    ("att.q_w", "f666cadf1b55c722"),
+    ("att.k_w", "59e444278bff40c6"),
+    ("att.v_w", "5f70bf18a0860070"),
+    ("unet.mid2_w", "e56f9d2d2d2f8811"),
+    ("unet.mid2_b", "38723a2e5e8a17aa"),
+    ("unet.up_w", "173d7001ab0917e1"),
+    ("unet.up_b", "f5a5fd42d16a2030"),
+    ("unet.out_w", "1a0295f4bf5986c5"),
+    ("unet.out_b", "af5570f5a1810b7a"),
+    ("msm.w", "9ad28ff0dbb91703"),
+    ("msm.fc1_w", "076a27c79e5ace2a"),
+    ("msm.fc1_b", "38723a2e5e8a17aa"),
+    ("msm.fc2_w", "076a27c79e5ace2a"),
+    ("msm.fc2_b", "c914e8188e43fff1"),
+    ("sfm.w", "b8e5b5bca31feee1"),
+    ("sfm.gate_w", "e5a00aa9991ac8a5"),
+    ("sfm.gate_b", "38723a2e5e8a17aa"),
+]
+
+
+def test_default_init_params_are_pinned_in_creation_order():
+    got = [(name, hashlib.sha256(p.data.tobytes()).hexdigest()[:16])
+           for name, p in init_model_params(TrainConfig()).items()]
+    assert got == DEFAULT_INIT_DIGESTS
+
+
+def files_entered_by_unet_forward(cfg):
+    """The source file of every Python function that runs during one unet_forward."""
+    params = randomized_params(cfg, seed=27)
+    clip = tiny_clip()
+    win = audio_to_windows(clip.audio, cfg)
+    files = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            files.add(frame.f_code.co_filename)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        unet_forward(Tensor(clip.frames), 2, win, clip.frames[0], params, cfg)
+    finally:
+        sys.setprofile(previous)
+    return files
+
+
+@pytest.mark.parametrize("use_msm, use_sfm", [(True, True), (False, True), (True, False),
+                                              (False, False)])
+def test_each_ablation_switch_gates_exactly_one_module(use_msm, use_sfm):
+    files = files_entered_by_unet_forward(
+        dataclasses.replace(TINY, use_msm=use_msm, use_sfm=use_sfm))
+    assert (msm.__file__ in files, sfm.__file__ in files) == (use_msm, use_sfm)
+    assert diffusion.__file__ in files
 
 
 # -- structural equivalence oracle: flags off == a UNet with no conditioning code paths --

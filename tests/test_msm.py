@@ -1,17 +1,10 @@
-"""Spectral conditioning module: weight head, sub-band scaling, attention."""
+"""Spectral conditioning module: weight head and sub-band scaling."""
 
 import numpy as np
 import pytest
 
-from waveletcond.msm import (
-    audio_attention,
-    chunk_weights,
-    frame_tokens,
-    init_attention_params,
-    init_msm_params,
-    msm_forward,
-)
-from waveletcond.tensor import Tensor, ew_mul, mean, sigmoid
+from waveletcond.msm import chunk_weights, init_msm_params, msm_forward
+from waveletcond.tensor import Tensor, ew_mul, sigmoid
 from waveletcond.wavelet import dwt2, dwt2_data, idwt2, idwt2_data
 
 from gradcheck import check_gradients
@@ -179,79 +172,6 @@ def test_msm_gradients_match_finite_differences():
     check_gradients(f, params, h=1e-4, rtol=1e-4)
 
 
-# -- attention --------------------------------------------------------------------
-
-
-def test_frame_tokens_segment_average():
-    vals = Tensor(np.arange(12.0).reshape(2, 6))
-    toks = frame_tokens(vals, frames=3)
-    # columns [0,1], [2,3], [4,5] averaged, then transposed to (frames, d_a)
-    want = np.array([[0.5, 6.5], [2.5, 8.5], [4.5, 10.5]])
-    np.testing.assert_allclose(toks.data, want, atol=1e-15)
-
-
-def test_attention_zero_value_projection_is_identity():
-    r = rng(20)
-    p = {
-        "att.q_w": Tensor(r.standard_normal((3, 3)), requires_grad=True),
-        "att.k_w": Tensor(r.standard_normal((2, 3)), requires_grad=True),
-        "att.v_w": Tensor(np.zeros((2, 3)), requires_grad=True),
-    }
-    video = Tensor(r.standard_normal((5, 3)))
-    audio = Tensor(r.standard_normal((4, 2)))
-    out = audio_attention(video, audio, p)
-    np.testing.assert_array_equal(out.data, video.data)
-
-
-def test_attention_single_token_weights_are_one():
-    r = rng(21)
-    p = dict(init_attention_params(3, 2, r),
-             **{"att.v_w": Tensor(r.standard_normal((2, 3)), requires_grad=True)})
-    video = Tensor(r.standard_normal((4, 3)))
-    audio = Tensor(r.standard_normal((1, 2)))
-    out = audio_attention(video, audio, p)
-    want = video.data + np.broadcast_to(audio.data @ p["att.v_w"].data, (4, 3))
-    np.testing.assert_array_equal(out.data, want)
-
-
-def test_attention_equal_keys_give_exact_half_weights():
-    r = rng(22)
-    video = Tensor(r.standard_normal((3, 4)))
-    audio_np = np.stack([np.ones(2), np.ones(2)])  # two identical tokens
-    values = r.standard_normal((2, 4))
-    p = {
-        "att.q_w": Tensor(r.standard_normal((4, 4))),
-        "att.k_w": Tensor(r.standard_normal((2, 4))),
-        "att.v_w": Tensor(values),
-    }
-    out = audio_attention(video, Tensor(audio_np), p)
-    want = video.data + 0.5 * (audio_np @ values) .sum(axis=0, keepdims=True)
-    np.testing.assert_allclose(out.data, want, atol=1e-15)
-
-
-def test_attention_rejects_empty_audio():
-    p = init_attention_params(3, 2, rng(23))
-    with pytest.raises(ValueError, match="audio token"):
-        audio_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((0, 2))), p)
-
-
-def test_attention_gradients_match_finite_differences():
-    r = rng(24)
-    p = {
-        "att.q_w": Tensor(r.standard_normal((3, 3)), requires_grad=True),
-        "att.k_w": Tensor(r.standard_normal((2, 3)), requires_grad=True),
-        "att.v_w": Tensor(r.standard_normal((2, 3)), requires_grad=True),
-    }
-    video = Tensor(r.standard_normal((4, 3)), requires_grad=True)
-    audio = Tensor(r.standard_normal((3, 2)), requires_grad=True)
-
-    def f():
-        return mean(sigmoid(audio_attention(video, audio, p)))
-
-    params = dict(p, video=video, audio=audio)
-    check_gradients(f, params, h=1e-4, rtol=1e-4)
-
-
 # -- embedding validation -----------------------------------------------------------
 
 
@@ -267,11 +187,6 @@ def test_audio_embedding_rejects_rank_3():
     with pytest.raises(ValueError, match="2-D"):
         msm_forward(Tensor(np.zeros((2, 4, 8))), Tensor(np.zeros(LATENT_SHAPE)),
                     init_msm_params(LATENT_SHAPE))
-
-
-def test_audio_embedding_rejects_indivisible_frames():
-    with pytest.raises(ValueError, match="divisible"):
-        frame_tokens(Tensor(np.zeros((4, 8))), frames=3)
 
 
 # -- input checks ----------------------------------------------------------------------
