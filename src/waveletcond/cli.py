@@ -170,14 +170,6 @@ def cmd_msm_apply(args) -> int:
     params = sgtf.load_params(args.params)
     audio = read_model_input(args.audio)
     latent = read_model_input(args.latent)
-    if latent.ndim != 4:
-        raise ValueError(f"msm-apply: latent must be 4-D, got shape {latent.shape}")
-    if audio.ndim != 2:
-        raise ValueError(f"msm-apply: expected a 2-D (d_a, l) audio embedding, got shape "
-                         f"{audio.shape}")
-    if latent.shape[0] < 1 or audio.shape[1] % latent.shape[0]:
-        raise ValueError(f"msm-apply: audio length {audio.shape[1]} not divisible by "
-                         f"{latent.shape[0]} latent frames")
     require_params(params, init_msm_params(latent.shape), args.params)
     # every input is finite: `read_model_input` and `load_params` check
     out = finite_result("msm-apply", lambda: msm_forward(audio, latent, params).data)
@@ -214,6 +206,7 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    out = output_file("sample", "--out", args.out)
     run = Path(args.params)
     cfg = load_config(run / "config.txt")
     params = sgtf.load_params(run / "params")
@@ -224,14 +217,12 @@ def cmd_sample(args) -> int:
             raise ValueError(f"sample: run directory {run}: parameter {name!r} has shape "
                              f"{params[name].shape}, expected {p.shape}")
     audio = read_model_input(args.audio)
-    if audio.ndim != 1:
-        raise ValueError(f"sample: audio track must be 1-D, got shape {audio.shape}")
     ref = read_model_input(args.ref)
     seed = 0 if args.seed is None else args.seed
     clip = sample(params, audio_to_windows(audio, cfg), ref,
                   linear_schedule(cfg.timesteps), cfg, seed=seed)
-    sgtf.write_tensor(args.out, clip)
-    print(f"sampled clip {clip.shape} -> {args.out}")
+    sgtf.write_tensor(out, clip)
+    print(f"sampled clip {clip.shape} -> {out}")
     return EXIT_OK
 
 

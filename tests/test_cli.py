@@ -1,20 +1,22 @@
 """Command-line surface: every subcommand, exit codes, byte determinism."""
 
+import dataclasses
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from waveletcond import cli, metrics, sgtf
+from waveletcond import cli, metrics, sgtf, training
 from waveletcond.cli import main, parse_index_spec
 from waveletcond.datakit import ClipRecord, SourceMeta, write_manifest, write_sources
 from waveletcond.diffusion import TrainConfig, init_model_params
 from waveletcond.metrics import save_beats, save_landmarks_csv
-from waveletcond.msm import init_msm_params
+from waveletcond.msm import init_msm_params, msm_forward
 from waveletcond.sfm import init_sfm_params
 from waveletcond.tensor import Tensor
-from waveletcond.training import parse_config_text
+from waveletcond.training import parse_config_text, train
 from waveletcond.wavelet import dwt2_data, idwt2_data
 
 
@@ -248,6 +250,21 @@ def test_sample_on_per_band_sfm_params_exits_2(tmp_path, capsys):
     assert main(["sample", "--params", str(run), "--audio", str(tmp_path / "a.sgtf"),
                  "--ref", str(tmp_path / "r.sgtf"), "--out", str(tmp_path / "c.sgtf")]) == 2
     assert "sfm.w" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["dir", "missing/c.sgtf"])
+def test_sample_checks_its_out_path_before_reading_its_run(tmp_path, capsys, monkeypatch, out):
+    calls = []
+    monkeypatch.setattr(cli, "sample", lambda *args, **kwargs: calls.append(args))
+    argv = sample_argv(tmp_path, run_dir(tmp_path))
+    argv[argv.index("--out") + 1] = str(tmp_path / out)
+    (tmp_path / "dir").mkdir()
+    inputs = set(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sample: --out {tmp_path / out}") and "Traceback" not in err
+    assert calls == []
+    assert set(tmp_path.rglob("*")) == inputs
 
 
 def test_train_toy_unknown_config_key_exits_2(tmp_path, capsys):
@@ -736,7 +753,6 @@ HOSTILE_ARGV = {
     "msm-apply/rank3_head": lambda d: msm_argv(d, **{"msm.fc1_w": np.zeros((1, 4, 4))}),
     "msm-apply/bias_shape": lambda d: msm_argv(d, **{"msm.fc1_b": np.zeros(1)}),
     "msm-apply/out_bias_shape": lambda d: msm_argv(d, **{"msm.fc2_b": np.zeros(1)}),
-    "msm-apply/indivisible_audio": lambda d: msm_argv(d, latent=np.zeros((3, 1, 8, 8))),
     "msm-apply/nan_audio": lambda d: msm_argv(d, audio=with_value((4, 8), (2, 6), np.nan)),
     "msm-apply/rank3_latent": lambda d: msm_argv(d, latent=np.zeros((1, 8, 8))),
     "sfm-apply/garbage": lambda d: sfm_argv(d, features=GARBAGE),
@@ -889,7 +905,6 @@ HOSTILE_ERROR_NAMES = {
     "sample/nan_audio": "{d}/a.sgtf: tensor holds a non-finite value",
     "sample/inf_ref": "{d}/r.sgtf: tensor holds a non-finite value",
     "sample/nan_param": "{d}/run/params/unet.mid1_w.sgtf: parameter holds a non-finite value",
-    "msm-apply/indivisible_audio": "audio length 8 not divisible by 3 latent frames",
     "msm-apply/rank3_head": "parameter 'msm.fc1_w' has shape (1, 4, 4), expected (4, 4)",
     "msm-apply/bias_shape": "parameter 'msm.fc1_b' has shape (1,), expected (4,)",
     "msm-apply/out_bias_shape": "parameter 'msm.fc2_b' has shape (1,), expected (4,)",
@@ -921,7 +936,7 @@ HOSTILE_ERROR_NAMES = {
                              "non-empty string, got 5",
     "crop/string_duration": "duration_s must be a finite positive number, got '2'",
     "segment/missing_key": "missing 1 required positional argument: 'fps'",
-    "msm-apply/rank3_latent": "msm-apply: latent must be 4-D, got shape (1, 8, 8)",
+    "msm-apply/rank3_latent": "init_msm_params: latent shape must be 4-D, got (1, 8, 8)",
     "train-toy/height_6": "TrainConfig: height/width must be divisible by 4, got 6x8",
     "train-toy/width_10": "TrainConfig: height/width must be divisible by 4, got 8x10",
     "ablate/odd_samples_per_frame": "TrainConfig: samples_per_frame must be even",
@@ -952,9 +967,217 @@ def test_hostile_input_exits_2_without_traceback(tmp_path, capsys, case):
         assert HOSTILE_ERROR_NAMES[case].format(d=tmp_path) in err, err
 
 
-def test_msm_apply_checks_audio_length_before_the_forward(tmp_path, capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "msm_forward", lambda *args: calls.append(args))
-    assert main(msm_argv(tmp_path, latent=np.zeros((3, 1, 8, 8)))) == 2
-    assert "audio length 8 not divisible by 3 latent frames" in capsys.readouterr().err
-    assert calls == []
+def test_msm_apply_takes_any_audio_length(tmp_path, capsys):
+    # nothing in msm_forward ties the audio length, 8, to the latent's 3 frames
+    audio, latent = rng(30).standard_normal((4, 8)), rng(31).standard_normal((3, 1, 8, 8))
+    head = {"msm.fc1_w": rng(32).standard_normal((4, 4)),  # a head that is not the identity
+            "msm.fc2_w": rng(33).standard_normal((4, 4))}
+    code = main(msm_argv(tmp_path, audio=audio, latent=latent, **head))
+    assert code == 0, capsys.readouterr().err
+    out = msm_forward(audio, latent, sgtf.load_params(tmp_path / "p")).data
+    sgtf.write_tensor(tmp_path / "want.sgtf", out)
+    assert not np.array_equal(out, audio)
+    assert (tmp_path / "o.sgtf").read_bytes() == (tmp_path / "want.sgtf").read_bytes()
+
+
+# -- generated hostile inputs ------------------------------------------------------------------
+#
+# Each case builds one subcommand's valid input tree with the builders above, mutates one file
+# in it and runs the subcommand: it exits 0, 2 or 3, and never raises out of `main`. The case
+# list is drawn once from a fixed seed, so every run writes the same bytes.
+
+# subcommand -> (argv builder, {SGTF file in its tree: rank}, {text file: kind}); files joined
+# by "+" take the same mutation, so a latent and the MSM weight of its shape change together
+GENERATED_BASES = {
+    "dwt": (lambda d: ["dwt", put(d / "x.sgtf", np.zeros((2, 4, 4))), str(d / "b")],
+            {"x.sgtf": 3}, {}),
+    "idwt": (lambda d: idwt_argv(d, np.zeros((2, 2))), {"b.ll.sgtf": 2}, {}),
+    "msm-apply": (msm_argv, {"a.sgtf": 2, "z.sgtf+p/msm.w.sgtf": 4, "p/msm.fc2_b.sgtf": 1}, {}),
+    "sfm-apply": (sfm_argv, {"h.sgtf": 4, "p/sfm.gate_w.sgtf": 2}, {}),
+    "train-toy": (lambda d: config_argv("train-toy", d, TINY_CONFIG), {}, {"cfg.txt": "config"}),
+    "ablate": (lambda d: config_argv("ablate", d, TINY_CONFIG), {}, {"cfg.txt": "config"}),
+    "sample": (lambda d: sample_argv(d, run_dir(d)),
+               {"a.sgtf": 1, "r.sgtf": 3}, {"run/config.txt": "config"}),
+    "metrics": (metrics_argv, {"pred/s0/clip.sgtf": 4},
+                {"pred/s0/lm.csv": "csv", "gt/s0/beats.txt": "beats", "m.jsonl": "jsonl"}),
+    "segment": (lambda d: manifest_argv("segment", d), {}, {"sources.jsonl": "jsonl"}),
+    "crop": (lambda d: manifest_argv("crop", d), {},
+             {"sources.jsonl": "jsonl", "m.jsonl": "jsonl"}),
+    "split": (lambda d: manifest_argv("split", d), {}, {"m.jsonl": "jsonl"}),
+}
+
+FORGED_RANKS = (0, 1, 3, 5, 64, 65, 2 ** 32 - 1)
+HOSTILE_VALUES = (np.nan, np.inf, -np.inf, 1e300, -1e300)
+# what a config value, CSV cell or beat line, and a JSON value, are replaced with
+TEXT_TOKENS = ("", "x", "-1", "0", "1.5", "nan", "inf", "-inf", "1e400", "1e300", "true", "2",
+               "1,2")
+JSON_TOKENS = ("null", "-1", "0", "1.5", "1e400", '"x"', '""', "[]", "{}", "true",
+               "[[0, [1, 2]]]", "18446744073709551616", "NaN")
+
+
+def flip(data, k, mask):
+    k %= len(data)
+    return data[:k] + bytes([data[k] ^ mask]) + data[k + 1:]
+
+
+def resized(arr, axis, size):
+    """`arr` with `axis` cut, or padded with zeros, to `size`."""
+    shape = list(arr.shape)
+    shape[axis] = size
+    out = np.zeros(shape)
+    kept = tuple(slice(0, min(n, m)) for n, m in zip(arr.shape, shape))
+    out[kept] = arr[kept]
+    return out
+
+
+def with_entry(arr, k, value):
+    arr = arr.copy()
+    arr.flat[k % arr.size] = value
+    return arr
+
+
+def edit_line(text, i, edit):
+    """`text` with its line i (modulo the line count) replaced by the lines `edit(line)`."""
+    lines = text.splitlines()
+    i %= len(lines)
+    return "".join(line + "\n" for line in [*lines[:i], *edit(lines[i]), *lines[i + 1:]])
+
+
+def edit_json_key(text, i, edit):
+    """`text`'s first JSON line with `edit(obj, key)` for its i-th key (modulo the count)."""
+    def line_edit(line):
+        obj = json.loads(line)
+        return [edit(obj, sorted(obj)[i % len(obj)])]
+    return edit_line(text, 0, line_edit)
+
+
+def set_cell(text, i, j, token):
+    def edit(line):
+        cells = line.split(",")
+        cells[j % len(cells)] = token
+        return [",".join(cells)]
+    return edit_line(text, i, edit)
+
+
+# mutation -> what it does to a file's bytes, to an SGTF file's array, or to a text file
+BYTE_MUTATIONS = {
+    "truncate": lambda data, k: data[:k % len(data)],
+    "flip": flip,
+    "extend": lambda data, n, byte: data + bytes([byte]) * n,
+    "forge_rank": lambda data, rank: data[:6] + rank.to_bytes(4, "little") + data[10:],
+}
+ARRAY_MUTATIONS = {
+    "drop_axis": lambda arr: arr[0],
+    "add_axis": lambda arr: arr[None],
+    "scalar": lambda arr: np.zeros(()),
+    "resize_axis": resized,
+    "set_entry": with_entry,
+}
+TEXT_MUTATIONS = {
+    "drop_line": lambda text, i: edit_line(text, i, lambda line: []),
+    "repeat_line": lambda text, i: edit_line(text, i, lambda line: [line, line]),
+    "set_line": lambda text, i, token: edit_line(text, i, lambda line: [token]),
+    "set_config_value": lambda text, i, token: edit_line(
+        text, i, lambda line: [f"{line.partition('=')[0]}={token}"]),
+    "set_cell": set_cell,
+    "set_json_value": lambda text, i, token: edit_json_key(
+        text, i, lambda obj, key: json.dumps({**obj, key: "@"}).replace('"@"', token)),
+    "drop_json_key": lambda text, i: edit_json_key(
+        text, i, lambda obj, key: json.dumps(without(obj, key))),
+}
+
+
+def draw_cases(seed=35):
+    """The fixed case list: (id, subcommand, file, mutation, mutation arguments). Each file
+    draws from its own stream, so a file added to GENERATED_BASES leaves the others' cases."""
+    cases = []
+    for command, (_, tensors, texts) in GENERATED_BASES.items():
+        for name in [*tensors, *texts]:
+            r = np.random.default_rng([seed, *f"{command}/{name}".encode()])
+
+            def n(high):
+                return int(r.integers(high))
+
+            def pick(options):
+                return options[n(len(options))]
+
+            muts = [("truncate", n(1 << 16)), ("flip", n(1 << 16), 1 + n(255)),
+                    ("extend", 1 + n(8), n(256))]
+            if name in tensors:
+                muts += [("flip", n(18), 1 + n(255)), ("forge_rank", pick(FORGED_RANKS)),
+                         ("drop_axis",), ("add_axis",), ("scalar",)]
+                for axis in range(tensors[name]):  # a 0-frame latent, odd-length audio, ...
+                    muts += [("resize_axis", axis, 0), ("resize_axis", axis, 1 + n(9))]
+                muts += [("set_entry", n(1 << 16), pick(HOSTILE_VALUES)) for _ in range(2)]
+            elif texts[name] == "jsonl":
+                muts += [("set_json_value", n(16), pick(JSON_TOKENS)) for _ in range(4)]
+                muts += [("drop_json_key", n(16)), ("repeat_line", 0),
+                         ("set_line", 0, pick(JSON_TOKENS))]
+            else:
+                muts += [("drop_line", n(16)), ("repeat_line", n(16)),
+                         ("set_line", n(16), pick(TEXT_TOKENS))]
+                for _ in range(3):
+                    if texts[name] == "csv":
+                        muts.append(("set_cell", n(16), n(16), pick(TEXT_TOKENS)))
+                    elif texts[name] == "config":
+                        muts.append(("set_config_value", n(16), pick(TEXT_TOKENS)))
+                    else:
+                        muts.append(("set_line", n(16), pick(TEXT_TOKENS)))
+            for mutation, *args in muts:
+                ident = f"{command}/{name}/{mutation}:{','.join(map(repr, args))}"
+                cases.append((ident, command, name, mutation, tuple(args)))
+    return cases
+
+
+GENERATED_CASES = draw_cases()
+
+
+def mutate(path, mutation, args):
+    if mutation in BYTE_MUTATIONS:
+        path.write_bytes(BYTE_MUTATIONS[mutation](path.read_bytes(), *args))
+    elif mutation in ARRAY_MUTATIONS:
+        put(path, ARRAY_MUTATIONS[mutation](sgtf.read_tensor(path), *args))
+    else:
+        path.write_text(TEXT_MUTATIONS[mutation](path.read_text(), *args))
+
+
+@pytest.mark.parametrize("case", GENERATED_CASES, ids=[case[0] for case in GENERATED_CASES])
+def test_generated_hostile_input_exits_cleanly(tmp_path, capsys, monkeypatch, case):
+    _, command, name, mutation, args = case
+
+    def one_step(clips, cfg, **kwargs):
+        # a config that still parses trains one step: its hostile part is what it sets, not
+        # its length (a line dropped from it restores the default 500 steps)
+        return train(clips, dataclasses.replace(cfg, steps=1), **kwargs)
+
+    monkeypatch.setattr(cli, "train", one_step)
+    monkeypatch.setattr(training, "train", one_step)
+    argv = GENERATED_BASES[command][0](tmp_path)
+    for path in name.split("+"):
+        mutate(tmp_path / path, mutation, args)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert err.startswith({0: "", 2: "error: ", 3: "numeric failure: "}[code]), err
+    assert "Traceback" not in err
+
+
+# -- the README's commands ----------------------------------------------------------------------
+
+
+def readme_commands():
+    """Each `waveletcond ...` command in the README's "Command line" code block, with its `\\`
+    continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [line for line in commands if line.startswith("waveletcond ")]
+
+
+def test_readme_commands_parse():
+    # parsed only: an unknown subcommand or flag exits 2 through SystemExit
+    parsed = [cli.build_parser().parse_args(shlex.split(command, comments=True)[1:])
+              for command in readme_commands()]
+    assert {args.func for args in parsed} == {  # every subcommand is shown
+        getattr(cli, name) for name in dir(cli) if name.startswith("cmd_")}
