@@ -27,7 +27,9 @@ count and median change of every end-to-end metric (the direction read from
 the change's BENCHMARK.json).  Beside the metrics, each side also gets every
 run's minor page faults (the `RUSAGE_CHILDREN` `ru_minflt` delta around its
 subprocess, so set-up and the reference check count too) and those faults
-over the run's attempted items.  Per-layer figures are not collected.
+over the run's attempted items, and the same summary of every run's unscaled
+(wall-clock) `items_per_s` and `item_ms_p50` and its calibration slowdown,
+which the scaled metrics divide out.  Per-layer figures are not collected.
 
 in_process: each copy's package is linked as `wc_parent` and `wc_change` so
 that both import into one process (`src/` uses only relative imports).
@@ -91,6 +93,7 @@ PINNED_HEAP = {"MALLOC_MMAP_THRESHOLD_": str(32 * 2**20),
 BOOTSTRAP_RESAMPLES = 2000
 PAIRS = 800  # timed in-process pairs per workload
 WARMUP = 10  # untimed items per side before each workload's pairs
+UNSCALED = ("items_per_s", "item_ms_p50")  # perfbench's unscaled figures kept beside the scaled
 # the measuring process: run from scripts/, given the directory holding wc_parent and wc_change
 MEASURER = "import bench_pairs, json, sys; json.dump(bench_pairs.measure(sys.argv[1]), sys.stdout)"
 
@@ -165,6 +168,10 @@ def side_summary(records: list[dict], metrics: list[str]) -> dict:
     summary["failed_of_attempted"] = (f"{sum(r['failed'] for r in records)}/"
                                       f"{sum(r['attempted'] for r in records)}")
     summary["reference_ok"] = all(r["reference"]["ok"] for r in records)
+    # what the scaling hides: the wall-clock figures and the calibration's slowdown
+    for m in UNSCALED:
+        summary[f"unscaled_{m}"] = spread([r["unscaled"][m] for r in records])
+    summary["calibration_slowdown"] = spread([r["calibration"]["slowdown"] for r in records])
     return summary
 
 
@@ -343,7 +350,9 @@ def main(argv=None) -> int:
                     records[workload][side].append(rec)
                     print(f"pair {i} {workload} {side}: " + ", ".join(
                         f"{m} {rec['metrics'][m]['value']:.4g}" for m in better)
-                          + f", minor_faults {rec['minor_faults']}", flush=True)
+                          + f", minor_faults {rec['minor_faults']}, unscaled items_per_s "
+                          f"{rec['unscaled']['items_per_s']:.4g}, slowdown "
+                          f"{rec['calibration']['slowdown']:.4g}", flush=True)
         steps = in_process(trees, Path(tmp) / "lib")
         for name in ("train", "sample"):
             s = steps[name]

@@ -20,6 +20,8 @@ manifests bit for bit alike.  The checks, all with one BLAS thread:
   3-clip fixture that the script writes to a temporary directory (SGTF
   frames, landmark CSVs and beat files).  One clip's prediction equals its
   ground truth (PSNR inf) and one predicted motion has no beat (BAS 0.0).
+  On two usable CPUs the call scores the clips as a 2+1 split, the third
+  in a forked child, so the line also pins the join of forked shares.
 - manifest: the output bytes of `manifest segment`, then `crop` at ratio
   0.7, then `split` at seeds 0 to 4, over 7 seeded sources.
 """

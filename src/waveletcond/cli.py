@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
+import pickle
+import signal
 import sys
 from pathlib import Path
 
@@ -142,7 +145,12 @@ def cmd_dwt(args) -> int:
 
 
 def cmd_idwt(args) -> int:
-    bands = np.stack([sgtf.read_tensor(f"{args.in_prefix}.{name}.sgtf") for name in BAND_ORDER])
+    paths = [f"{args.in_prefix}.{name}.sgtf" for name in BAND_ORDER]
+    bands = [sgtf.read_tensor(path) for path in paths]
+    if len({band.shape for band in bands}) > 1:
+        raise ValueError("idwt: band shapes differ: " + ", ".join(
+            f"{path} {band.shape}" for path, band in zip(paths, bands)))
+    bands = np.stack(bands)
     sgtf.write_tensor(args.output, finite_result("idwt", lambda: idwt2_data(bands), bands))
     return EXIT_OK
 
@@ -269,33 +277,90 @@ def parse_index_spec(spec: str, count: int) -> list[int]:
     return out
 
 
+def in_shares(fn, items: list, describe) -> list:
+    """`fn(items)`, for an `fn` that maps each item alone, on one share per usable CPU.
+
+    The caller runs the first contiguous share and a forked child each other one;
+    results join in order, and the first exception in `items` order is raised.
+    Every child is reaped first (killed if the caller's share raised); one that
+    ends without a result raises `ChildProcessError` naming `describe(share)`.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = min(cpus, len(items))
+    bounds = [-(-len(items) * k // n) for k in range(n + 1)]  # earlier shares take the extra
+    shares = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    children = []  # (pid, read end of its pipe)
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: never returns, flushes no stdio
+                try:
+                    try:
+                        result = True, fn(share)
+                    except BaseException as exc:
+                        result = False, exc
+                    with open(w, "wb") as pipe:
+                        pickle.dump(result, pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        out = fn(shares[0])
+        sent = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+        for _, pipe in children:
+            pipe.close()
+    for share, data, code in zip(shares[1:], sent, codes):
+        if code != 0:
+            raise ChildProcessError(f"{describe(share)}: its process ended without a result "
+                                    f"(exit code {code})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        out += value
+    return out
+
+
 def cmd_metrics(args) -> int:
     report_path = output_file("metrics", "--report", args.report)
     records = datakit.read_manifest(args.manifest)
     if not records:
         raise ValueError(f"metrics: empty manifest {args.manifest}")
     pred_dir, gt_dir = Path(args.pred), Path(args.gt)
-    rows = []
-    for rec in records:
-        pred_lm = metrics.load_landmarks_csv(pred_dir / rec.landmark_path)
-        # Bound to names, so one clip's frames stay live while the next clip's are read:
-        # freed first, their pages go back to the OS and fault in again for every clip.
-        pred_frames = sgtf.read_tensor(pred_dir / rec.frames_path)
-        gt_frames = sgtf.read_tensor(gt_dir / rec.frames_path)
-        gt_lm = metrics.load_landmarks_csv(gt_dir / rec.landmark_path)
-        beats = metrics.load_beats(gt_dir / rec.beats_path)
-        mouth = (parse_index_spec(args.mouth_indices, pred_lm.shape[1])
-                 if args.mouth_indices is not None else None)
-        try:
-            with np.errstate(all="ignore"):  # psnr and SSIM raise on a non-finite result
-                row = metrics.evaluate_clip(pred_frames, gt_frames, pred_lm, gt_lm, beats,
-                                            fps=rec.fps, mouth=mouth, peak=args.peak)
-        except ValueError as exc:
-            raise ValueError(f"metrics: clip {rec.clip_id}: {exc}") from None
-        except OverflowError as exc:
-            raise DivergenceError(f"metrics: non-finite result from finite input in clip "
-                                  f"{rec.clip_id}: {exc}") from None
-        rows.append({"clip_id": rec.clip_id, **row})
+
+    def score(share) -> list[dict]:
+        rows = []
+        for rec in share:
+            pred_lm = metrics.load_landmarks_csv(pred_dir / rec.landmark_path)
+            # Bound to names, so one clip's frames stay live while the next clip's are read:
+            # freed first, their pages go back to the OS and fault in again for every clip.
+            pred_frames = sgtf.read_tensor(pred_dir / rec.frames_path)
+            gt_frames = sgtf.read_tensor(gt_dir / rec.frames_path)
+            gt_lm = metrics.load_landmarks_csv(gt_dir / rec.landmark_path)
+            beats = metrics.load_beats(gt_dir / rec.beats_path)
+            mouth = (parse_index_spec(args.mouth_indices, pred_lm.shape[1])
+                     if args.mouth_indices is not None else None)
+            try:
+                with np.errstate(all="ignore"):  # psnr and SSIM raise on a non-finite result
+                    row = metrics.evaluate_clip(pred_frames, gt_frames, pred_lm, gt_lm, beats,
+                                                fps=rec.fps, mouth=mouth, peak=args.peak)
+            except ValueError as exc:
+                raise ValueError(f"metrics: clip {rec.clip_id}: {exc}") from None
+            except OverflowError as exc:
+                raise DivergenceError(f"metrics: non-finite result from finite input in clip "
+                                      f"{rec.clip_id}: {exc}") from None
+            rows.append({"clip_id": rec.clip_id, **row})
+        return rows
+
+    rows = in_shares(score, records,
+                     lambda share: f"metrics: clips {', '.join(r.clip_id for r in share)}")
     report = metrics.json_safe({
         "report": "clip-metrics",
         "columns": list(metrics.TABLE1_COLUMNS),

@@ -265,8 +265,12 @@ def _write_jsonl(path, items) -> None:
 
 
 def _read_jsonl(path, parse, what: str) -> list:
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:

@@ -226,7 +226,10 @@ def save_landmarks_csv(path, frames: np.ndarray) -> None:
 
 def load_landmarks_csv(path) -> np.ndarray:
     """Read `save_landmarks_csv` output; every data line must hold exactly 1 + 2k cells."""
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not lines:
         raise ValueError(f"{path}: empty landmark file")
     header = lines[0].split(",")
@@ -251,8 +254,12 @@ def save_beats(path, timestamps) -> None:
 
 
 def load_beats(path) -> BeatTrack:
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     times = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue

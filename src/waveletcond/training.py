@@ -234,4 +234,8 @@ def _parse_value(key: str, val: str, lineno: int):
 
 
 def load_config(path) -> TrainConfig:
-    return parse_config_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return parse_config_text(text)

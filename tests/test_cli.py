@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import shlex
 from pathlib import Path
 
@@ -116,16 +117,17 @@ def test_dwt_odd_input_exits_2(tmp_path, capsys):
     assert "odd" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("shapes", [
-    [(2, 2), (2, 3), (2, 2), (2, 2)],  # bands of different shapes
-    [(3,)] * 4,                        # 1-D bands: no rows to interleave
+@pytest.mark.parametrize("shapes, named", [
+    ([(2, 2), (2, 3), (2, 2), (2, 2)], ["b.lh.sgtf", "(2, 3)"]),  # bands of different shapes
+    ([(3,)] * 4, []),                                             # 1-D bands: no rows
 ], ids=["mismatched", "rank1"])
-def test_idwt_bad_bands_exit_2(tmp_path, capsys, shapes):
+def test_idwt_bad_bands_exit_2(tmp_path, capsys, shapes, named):
     for name, shape in zip(("ll", "lh", "hl", "hh"), shapes):
         sgtf.write_tensor(tmp_path / f"b.{name}.sgtf", np.zeros(shape))
     assert main(["idwt", str(tmp_path / "b"), str(tmp_path / "x.sgtf")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert all(part in err for part in named), err
     assert not (tmp_path / "x.sgtf").exists()
 
 
@@ -529,6 +531,112 @@ def test_metrics_non_string_path_exits_2(tmp_path, capsys, field):
                  "--report", str(tmp_path / "report.json")]) == 2
     err = capsys.readouterr().err
     assert f"{manifest}:1: bad record" in err and field in err and "Traceback" not in err
+
+
+# -- metrics in forked shares: one per usable CPU -------------------------------------------
+
+
+def on_cpus(monkeypatch, cpus):
+    """Make `cpus` CPUs usable for the CLI; return the list that each `os.fork` appends to."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(cpus) or fork())
+    return forks
+
+
+def clips_metrics_argv(d, n_clips=5):
+    manifest, pred, gt = build_metrics_tree(d, n_clips)
+    return ["metrics", "--pred", str(pred), "--gt", str(gt), "--manifest", str(manifest),
+            "--report", str(d / "report.json")]
+
+
+def bad_landmarks(d, clip):
+    """Clip `clip`'s predicted landmarks, given a row of 3 cells where 5 are due."""
+    return put(d / "pred" / f"s{clip}" / "lm.csv", "frame,x0,y0,x1,y1\n0,1.0,2.0\n")
+
+
+def test_metrics_report_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    argv = clips_metrics_argv(tmp_path)
+    reports = {}
+    for cpus in (1, 2, 3):
+        forks = on_cpus(monkeypatch, cpus)
+        assert main(argv) == 0
+        assert len(forks) == cpus - 1
+        reports[cpus] = (tmp_path / "report.json").read_bytes()
+    assert reports[1] == reports[2] == reports[3]
+    assert [row["clip_id"] for row in json.loads(reports[1])["per_clip"]] == [
+        f"s{i}_000000" for i in range(5)]
+
+
+@pytest.mark.parametrize("bad", [(4,), (2, 4), (1, 3)],
+                         ids=["last_clip", "two_child_shares", "caller_and_child_shares"])
+def test_metrics_first_error_does_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch,
+                                                              bad):
+    argv = clips_metrics_argv(tmp_path)
+    paths = [bad_landmarks(tmp_path, clip) for clip in bad]
+    outcomes = {}
+    for cpus in (1, 2, 3):
+        on_cpus(monkeypatch, cpus)
+        outcomes[cpus] = main(argv), capsys.readouterr().err
+    assert outcomes[1] == outcomes[2] == outcomes[3]
+    assert outcomes[1] == (2, f"error: {paths[0]}:2: expected 5 columns, got 3\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_metrics_error_in_the_callers_share_reaps_every_child(tmp_path, capsys, monkeypatch):
+    argv = clips_metrics_argv(tmp_path)
+    bad_landmarks(tmp_path, 0)
+    forks = on_cpus(monkeypatch, 3)
+    assert main(argv) == 2
+    assert len(forks) == 2
+    assert "s0/lm.csv:2: expected 5 columns" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child is left, running or unreaped
+
+
+def test_metrics_child_without_a_result_exits_2_naming_its_clips(tmp_path, capsys,
+                                                                 monkeypatch):
+    argv = clips_metrics_argv(tmp_path)
+    test_pid, evaluate_clip = os.getpid(), metrics.evaluate_clip
+
+    def dies_in_a_child(*args, **kwargs):
+        if os.getpid() != test_pid:
+            os._exit(1)
+        return evaluate_clip(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "evaluate_clip", dies_in_a_child)
+    on_cpus(monkeypatch, 3)  # shares s0-s1 (this process), s2-s3 and s4
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: metrics: clips s2_000000, s3_000000: its "
+                                       "process ended without a result (exit code 1)\n")
+    assert not (tmp_path / "report.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# each text file kind: the argv of a command that reads it, and the file; the metrics
+# files belong to the second of two clips, scored in a forked child
+UTF8_READERS = {
+    "landmarks": (lambda d: clips_metrics_argv(d, n_clips=2), "pred/s1/lm.csv"),
+    "beats": (lambda d: clips_metrics_argv(d, n_clips=2), "gt/s1/beats.txt"),
+    "manifest": (lambda d: clips_metrics_argv(d, n_clips=2), "m.jsonl"),
+    "sources": (lambda d: manifest_argv("segment", d), "sources.jsonl"),
+    "config": (lambda d: config_argv("train-toy", d, TINY_CONFIG), "cfg.txt"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UTF8_READERS))
+def test_text_readers_name_their_file_on_a_bad_utf8_byte(tmp_path, capsys, monkeypatch, kind):
+    argv, name = UTF8_READERS[kind]
+    argv, path = argv(tmp_path), tmp_path / name
+    data = bytearray(path.read_bytes())
+    data[3] = 0xFF
+    path.write_bytes(bytes(data))
+    on_cpus(monkeypatch, 2)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 3: "
+                   f"invalid start byte\n")
 
 
 # -- manifest commands ----------------------------------------------------------------------

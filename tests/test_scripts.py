@@ -27,15 +27,26 @@ SUMMARY_FIELDS = {"pairs", "parent_median_ms", "change_median_ms", "ratio_median
 TRAIN_FIELDS = {"parent_traced_peak_mib", "change_traced_peak_mib"}
 
 
+# `scripts/bit_identity.py`'s eight lines.  A change whose numbers are meant to move
+# edits this tuple, so the diff records the old and the new hashes.
+BIT_IDENTITY = (
+    ("train_float64", "86464ce8e72abc35"),
+    ("train_float32", "fcc9a1d5370e3a87"),
+    ("ablate_freeze_backbone_off", "97ccfb7f3d45cf23"),
+    ("ablate_freeze_backbone_on", "a4a29d9271859a27"),
+    ("sample_float64", "418cc1610d8325d7"),
+    ("sample_float32", "beac35edc00c88f2"),
+    ("metrics_report", "dc4e97211a5817f3"),
+    ("manifest", "dfde508e3bdead78"),
+)
+
+
 def test_bit_identity_prints_its_eight_checks_as_16_hex_digits():
     out = subprocess.run([sys.executable, "scripts/bit_identity.py"], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout
-    lines = [line.split() for line in out.splitlines()]
-    assert [name for name, _ in lines] == [
-        "train_float64", "train_float32", "ablate_freeze_backbone_off",
-        "ablate_freeze_backbone_on", "sample_float64", "sample_float32", "metrics_report",
-        "manifest"]
+    lines = tuple(tuple(line.split()) for line in out.splitlines())
     assert all(re.fullmatch("[0-9a-f]{16}", digest) for _, digest in lines)
+    assert lines == BIT_IDENTITY
 
 
 @pytest.mark.parametrize("parent, change", [
@@ -93,3 +104,24 @@ def test_measurer_reports_train_mismatches_when_adam_eps_changes(lib):
     assert runs["train"]["output_mismatches"] == 3
     assert not runs["train"]["outputs_bit_identical"]
     assert runs["sample"]["outputs_bit_identical"]
+
+
+def perfbench_record(scale: float) -> dict:
+    """The parts of one perfbench result file that the collector reads."""
+    return {"metrics": {"items_per_s": {"value": 10.0 * scale},
+                        "item_ms_p50": {"value": 100.0 / scale}},
+            "unscaled": {"items_per_s": 6.0 * scale, "item_ms_p50": 160.0 / scale},
+            "calibration": {"slowdown": 1.5 * scale},
+            "minor_faults": 1000, "attempted": 20, "failed": 0, "reference": {"ok": True}}
+
+
+def test_side_summary_keeps_the_unscaled_figures_and_the_slowdown():
+    summary = bench_pairs.side_summary([perfbench_record(1.0), perfbench_record(2.0)],
+                                       ["items_per_s", "item_ms_p50"])
+    assert summary["unscaled_items_per_s"] == {"median": 9.0, "q1": 7.5, "q3": 10.5,
+                                               "iqr": 3.0, "runs": [6.0, 12.0]}
+    assert summary["unscaled_item_ms_p50"]["runs"] == [160.0, 80.0]
+    assert summary["calibration_slowdown"]["median"] == 2.25
+    assert summary["items_per_s"]["runs"] == [10.0, 20.0]  # the scaled figures, as before
+    assert summary["minor_faults_per_item"]["median"] == 50.0
+    assert summary["failed_of_attempted"] == "0/40" and summary["reference_ok"]
