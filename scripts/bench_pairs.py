@@ -52,7 +52,9 @@ change to the backward.
   the updated parameters, which depend on every gradient of the step.
 - sample: one tape-free `diffusion.unet_forward` of the default sampler's
   shapes at timestep i % timesteps + 1 on a fixed latent; its output is
-  the UNet's.
+  the UNet's.  The item is one full-batch call in this process, so it does
+  not run `diffusion.sample`'s two forked frame shares; the perfbench
+  `sample` pairs do.
 
 Each workload reports both sides' median time over PAIRS pairs, the median
 of the per-pair ratios change / parent with a bootstrap 95% interval (2,000
@@ -63,7 +65,9 @@ cost, which the perfbench pairs measure.  After its pairs, `train` also
 records each side's tracemalloc peak of one step (item 0), taken once per
 side outside the timed pairs: a memory figure that glibc's heap cannot move.
 
-bit_identity: both sides' output of `scripts/bit_identity.py`.
+bit_identity: both sides' output of `scripts/bit_identity.py`, whether
+they are equal, and `differing`: the sorted check names whose two digests
+differ.
 """
 
 import argparse
@@ -147,6 +151,15 @@ def bit_identity(tree: Path) -> dict:
     out = subprocess.run([sys.executable, "scripts/bit_identity.py"], cwd=tree, check=True,
                          capture_output=True, text=True).stdout
     return dict(line.split() for line in out.splitlines())
+
+
+def identity_section(identity: dict) -> dict:
+    """The BENCH file's `bit_identity`, from each side's `{check name: digest}`."""
+    parent, change = identity["parent"], identity["change"]
+    return {"command": "python3 scripts/bit_identity.py", **identity,
+            "parent_equal": parent == change,
+            "differing": sorted(name for name in parent.keys() | change.keys()
+                                if parent.get(name) != change.get(name))}
 
 
 def sig(x: float) -> float:
@@ -389,8 +402,7 @@ def main(argv=None) -> int:
             "end_to_end": end_to_end,
         })
     report["in_process"] = steps
-    report["bit_identity"] = {"command": "python3 scripts/bit_identity.py", **identity,
-                              "parent_equal": identity["parent"] == identity["change"]}
+    report["bit_identity"] = identity_section(identity)
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}")

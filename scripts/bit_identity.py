@@ -15,7 +15,9 @@ manifests bit for bit alike.  The checks, all with one BLAS thread:
   n_clips=10), with `freeze_backbone` off and on.
 - sample_<dtype>: `diffusion.sample` (50 steps, seed 3) from the trained
   parameters of that dtype, clip 0's audio windows and first frame; the
-  bytes of the sampled latent.
+  bytes of the sampled latent.  The sampler runs each step's UNet as two
+  shares of the 16 frames, 8 here and 8 in a forked child, so the line
+  also pins that split.
 - metrics_report: the report bytes of one `metrics` CLI call over a seeded
   3-clip fixture that the script writes to a temporary directory (SGTF
   frames, landmark CSVs and beat files).  One clip's prediction equals its

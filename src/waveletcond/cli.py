@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import os
 import pickle
-import signal
 import sys
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .diffusion import (
     linear_schedule,
     sample,
 )
+from .forks import Children
 from .msm import init_msm_params, msm_forward
 from .sfm import init_sfm_params, sfm_forward
 from .training import (
@@ -289,35 +289,29 @@ def in_shares(fn, items: list, describe) -> list:
     n = min(cpus, len(items))
     bounds = [-(-len(items) * k // n) for k in range(n + 1)]  # earlier shares take the extra
     shares = [items[a:b] for a, b in zip(bounds, bounds[1:])]
-    children = []  # (pid, read end of its pipe)
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child: never returns, flushes no stdio
-                try:
-                    try:
-                        result = True, fn(share)
-                    except BaseException as exc:
-                        result = False, exc
-                    with open(w, "wb") as pipe:
-                        pickle.dump(result, pipe)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(w)
-            children.append((pid, open(r, "rb")))
-        out = fn(shares[0])
-        sent = [pipe.read() for _, pipe in children]
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
-        for _, pipe in children:
-            pipe.close()
-    for share, data, code in zip(shares[1:], sent, codes):
+    pipes = []  # the read end of each child's pipe
+
+    def send(share, w):  # the child: its share's rows, or its first exception
+        try:
+            result = True, fn(share)
+        except BaseException as exc:
+            result = False, exc
+        with open(w, "wb") as pipe:
+            pickle.dump(result, pipe)
+
+    with Children() as children:
+        try:
+            for share in shares[1:]:
+                r, w = os.pipe()
+                children.fork(lambda: send(share, w))
+                os.close(w)
+                pipes.append(open(r, "rb"))
+            out = fn(shares[0])
+            sent = [pipe.read() for pipe in pipes]
+        finally:
+            for pipe in pipes:
+                pipe.close()
+    for share, data, code in zip(shares[1:], sent, children.codes):
         if code != 0:
             raise ChildProcessError(f"{describe(share)}: its process ended without a result "
                                     f"(exit code {code})")

@@ -15,10 +15,12 @@ chunks along axis 2.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .forks import Children
 from .msm import init_msm_params, msm_forward
 from .sfm import init_sfm_params, sfm_forward
 from .tensor import (
@@ -217,12 +219,15 @@ def audio_attention(video_tokens: Tensor, audio_tokens: Tensor, p: dict[str, Ten
 
 
 def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.ndarray,
-                 params: dict[str, Tensor], cfg: TrainConfig) -> Tensor:
-    """Predict the noise in z_t; output shape equals input shape.
+                 params: dict[str, Tensor], cfg: TrainConfig, *,
+                 frames: slice = slice(None)) -> Tensor:
+    """Predict the noise in z_t's `frames` (by default all of them).
 
     use_msm=False feeds the raw audio embedding to the attention block;
     use_sfm=False passes bottleneck features through untouched.  A latent
-    given as an array runs in the dtype of the params.
+    given as an array runs in the dtype of the params.  The audio encoder,
+    MSM and frame tokens read the whole latent, the trunk only `frames` (and
+    `sfm.w` at them).  A strict share of the frames runs forward only.
     """
     z_t = as_tensor(z_t, params["unet.in_w"])
     if z_t.shape != cfg.latent_shape:
@@ -236,6 +241,14 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
         raise ValueError(
             f"unet_forward: reference frame shape {ref_frame.shape} != {cfg.latent_shape[1:]}")
 
+    share = range(cfg.frames)[frames]
+    if not share:
+        raise ValueError(f"unet_forward: frames={frames} selects no frame")
+    whole = share == range(cfg.frames)
+    if not whole and (z_t.requires_grad or any(p.requires_grad for p in params.values())):
+        raise ValueError(f"unet_forward: frames={frames} is a strict share, which runs forward "
+                         "only, but the latent or a parameter needs a gradient")
+
     embedding = encode_audio(audio_windows, params)
     if cfg.use_msm:
         conditioned = msm_forward(embedding, z_t, params)
@@ -243,7 +256,8 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
         conditioned = embedding
     tokens = frame_tokens(conditioned, cfg.frames)
 
-    h1 = conv3x3([z_t, np.broadcast_to(ref_frame, cfg.latent_shape)], params["unet.in_w"],
+    x = z_t if whole else Tensor(z_t.data[frames])
+    h1 = conv3x3([x, np.broadcast_to(ref_frame, x.shape)], params["unet.in_w"],
                  params["unet.in_b"])
     # row t-1 of unet.temb as the one-hot product e_{t-1}^T E, bit for bit (the other
     # rows add +-0); any -0.0 its backward puts off row t-1 adds into +0.0 zeros
@@ -262,7 +276,8 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
 
     m = relu(conv3x3(m, params["unet.mid2_w"], params["unet.mid2_b"]))
     if cfg.use_sfm:
-        m = sfm_forward(m, params)
+        m = sfm_forward(m, params if whole else
+                        {**params, "sfm.w": Tensor(params["sfm.w"].data[:, frames])})
 
     d = relu(conv3x3([m, h1], params["unet.up_w"], params["unet.up_b"]))
     return conv3x3(d, params["unet.out_w"], params["unet.out_b"])
@@ -277,19 +292,67 @@ def sample(params: dict[str, Tensor], audio_windows: np.ndarray, ref_frame: np.n
     then cast, so f32 and f64 runs share one noise sequence.  Deterministic
     given the seed; raises DivergenceError (with the step index) if any
     intermediate goes non-finite.
+
+    Each step's UNet runs as two fixed shares of the frames: [0, ceil(f/2))
+    here and [ceil(f/2), f) in a child forked per call, which is sent the
+    latent and sends back its rows.  BLAS rounds a share unlike the whole
+    batch, so with the share count fixed the bytes do not depend on the CPU
+    count.  One frame forks nothing.  A child that ends without a result
+    raises ChildProcessError naming its frames; no child outlives the call.
     """
     if len(sched.betas) != cfg.timesteps:
         raise ValueError(
             f"sample: schedule has {len(sched.betas)} steps but config expects {cfg.timesteps}")
     params = {k: Tensor(p.data) for k, p in params.items()}
     dtype = params["unet.in_w"].dtype
+    half = -(-cfg.frames // 2)  # the first share takes the odd frame
+    mine, theirs = slice(0, half), slice(half, cfg.frames)
+
+    def eps_rows(share, t, z):
+        return unet_forward(z, t, audio_windows, ref_frame, params, cfg, frames=share).data
+
+    if half == cfg.frames:
+        return denoise(lambda t, z: eps_rows(mine, t, z), dtype, sched, cfg, seed)
+    down, up = os.pipe(), os.pipe()  # (read end, write end): to the child, from the child
+    with Children() as children, open(down[1], "wb") as to_child, open(up[0], "rb") as from_child:
+        with open(down[0], "rb") as inbox, open(up[1], "wb") as outbox:
+            def serve():  # the child: its rows of each step's eps_hat
+                to_child.close()  # so that it reads the end of input if this process dies
+                z = np.empty(cfg.latent_shape, dtype)
+                for t in range(cfg.timesteps, 0, -1):
+                    if inbox.readinto(z) < z.nbytes:
+                        return
+                    outbox.write(eps_rows(theirs, t, z).tobytes())
+                    outbox.flush()
+
+            children.fork(serve)
+        eps_hat = np.empty(cfg.latent_shape, dtype)
+
+        def joined(t, z):
+            to_child.write(z)
+            to_child.flush()
+            eps_hat[mine] = eps_rows(mine, t, z)
+            if from_child.readinto(eps_hat[theirs]) < eps_hat[theirs].nbytes:
+                raise EOFError
+            return eps_hat
+
+        try:
+            return denoise(joined, dtype, sched, cfg, seed)
+        except (BrokenPipeError, EOFError):  # the child ended without a result
+            pass
+    raise ChildProcessError(f"sample: frames [{half}, {cfg.frames}): its process ended "
+                            f"without a result (exit code {children.codes[0]})")
+
+
+def denoise(eps_hat, dtype, sched: NoiseSchedule, cfg: TrainConfig, seed: int) -> np.ndarray:
+    """`sample`'s ancestral loop, given `eps_hat(t, z)`, the UNet's noise estimate."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(cfg.latent_shape).astype(dtype, copy=False)
     for t in range(cfg.timesteps, 0, -1):
-        eps_hat = unet_forward(z, t, audio_windows, ref_frame, params, cfg).data
+        e = eps_hat(t, z)
         # Python floats: numpy f64 scalars would promote an f32 latent
         beta, abar = float(sched.betas[t - 1]), float(sched.alpha_bars[t - 1])
-        mean = (z - beta / math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(1.0 - beta)
+        mean = (z - beta / math.sqrt(1.0 - abar) * e) / math.sqrt(1.0 - beta)
         if t > 1:
             var = beta * (1.0 - float(sched.alpha_bars[t - 2])) / (1.0 - abar)
             noise = rng.standard_normal(cfg.latent_shape).astype(dtype, copy=False)

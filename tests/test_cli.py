@@ -4,12 +4,13 @@ import dataclasses
 import json
 import os
 import shlex
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from waveletcond import cli, metrics, sgtf, training
+from waveletcond import cli, diffusion, metrics, sgtf, training
 from waveletcond.cli import main, parse_index_spec
 from waveletcond.datakit import ClipRecord, SourceMeta, write_manifest, write_sources
 from waveletcond.diffusion import TrainConfig, init_model_params
@@ -268,6 +269,33 @@ def test_sample_checks_its_out_path_before_reading_its_run(tmp_path, capsys, mon
     assert calls == []
     assert set(tmp_path.rglob("*")) == inputs
 
+
+def test_sample_child_without_a_result_exits_2_naming_its_frames(tmp_path, capsys,
+                                                                 monkeypatch):
+    test_pid, unet_forward = os.getpid(), diffusion.unet_forward
+
+    def dies_in_a_child(*args, **kwargs):
+        if os.getpid() != test_pid:
+            os._exit(1)
+        return unet_forward(*args, **kwargs)
+
+    def hung(signum, frame):
+        raise TimeoutError("sample still running after 60 s")
+
+    monkeypatch.setattr(diffusion, "unet_forward", dies_in_a_child)
+    argv = sample_argv(tmp_path, run_dir(tmp_path))
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        assert main(argv) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert capsys.readouterr().err == ("error: sample: frames [1, 2): its process ended "
+                                       "without a result (exit code 1)\n")
+    assert not (tmp_path / "c.sgtf").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 def test_train_toy_unknown_config_key_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.txt"

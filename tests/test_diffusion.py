@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import math
+import os
 import sys
 import tracemalloc
 
@@ -155,6 +157,51 @@ def test_unet_rejects_bad_t_and_shapes():
         unet_forward(Tensor(np.zeros((2, 1, 4, 4))), 1, win, clip.frames[0], params, TINY)
     with pytest.raises(ValueError, match="reference frame"):
         unet_forward(Tensor(clip.frames), 1, win, np.zeros((1, 2, 2)), params, TINY)
+
+
+def shares_of(cfg):
+    """`sample`'s frame shares: [0, ceil(f/2)) and, past one frame, [ceil(f/2), f)."""
+    half = -(-cfg.frames // 2)
+    return [slice(0, half), slice(half, cfg.frames)][:min(cfg.frames, 2)]
+
+
+def clip_for(cfg, seed=1):
+    return make_synthetic_dataset(1, cfg.frames, cfg.height, cfg.width, seed=seed,
+                                  samples_per_frame=cfg.samples_per_frame)[0]
+
+
+@pytest.mark.parametrize("frames", [2, 3])
+@pytest.mark.parametrize("use_msm, use_sfm", [(True, True), (False, False)])
+def test_unet_share_rows_match_the_whole_call(frames, use_msm, use_sfm):
+    cfg = dataclasses.replace(TINY, frames=frames, use_msm=use_msm, use_sfm=use_sfm)
+    params = {k: Tensor(p.data) for k, p in randomized_params(cfg, seed=9).items()}
+    clip = clip_for(cfg)
+    win = audio_to_windows(clip.audio, cfg)
+    z = rng(9).standard_normal(cfg.latent_shape)
+    whole = unet_forward(z, 3, win, clip.frames[0], params, cfg).data
+    for share in (*shares_of(cfg), slice(1, 2)):
+        rows = unet_forward(z, 3, win, clip.frames[0], params, cfg, frames=share).data
+        assert rows.shape == whole[share].shape
+        # BLAS may round a share's conv unlike the whole batch's, in the last bits
+        np.testing.assert_allclose(rows, whole[share], rtol=0,
+                                   atol=1e-12 * np.max(np.abs(whole)))
+
+
+def test_unet_strict_share_runs_forward_only():
+    params = randomized_params(TINY, seed=10)  # every one needs a gradient
+    clip = tiny_clip()
+    win = audio_to_windows(clip.audio, TINY)
+    with pytest.raises(ValueError, match=r"frames=slice\(0, 1, None\).*gradient"):
+        unet_forward(clip.frames, 3, win, clip.frames[0], params, TINY, frames=slice(0, 1))
+    frozen = {k: Tensor(p.data) for k, p in params.items()}
+    with pytest.raises(ValueError, match=r"frames=slice\(1, None, None\).*gradient"):
+        unet_forward(Tensor(clip.frames, requires_grad=True), 3, win, clip.frames[0], frozen,
+                     TINY, frames=slice(1, None))
+    with pytest.raises(ValueError, match="selects no frame"):
+        unet_forward(clip.frames, 3, win, clip.frames[0], frozen, TINY, frames=slice(1, 1))
+    # every frame is the whole call, tape and all
+    out = unet_forward(clip.frames, 3, win, clip.frames[0], params, TINY, frames=slice(0, 2))
+    assert out.requires_grad
 
 
 # -- bottleneck cross-attention ----------------------------------------------------------
@@ -691,6 +738,108 @@ def test_sample_and_validation_loss_build_no_tape(monkeypatch):
     assert not any(outputs_need_grad)
     assert all(p.requires_grad and p.grad is None for p in params.values())
 
+
+def two_share_oracle(params, win, ref, sched, cfg, seed):
+    """`sample` as a loop in one process: both shares' UNet rows, then the ancestral update."""
+    params = {k: Tensor(p.data) for k, p in params.items()}
+    dtype = params["unet.in_w"].dtype
+    r = np.random.default_rng(seed)
+    z = r.standard_normal(cfg.latent_shape).astype(dtype, copy=False)
+    for t in range(cfg.timesteps, 0, -1):
+        eps_hat = np.concatenate([unet_forward(z, t, win, ref, params, cfg, frames=share).data
+                                  for share in shares_of(cfg)])
+        beta, abar = float(sched.betas[t - 1]), float(sched.alpha_bars[t - 1])
+        mean = (z - beta / math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(1.0 - beta)
+        if t > 1:
+            var = beta * (1.0 - float(sched.alpha_bars[t - 2])) / (1.0 - abar)
+            z = mean + math.sqrt(var) * r.standard_normal(cfg.latent_shape).astype(dtype)
+        else:
+            z = mean
+    return z
+
+
+def counting_forks(monkeypatch):
+    """A list that gets one entry per `os.fork` call from here on."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("frames", [2, 3])
+def test_sample_equals_its_two_share_oracle(monkeypatch, dtype, frames):
+    cfg = dataclasses.replace(TINY, frames=frames)
+    params = {k: Tensor(p.data.astype(dtype), requires_grad=True)
+              for k, p in randomized_params(cfg, seed=16, scale=0.2).items()}
+    clip = clip_for(cfg, seed=16)
+    win, sched = audio_to_windows(clip.audio, cfg), linear_schedule(cfg.timesteps)
+    forks = counting_forks(monkeypatch)
+    z = sample(params, win, clip.frames[0], sched, cfg, seed=4)
+    assert len(forks) == 1
+    assert z.dtype == dtype
+    assert np.array_equal(z, two_share_oracle(params, win, clip.frames[0], sched, cfg, seed=4))
+
+
+def test_sample_of_one_frame_forks_nothing(monkeypatch):
+    cfg = dataclasses.replace(TINY, frames=1)
+    params = randomized_params(cfg, seed=17, scale=0.2)
+    clip = clip_for(cfg, seed=17)
+    win, sched = audio_to_windows(clip.audio, cfg), linear_schedule(cfg.timesteps)
+    forks = counting_forks(monkeypatch)
+    z = sample(params, win, clip.frames[0], sched, cfg, seed=4)
+    assert forks == []
+    assert np.array_equal(z, two_share_oracle(params, win, clip.frames[0], sched, cfg, seed=4))
+
+
+def raises_in_this_process(monkeypatch):
+    """`unet_forward` raising ValueError in this process and running as before in a child."""
+    test_pid, unet = os.getpid(), diffusion.unet_forward
+
+    def raising(*args, **kwargs):
+        if os.getpid() == test_pid:
+            raise ValueError("this process's share failed")
+        return unet(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "unet_forward", raising)
+
+
+@pytest.mark.parametrize("fault", ["nan_out_bias", "error_in_this_process"])
+def test_sample_leaves_no_child_when_it_raises(monkeypatch, fault):
+    params = init_model_params(TINY)
+    clip = tiny_clip()
+    if fault == "nan_out_bias":
+        params["unet.out_b"] = Tensor(np.full(1, np.nan), requires_grad=True)
+        expected = DivergenceError, f"t={TINY.timesteps}"
+    else:
+        raises_in_this_process(monkeypatch)
+        expected = ValueError, "this process's share failed"
+    forks = counting_forks(monkeypatch)
+    with pytest.raises(expected[0], match=expected[1]):
+        sample(params, audio_to_windows(clip.audio, TINY), clip.frames[0],
+               linear_schedule(TINY.timesteps), TINY, seed=0)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child is left, running or unreaped
+
+
+def test_sample_child_without_a_result_raises_naming_its_frames(monkeypatch):
+    test_pid, unet = os.getpid(), diffusion.unet_forward
+
+    def dies_in_a_child(*args, **kwargs):
+        if os.getpid() != test_pid:
+            os._exit(1)
+        return unet(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "unet_forward", dies_in_a_child)
+    cfg = dataclasses.replace(TINY, frames=3)
+    clip = clip_for(cfg)
+    with pytest.raises(ChildProcessError) as exc:
+        sample(randomized_params(cfg, seed=18), audio_to_windows(clip.audio, cfg),
+               clip.frames[0], linear_schedule(cfg.timesteps), cfg, seed=0)
+    assert str(exc.value) == ("sample: frames [2, 3): its process ended without a result "
+                              "(exit code 1)")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 def test_f32_training_and_sampling_track_f64():
     cfg = dataclasses.replace(TINY, steps=6, log_every=1)

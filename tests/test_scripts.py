@@ -34,7 +34,7 @@ BIT_IDENTITY = (
     ("train_float32", "fcc9a1d5370e3a87"),
     ("ablate_freeze_backbone_off", "97ccfb7f3d45cf23"),
     ("ablate_freeze_backbone_on", "a4a29d9271859a27"),
-    ("sample_float64", "418cc1610d8325d7"),
+    ("sample_float64", "b8cd7e7a6a3bc410"),
     ("sample_float32", "beac35edc00c88f2"),
     ("metrics_report", "dc4e97211a5817f3"),
     ("manifest", "dfde508e3bdead78"),
@@ -48,6 +48,17 @@ def test_bit_identity_prints_its_eight_checks_as_16_hex_digits():
     assert all(re.fullmatch("[0-9a-f]{16}", digest) for _, digest in lines)
     assert lines == BIT_IDENTITY
 
+
+def test_bit_identity_section_names_the_checks_whose_digests_differ():
+    same = dict(BIT_IDENTITY)
+    moved = {**same, "sample_float64": "0" * 16, "extra": "1" * 16}
+    del moved["manifest"]
+    section = bench_pairs.identity_section({"parent": same, "change": moved})
+    assert section["differing"] == ["extra", "manifest", "sample_float64"]
+    assert not section["parent_equal"]
+    assert section["parent"] == same and section["change"] == moved
+    section = bench_pairs.identity_section({"parent": same, "change": dict(same)})
+    assert section["differing"] == [] and section["parent_equal"]
 
 @pytest.mark.parametrize("parent, change", [
     ({"a": np.zeros(2)}, {"a": np.zeros(2), "b": np.zeros(2)}),
