@@ -49,7 +49,11 @@ is zero, so every gradient behind it is zero and no output could show a
 change to the backward.
 - train: one default `training.train` step (`TrainConfig()`, steps=1) at
   draw seed 10 + i (10 untimed items per side come first); its output is
-  the updated parameters, which depend on every gradient of the step.
+  the updated parameters, which depend on every gradient of the step.  The
+  item is a whole one-step `training.train` call, so where `train` runs its
+  two forked frame shares, each item forks and reaps its child, and its
+  parameters are not bit-identical to a one-process `train`'s; the perfbench
+  `train` pairs measure such a change's steps.
 - sample: one tape-free `diffusion.unet_forward` of the default sampler's
   shapes at timestep i % timesteps + 1 on a fixed latent; its output is
   the UNet's.  The item is one full-batch call in this process, so it does

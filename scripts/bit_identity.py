@@ -10,7 +10,9 @@ manifests bit for bit alike.  The checks, all with one BLAS thread:
 
 - train_<dtype>: 30 Adam steps of `training.train` at TrainConfig(steps=30,
   seed=11) from `init_model_params` cast to the dtype; every parameter's
-  bytes in sorted name order, then the f64 loss array.
+  bytes in sorted name order, then the f64 loss array.  Each step runs as
+  two shares of the 16 frames, 8 here and 8 in a forked child, whose losses
+  and gradients are added, so the line also pins that split.
 - ablate_<freeze>: `report_to_json` bytes of `ablate` at TrainConfig(steps=8,
   n_clips=10), with `freeze_backbone` off and on.
 - sample_<dtype>: `diffusion.sample` (50 steps, seed 3) from the trained

@@ -15,12 +15,11 @@ chunks along axis 2.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .forks import Children
+from .forks import read_into, with_child
 from .msm import init_msm_params, msm_forward
 from .sfm import init_sfm_params, sfm_forward
 from .tensor import (
@@ -218,6 +217,27 @@ def audio_attention(video_tokens: Tensor, audio_tokens: Tensor, p: dict[str, Ten
     return add(video_tokens, matmul(attn, v))
 
 
+def frame_shares(frames: int) -> tuple[slice, slice]:
+    """The two fixed shares `sample` and `train` split a clip's frames into.
+
+    [0, ceil(f/2)) runs in the calling process and [ceil(f/2), f) in a
+    forked child; the second is empty for one frame.
+    """
+    half = -(-frames // 2)  # the first share takes the odd frame
+    return slice(0, half), slice(half, frames)
+
+
+def share_params(params: dict[str, Tensor], frames: slice) -> dict[str, Tensor]:
+    """`params` as `unet_forward(..., frames=frames)` takes them.
+
+    `sfm.w` has one slice per frame; it becomes a new leaf holding those
+    frames, which needs a gradient if `sfm.w` does.  Every other entry is
+    the caller's own tensor.
+    """
+    w = params["sfm.w"]
+    return {**params, "sfm.w": Tensor(w.data[:, frames], requires_grad=w.requires_grad)}
+
+
 def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.ndarray,
                  params: dict[str, Tensor], cfg: TrainConfig, *,
                  frames: slice = slice(None)) -> Tensor:
@@ -226,8 +246,14 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
     use_msm=False feeds the raw audio embedding to the attention block;
     use_sfm=False passes bottleneck features through untouched.  A latent
     given as an array runs in the dtype of the params.  The audio encoder,
-    MSM and frame tokens read the whole latent, the trunk only `frames` (and
-    `sfm.w` at them).  A strict share of the frames runs forward only.
+    MSM and frame tokens read the whole latent, the trunk only `frames`.
+    `sfm.w`, which has one slice per frame, may hold only those frames
+    (`share_params`); it then gets its gradient from a strict share as every
+    other parameter does.  A strict share reads the latent, and an `sfm.w`
+    of every frame, as constants, so it raises ValueError if one of them
+    needs a gradient.  `sample` and `train` run the two `frame_shares`, one
+    per process; BLAS rounds a share unlike the whole batch, so that split
+    is fixed and their bytes do not depend on the CPU count.
     """
     z_t = as_tensor(z_t, params["unet.in_w"])
     if z_t.shape != cfg.latent_shape:
@@ -245,9 +271,12 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
     if not share:
         raise ValueError(f"unet_forward: frames={frames} selects no frame")
     whole = share == range(cfg.frames)
-    if not whole and (z_t.requires_grad or any(p.requires_grad for p in params.values())):
-        raise ValueError(f"unet_forward: frames={frames} is a strict share, which runs forward "
-                         "only, but the latent or a parameter needs a gradient")
+    w = params["sfm.w"]
+    w_of_every_frame = cfg.use_sfm and not whole and w.shape[1:2] == (cfg.frames,)
+    if not whole and (z_t.requires_grad or w_of_every_frame and w.requires_grad):
+        raise ValueError(f"unet_forward: frames={frames} is a strict share, which reads the "
+                         "latent and an sfm.w of every frame as constants, but one of them "
+                         "needs a gradient")
 
     embedding = encode_audio(audio_windows, params)
     if cfg.use_msm:
@@ -276,8 +305,8 @@ def unet_forward(z_t: Tensor, t: int, audio_windows: np.ndarray, ref_frame: np.n
 
     m = relu(conv3x3(m, params["unet.mid2_w"], params["unet.mid2_b"]))
     if cfg.use_sfm:
-        m = sfm_forward(m, params if whole else
-                        {**params, "sfm.w": Tensor(params["sfm.w"].data[:, frames])})
+        m = sfm_forward(m, {**params, "sfm.w": Tensor(w.data[:, frames])}
+                        if w_of_every_frame else params)
 
     d = relu(conv3x3([m, h1], params["unet.up_w"], params["unet.up_b"]))
     return conv3x3(d, params["unet.out_w"], params["unet.out_b"])
@@ -293,55 +322,49 @@ def sample(params: dict[str, Tensor], audio_windows: np.ndarray, ref_frame: np.n
     given the seed; raises DivergenceError (with the step index) if any
     intermediate goes non-finite.
 
-    Each step's UNet runs as two fixed shares of the frames: [0, ceil(f/2))
-    here and [ceil(f/2), f) in a child forked per call, which is sent the
-    latent and sends back its rows.  BLAS rounds a share unlike the whole
-    batch, so with the share count fixed the bytes do not depend on the CPU
-    count.  One frame forks nothing.  A child that ends without a result
-    raises ChildProcessError naming its frames; no child outlives the call.
+    Each step's UNet runs as the two `frame_shares`: the first here and the
+    second in a child forked per call, which is sent the latent and sends
+    back its rows.  BLAS rounds a share unlike the whole batch, so with the
+    share count fixed the bytes do not depend on the CPU count.  One frame
+    forks nothing.  A child that ends without a result raises
+    ChildProcessError naming its frames; no child outlives the call.
     """
     if len(sched.betas) != cfg.timesteps:
         raise ValueError(
             f"sample: schedule has {len(sched.betas)} steps but config expects {cfg.timesteps}")
     params = {k: Tensor(p.data) for k, p in params.items()}
     dtype = params["unet.in_w"].dtype
-    half = -(-cfg.frames // 2)  # the first share takes the odd frame
-    mine, theirs = slice(0, half), slice(half, cfg.frames)
+    mine, theirs = frame_shares(cfg.frames)
 
-    def eps_rows(share, t, z):
-        return unet_forward(z, t, audio_windows, ref_frame, params, cfg, frames=share).data
+    def eps_rows(share):  # the UNet's rows of `share`, as a function of (t, z)
+        given = share_params(params, share)
+        return lambda t, z: unet_forward(z, t, audio_windows, ref_frame, given, cfg,
+                                         frames=share).data
 
-    if half == cfg.frames:
-        return denoise(lambda t, z: eps_rows(mine, t, z), dtype, sched, cfg, seed)
-    down, up = os.pipe(), os.pipe()  # (read end, write end): to the child, from the child
-    with Children() as children, open(down[1], "wb") as to_child, open(up[0], "rb") as from_child:
-        with open(down[0], "rb") as inbox, open(up[1], "wb") as outbox:
-            def serve():  # the child: its rows of each step's eps_hat
-                to_child.close()  # so that it reads the end of input if this process dies
-                z = np.empty(cfg.latent_shape, dtype)
-                for t in range(cfg.timesteps, 0, -1):
-                    if inbox.readinto(z) < z.nbytes:
-                        return
-                    outbox.write(eps_rows(theirs, t, z).tobytes())
-                    outbox.flush()
+    if theirs.start == theirs.stop:
+        return denoise(eps_rows(mine), dtype, sched, cfg, seed)
 
-            children.fork(serve)
-        eps_hat = np.empty(cfg.latent_shape, dtype)
+    def serve(inbox, outbox):  # the child: its rows of each step's eps_hat
+        rows = eps_rows(theirs)
+        z = np.empty(cfg.latent_shape, dtype)
+        for t in range(cfg.timesteps, 0, -1):
+            read_into(inbox, z)
+            outbox.write(rows(t, z).tobytes())
+            outbox.flush()
+
+    def work(to_child, from_child):
+        rows, eps_hat = eps_rows(mine), np.empty(cfg.latent_shape, dtype)
 
         def joined(t, z):
             to_child.write(z)
             to_child.flush()
-            eps_hat[mine] = eps_rows(mine, t, z)
-            if from_child.readinto(eps_hat[theirs]) < eps_hat[theirs].nbytes:
-                raise EOFError
+            eps_hat[mine] = rows(t, z)
+            read_into(from_child, eps_hat[theirs])
             return eps_hat
 
-        try:
-            return denoise(joined, dtype, sched, cfg, seed)
-        except (BrokenPipeError, EOFError):  # the child ended without a result
-            pass
-    raise ChildProcessError(f"sample: frames [{half}, {cfg.frames}): its process ended "
-                            f"without a result (exit code {children.codes[0]})")
+        return denoise(joined, dtype, sched, cfg, seed)
+
+    return with_child(serve, work, f"sample: frames [{theirs.start}, {theirs.stop})")
 
 
 def denoise(eps_hat, dtype, sched: NoiseSchedule, cfg: TrainConfig, seed: int) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,10 +19,13 @@ from .diffusion import (
     TrainConfig,
     audio_to_windows,
     forward_diffuse,
+    frame_shares,
     init_model_params,
     linear_schedule,
+    share_params,
     unet_forward,
 )
+from .forks import read_into, with_child
 from .tensor import AdamState, Tensor, adam_step, add, ew_mul, mean
 
 FROZEN_BACKBONE_TRAINABLE_PREFIXES = ("enc.", "msm.", "sfm.")
@@ -78,16 +82,25 @@ def make_synthetic_dataset(n: int, f: int, h: int, w: int, seed: int,
 
 
 def train_loss(clip: Clip, t: int, eps: np.ndarray, params: dict[str, Tensor],
-               cfg: TrainConfig) -> Tensor:
+               cfg: TrainConfig, *, frames: slice = slice(None)) -> Tensor:
     """Noise-prediction MSE of one (clip, t, eps) draw under `linear_schedule(cfg.timesteps)`.
 
     The clip's first frame is its reference image; latents and noise take
-    the dtype of the params.
+    the dtype of the params.  With `frames` a strict share of the clip
+    (`params` as `share_params` gives them), returns that share's part of
+    the mean, its own mean times its fraction of the frames, so the shares'
+    parts and their gradients add up to the whole clip's up to rounding.
+    `train` scores the two `frame_shares` so, one per process; the split is
+    fixed, so its bytes do not depend on the CPU count.  Every frame (the
+    default) is the whole mean, tape and bytes alike.
     """
     z_t = forward_diffuse(clip.frames, t, eps, linear_schedule(cfg.timesteps))
-    eps_hat = unet_forward(z_t, t, audio_to_windows(clip.audio, cfg), clip.frames[0], params, cfg)
-    diff = add(eps_hat, -eps)
-    return mean(ew_mul(diff, diff))
+    eps_hat = unet_forward(z_t, t, audio_to_windows(clip.audio, cfg), clip.frames[0], params, cfg,
+                           frames=frames)
+    diff = add(eps_hat, -eps[frames])
+    loss = mean(ew_mul(diff, diff))
+    part = len(range(cfg.frames)[frames]) / cfg.frames
+    return loss if part == 1 else ew_mul(loss, part)
 
 
 def train(dataset: list[Clip], cfg: TrainConfig,
@@ -100,6 +113,16 @@ def train(dataset: list[Clip], cfg: TrainConfig,
     freeze_backbone set, only the audio encoder and the two conditioning
     modules do, and the other entries come back as constants holding the
     same data.  Aborts with DivergenceError if the loss goes non-finite.
+
+    Each step runs as the two `frame_shares`: the first here and the second
+    in one child forked per call.  Both sides draw the same (clip, t, eps),
+    backpropagate their share's `train_loss`, swap that loss and its
+    gradients once, add the two in the same order and take the same Adam
+    step, so their parameters stay equal bit for bit.  With the share count
+    fixed, the bytes do not depend on the CPU count.  Only this process
+    checks the loss and calls `on_step`.  One frame forks nothing.  A child
+    that ends without a result raises ChildProcessError naming its frames;
+    no child outlives the call.
     """
     if not dataset:
         raise ValueError("train: empty dataset")
@@ -111,26 +134,85 @@ def train(dataset: list[Clip], cfg: TrainConfig,
               for k, p in params.items()}
     rng = np.random.default_rng(cfg.seed)
     state = AdamState(params)
-    losses: list[float] = []
-    for step in range(cfg.steps):
+    shares = frame_shares(cfg.frames)
+
+    def gradients(mine: int, swap) -> float:
+        """Draw one (clip, t, eps) and leave the clip's gradients in `params`; return its loss.
+
+        This side backpropagates `shares[mine]`; `swap(sent, got)` sends its
+        loss and gradients as one flat array and fills `got` with the other
+        share's.  Without `swap`, the first share is the whole clip.
+        """
         clip = dataset[int(rng.integers(0, len(dataset)))]
         t = int(rng.integers(1, cfg.timesteps + 1))
         eps = rng.standard_normal(clip.frames.shape)
-        loss = train_loss(clip, t, eps, params, cfg)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise DivergenceError(f"train: non-finite loss {value} at step {step}")
-        losses.append(value)
+        if swap is None:
+            loss = train_loss(clip, t, eps, params, cfg)
+            loss.backward()
+            return loss.item()
+        leaves = [share_params(params, share) for share in shares]
+        loss = train_loss(clip, t, eps, leaves[mine], cfg, frames=shares[mine])
         loss.backward()
-        params = adam_step(params, state, lr=cfg.lr)
-        del loss  # the next forward builds its graph with this one freed
-        if on_step is not None and (step % cfg.log_every == 0 or step == cfg.steps - 1):
-            on_step(step, value)
-    return params, losses
+        keys = [k for k, p in leaves[mine].items() if p.grad is not None]
+        parts = [None, None]  # per share: its loss, then its gradients in `keys` order
+        parts[mine] = [loss.data, *(leaves[mine][k].grad for k in keys)]
+        shapes = [(), *(leaves[1 - mine][k].shape for k in keys)]
+        sizes = [math.prod(shape) for shape in shapes]
+        sent = np.concatenate([a.ravel() for a in parts[mine]])
+        got = np.empty(sum(sizes), sent.dtype)
+        swap(sent, got)
+        parts[1 - mine] = [a.reshape(shape) for a, shape
+                           in zip(np.split(got, np.cumsum(sizes)[:-1]), shapes)]
+        # sfm.w has one slice per frame; every other gradient is the sum of the shares'.
+        # Both sides add the same operands in the same order, so they agree bit for bit.
+        for k, a, b in zip(keys, parts[0][1:], parts[1][1:]):
+            params[k].grad = np.concatenate((a, b), axis=1) if k == "sfm.w" else a + b
+        return float(parts[0][0] + parts[1][0])
+
+    def run(swap) -> tuple[dict[str, Tensor], list[float]]:
+        nonlocal params
+        losses: list[float] = []
+        for step in range(cfg.steps):
+            value = gradients(0, swap)
+            if not np.isfinite(value):
+                raise DivergenceError(f"train: non-finite loss {value} at step {step}")
+            losses.append(value)
+            params = adam_step(params, state, lr=cfg.lr)
+            if on_step is not None and (step % cfg.log_every == 0 or step == cfg.steps - 1):
+                on_step(step, value)
+        return params, losses
+
+    if shares[1].start == shares[1].stop:
+        return run(None)
+
+    def serve(inbox, outbox):  # the child: the second share of every step
+        nonlocal params
+
+        def swap(sent, got):  # writes first, as this process reads first
+            outbox.write(sent)
+            outbox.flush()
+            read_into(inbox, got)
+
+        for _ in range(cfg.steps):
+            gradients(1, swap)
+            params = adam_step(params, state, lr=cfg.lr)
+
+    def work(to_child, from_child):
+        def swap(sent, got):  # reads first, so that neither side's write fills a pipe
+            read_into(from_child, got)
+            to_child.write(sent)
+            to_child.flush()
+
+        return run(swap)
+
+    return with_child(serve, work, f"train: frames [{shares[1].start}, {shares[1].stop})")
 
 
 def validation_loss(dataset: list[Clip], params: dict[str, Tensor], cfg: TrainConfig) -> float:
-    """Mean `train_loss` over VALIDATION_DRAWS seeded (t, eps) draws per clip; no tape."""
+    """Mean `train_loss` over VALIDATION_DRAWS seeded (t, eps) draws per clip.
+
+    No tape, and all in this process.
+    """
     if not dataset:
         raise ValueError("validation_loss: empty dataset")
     rng = np.random.default_rng(VALIDATION_SEED)

@@ -270,30 +270,53 @@ def test_sample_checks_its_out_path_before_reading_its_run(tmp_path, capsys, mon
     assert set(tmp_path.rglob("*")) == inputs
 
 
-def test_sample_child_without_a_result_exits_2_naming_its_frames(tmp_path, capsys,
-                                                                 monkeypatch):
-    test_pid, unet_forward = os.getpid(), diffusion.unet_forward
+def dies_in_a_child(monkeypatch, module, name):
+    """`module.name` ending its process at once in a forked child, as before in this one."""
+    test_pid, fn = os.getpid(), getattr(module, name)
 
-    def dies_in_a_child(*args, **kwargs):
+    def dying(*args, **kwargs):
         if os.getpid() != test_pid:
             os._exit(1)
-        return unet_forward(*args, **kwargs)
+        return fn(*args, **kwargs)
 
+    monkeypatch.setattr(module, name, dying)
+
+
+def main_within_60_s(argv) -> int:
+    """`main(argv)`, raising TimeoutError if it has not returned after 60 s."""
     def hung(signum, frame):
-        raise TimeoutError("sample still running after 60 s")
+        raise TimeoutError(f"{argv[0]} still running after 60 s")
 
-    monkeypatch.setattr(diffusion, "unet_forward", dies_in_a_child)
-    argv = sample_argv(tmp_path, run_dir(tmp_path))
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
-        assert main(argv) == 2
+        return main(argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_sample_child_without_a_result_exits_2_naming_its_frames(tmp_path, capsys,
+                                                                 monkeypatch):
+    dies_in_a_child(monkeypatch, diffusion, "unet_forward")
+    argv = sample_argv(tmp_path, run_dir(tmp_path))
+    assert main_within_60_s(argv) == 2
     assert capsys.readouterr().err == ("error: sample: frames [1, 2): its process ended "
                                        "without a result (exit code 1)\n")
     assert not (tmp_path / "c.sgtf").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_train_toy_child_without_a_result_exits_2_naming_its_frames(tmp_path, capsys,
+                                                                    monkeypatch):
+    dies_in_a_child(monkeypatch, training, "train_loss")
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(TINY_CONFIG)
+    assert main_within_60_s(["train-toy", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == ("error: train: frames [1, 2): its process ended "
+                                       "without a result (exit code 1)\n")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

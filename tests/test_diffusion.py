@@ -1,5 +1,6 @@
 """Noise schedule, toy UNet and its cross-attention, training loop, sampler, synthetic data."""
 
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -18,13 +19,15 @@ from waveletcond.diffusion import (
     audio_attention,
     audio_to_windows,
     forward_diffuse,
+    frame_shares,
     frame_tokens,
     init_model_params,
     linear_schedule,
     sample,
+    share_params,
     unet_forward,
 )
-from waveletcond.tensor import Tensor, mean, sigmoid
+from waveletcond.tensor import AdamState, Tensor, adam_step, mean, sigmoid
 from waveletcond.training import (
     ablate,
     config_to_text,
@@ -187,7 +190,7 @@ def test_unet_share_rows_match_the_whole_call(frames, use_msm, use_sfm):
                                    atol=1e-12 * np.max(np.abs(whole)))
 
 
-def test_unet_strict_share_runs_forward_only():
+def test_unet_strict_share_reads_the_latent_and_a_whole_sfm_w_as_constants():
     params = randomized_params(TINY, seed=10)  # every one needs a gradient
     clip = tiny_clip()
     win = audio_to_windows(clip.audio, TINY)
@@ -202,6 +205,51 @@ def test_unet_strict_share_runs_forward_only():
     # every frame is the whole call, tape and all
     out = unet_forward(clip.frames, 3, win, clip.frames[0], params, TINY, frames=slice(0, 2))
     assert out.requires_grad
+    # an sfm.w holding the share's frames alone is a leaf that gets its gradient
+    given = share_params(params, slice(0, 1))
+    unet_forward(clip.frames, 3, win, clip.frames[0], given, TINY, frames=slice(0, 1))
+    assert given["sfm.w"].shape == (4, 1, 8, 2, 2) and given["sfm.w"].requires_grad
+
+
+def trainable_params(cfg, seed):
+    """Random parameters, each needing a gradient exactly when `train` trains it under `cfg`."""
+    return {k: Tensor(p.data, requires_grad=not cfg.freeze_backbone
+                      or k.startswith(training.FROZEN_BACKBONE_TRAINABLE_PREFIXES))
+            for k, p in randomized_params(cfg, seed).items()}
+
+
+@pytest.mark.parametrize("frames", [2, 3])
+@pytest.mark.parametrize("use_msm, use_sfm, freeze", [
+    (True, True, False), (False, False, False), (True, False, False), (False, True, False),
+    (True, True, True)], ids=["full", "neither", "msm_only", "sfm_only", "frozen_backbone"])
+def test_train_loss_shares_add_up_to_the_whole_call(frames, use_msm, use_sfm, freeze):
+    """Both shares' losses, and every leaf gradient (sfm.w joined), are the whole call's."""
+    cfg = dataclasses.replace(TINY, frames=frames, use_msm=use_msm, use_sfm=use_sfm,
+                              freeze_backbone=freeze)
+    clip = clip_for(cfg, seed=19)
+    eps = rng(19).standard_normal(cfg.latent_shape)
+    whole = trainable_params(cfg, seed=19)
+    loss = train_loss(clip, 3, eps, whole, cfg)
+    loss.backward()
+    parts, grads = [], []
+    for share in frame_shares(cfg.frames):
+        given = share_params(trainable_params(cfg, seed=19), share)
+        part = train_loss(clip, 3, eps, given, cfg, frames=share)
+        part.backward()
+        parts.append(part.item())
+        grads.append({k: p.grad for k, p in given.items()})
+    assert parts[0] + parts[1] == pytest.approx(loss.item(), rel=1e-12, abs=0)
+    for k, p in whole.items():
+        if p.grad is None:
+            assert grads[0][k] is None and grads[1][k] is None, k
+            continue
+        joined = (np.concatenate((grads[0][k], grads[1][k]), axis=1) if k == "sfm.w"
+                  else grads[0][k] + grads[1][k])
+        np.testing.assert_allclose(joined, p.grad, rtol=0,
+                                   atol=1e-12 * max(1.0, np.max(np.abs(p.grad))), err_msg=k)
+    trained = {k for k, p in whole.items() if p.grad is not None}
+    assert ("sfm.w" in trained) == use_sfm and ("msm.fc2_b" in trained) == use_msm
+    assert ("unet.in_w" in trained) != freeze
 
 
 # -- bottleneck cross-attention ----------------------------------------------------------
@@ -840,6 +888,136 @@ def test_sample_child_without_a_result_raises_naming_its_frames(monkeypatch):
                               "(exit code 1)")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+# -- training in two forked frame shares ------------------------------------------------
+
+
+def two_share_train_oracle(dataset, cfg, params):
+    """`train` as a loop in one process: each share's loss and gradients, joined, then Adam."""
+    params = {k: Tensor(p.data, requires_grad=True) for k, p in params.items()}
+    r = np.random.default_rng(cfg.seed)
+    state = AdamState(params)
+    losses = []
+    for _ in range(cfg.steps):
+        clip = dataset[int(r.integers(0, len(dataset)))]
+        t = int(r.integers(1, cfg.timesteps + 1))
+        eps = r.standard_normal(clip.frames.shape)
+        parts, grads = [], []
+        for share in shares_of(cfg):
+            given = share_params({k: Tensor(p.data, requires_grad=True)
+                                  for k, p in params.items()}, share)
+            part = train_loss(clip, t, eps, given, cfg, frames=share)
+            part.backward()
+            parts.append(part.data)
+            grads.append({k: p.grad for k, p in given.items()})
+        if len(parts) == 1:
+            loss, joined = parts[0], grads[0]
+        else:
+            loss = parts[0] + parts[1]
+            joined = {k: np.concatenate((g, grads[1][k]), axis=1) if k == "sfm.w"
+                      else g + grads[1][k] for k, g in grads[0].items()}
+        for k, p in params.items():
+            p.grad = joined[k]
+        losses.append(float(loss))
+        params = adam_step(params, state, lr=cfg.lr)
+    return params, losses
+
+
+@contextlib.contextmanager
+def usable_cpus(n):
+    """This process, and every child it forks, on `n` of its usable CPUs."""
+    usable = os.sched_getaffinity(0)
+    if len(usable) < n:
+        pytest.skip(f"needs {n} usable CPUs, has {len(usable)}")
+    os.sched_setaffinity(0, sorted(usable)[:n])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, usable)
+
+
+def train_setup(frames, dtype=np.float64, steps=4, seed=20):
+    cfg = dataclasses.replace(TINY, frames=frames, steps=steps, seed=seed, log_every=1)
+    ds = make_synthetic_dataset(3, cfg.frames, cfg.height, cfg.width, seed=seed,
+                                samples_per_frame=cfg.samples_per_frame)
+    # random weights, so the zero-initialized output conv does not hide the UNet
+    params = {k: Tensor(p.data.astype(dtype))
+              for k, p in randomized_params(cfg, seed=seed, scale=0.2).items()}
+    return ds, cfg, params
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("frames", [2, 3])
+def test_train_equals_its_two_share_oracle(monkeypatch, dtype, frames, cpus):
+    ds, cfg, params = train_setup(frames, dtype)
+    forks = counting_forks(monkeypatch)
+    with usable_cpus(cpus):
+        trained, losses = train(ds, cfg, params=params)
+    assert len(forks) == 1
+    want, want_losses = two_share_train_oracle(ds, cfg, params)
+    assert losses == want_losses
+    for k, p in trained.items():
+        assert p.dtype == dtype and np.array_equal(p.data, want[k].data), k
+
+
+def test_train_forks_once_per_call_and_not_for_one_frame(monkeypatch):
+    forks = counting_forks(monkeypatch)
+    ds, cfg, params = train_setup(2, steps=2)
+    train(ds, cfg, params=params)
+    train(ds, cfg, params=params)
+    assert len(forks) == 2
+    ds, cfg, params = train_setup(1)
+    trained, losses = train(ds, cfg, params=params)
+    assert len(forks) == 2
+    # one frame is one share: the loop of one process, on whole-clip losses
+    want, want_losses = two_share_train_oracle(ds, cfg, params)
+    assert losses == want_losses
+    assert all(np.array_equal(p.data, want[k].data) for k, p in trained.items())
+
+
+class Stop(Exception):
+    """Raised from an on_step callback, as a benchmark ends a run at its deadline."""
+
+
+def stop_at_step_1(step, loss):
+    if step == 1:
+        raise Stop("the deadline passed")
+
+
+@pytest.mark.parametrize("fault", ["nan_params", "on_step_raises"])
+def test_train_leaves_no_child_when_it_raises(monkeypatch, fault):
+    ds, cfg, params = train_setup(2, steps=3)
+    if fault == "nan_params":
+        params = {k: Tensor(np.full(p.shape, np.nan)) for k, p in params.items()}
+        expected, on_step = (DivergenceError, "step 0"), None
+    else:
+        expected, on_step = (Stop, "deadline"), stop_at_step_1
+    forks = counting_forks(monkeypatch)
+    with pytest.raises(expected[0], match=expected[1]):
+        train(ds, cfg, params=params, on_step=on_step)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child is left, running or unreaped
+
+
+def test_train_child_without_a_result_raises_naming_its_frames(monkeypatch):
+    test_pid, loss_of = os.getpid(), training.train_loss
+
+    def dies_in_a_child(*args, **kwargs):
+        if os.getpid() != test_pid:
+            os._exit(1)
+        return loss_of(*args, **kwargs)
+
+    monkeypatch.setattr(training, "train_loss", dies_in_a_child)
+    ds, cfg, params = train_setup(3)
+    with pytest.raises(ChildProcessError) as exc:
+        train(ds, cfg, params=params)
+    assert str(exc.value) == ("train: frames [2, 3): its process ended without a result "
+                              "(exit code 1)")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
 
 def test_f32_training_and_sampling_track_f64():
     cfg = dataclasses.replace(TINY, steps=6, log_every=1)
