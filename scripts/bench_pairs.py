@@ -41,32 +41,35 @@ depends on the heap, not the code.  Setting the trim threshold alone also
 turns off glibc's dynamic mmap threshold, so every buffer over 128 KiB is
 mapped and unmapped per call: never pin one without the other.  The
 process alternates single items of each workload, A B B A ...: pair i runs
-the parent first when i is even and the change first when it is odd.
+the parent first when i is even and the change first when it is odd.  Each
+item reports its own time and minor page faults, over the part of the call
+it measures.
 
 Both workloads start from the initial parameters perturbed as perfbench's
 `sample` perturbs them: at the initial parameters the output conv's weight
 is zero, so every gradient behind it is zero and no output could show a
 change to the backward.
-- train: one default `training.train` step (`TrainConfig()`, steps=1) at
-  draw seed 10 + i (10 untimed items per side come first); its output is
-  the updated parameters, which depend on every gradient of the step.  The
-  item is a whole one-step `training.train` call, so where `train` runs its
-  two forked frame shares, each item forks and reaps its child, and its
-  parameters are not bit-identical to a one-process `train`'s; the perfbench
-  `train` pairs measure such a change's steps.
+- train: one default `training.train` call of TRAIN_STEPS steps
+  (`TrainConfig()`) at draw seed 10 + i (10 untimed items per side come
+  first); its output is the trained parameters, which depend on every
+  gradient of every step.  The item is timed from the `on_step` of its
+  first step to that of its last and divided by the steps between, so
+  where `train` forks a child per call, the fork, the first step's
+  copy-on-write faults and the reap fall outside: it times steady steps.
 - sample: one tape-free `diffusion.unet_forward` of the default sampler's
   shapes at timestep i % timesteps + 1 on a fixed latent; its output is
   the UNet's.  The item is one full-batch call in this process, so it does
   not run `diffusion.sample`'s two forked frame shares; the perfbench
   `sample` pairs do.
 
-Each workload reports both sides' median time over PAIRS pairs, the median
-of the per-pair ratios change / parent with a bootstrap 95% interval (2,000
-resamples of the pairs), their quartiles, both sides' minor faults per item,
-and whether the two sides' outputs are equal bit for bit in every pair.
+Each workload reports both sides' median time over PAIRS pairs (per step
+for `train`), the median of the per-pair ratios change / parent with a
+bootstrap 95% interval (2,000 resamples of the pairs), their quartiles,
+both sides' minor faults per item (per step for `train`), and whether the
+two sides' outputs are equal bit for bit in every pair.
 It answers "does the arithmetic cost more?" and not an end-to-end step's
 cost, which the perfbench pairs measure.  After its pairs, `train` also
-records each side's tracemalloc peak of one step (item 0), taken once per
+records each side's tracemalloc peak of one item (item 0), taken once per
 side outside the timed pairs: a memory figure that glibc's heap cannot move.
 
 bit_identity: both sides' output of `scripts/bit_identity.py`, whether
@@ -101,6 +104,7 @@ PINNED_HEAP = {"MALLOC_MMAP_THRESHOLD_": str(32 * 2**20),
 BOOTSTRAP_RESAMPLES = 2000
 PAIRS = 800  # timed in-process pairs per workload
 WARMUP = 10  # untimed items per side before each workload's pairs
+TRAIN_STEPS = 5  # steps of one `train` item; the last four are timed
 UNSCALED = ("items_per_s", "item_ms_p50")  # perfbench's unscaled figures kept beside the scaled
 # the measuring process: run from scripts/, given the directory holding wc_parent and wc_change
 MEASURER = "import bench_pairs, json, sys; json.dump(bench_pairs.measure(sys.argv[1]), sys.stdout)"
@@ -216,8 +220,21 @@ def perturbed_params(wc, cfg, rng) -> dict:
             for k, p in wc.diffusion.init_model_params(cfg).items()}
 
 
-class TrainStep:
-    """One default `train` step per item, from one side's perturbed initial parameters."""
+def mark() -> tuple[float, int]:
+    """The wall clock and this process's minor page faults, now."""
+    return time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def per_unit(start: tuple[float, int], stop: tuple[float, int], units: int = 1):
+    """Seconds and minor faults from mark `start` to mark `stop`, per unit of work."""
+    return (stop[0] - start[0]) / units, (stop[1] - start[1]) / units
+
+
+class TrainSteps:
+    """One default `train` call of TRAIN_STEPS steps per item, from perturbed initial parameters.
+
+    Timed over its steady steps: from the first step's `on_step` to the last's.
+    """
 
     def __init__(self, wc):
         self.training = wc.training
@@ -228,10 +245,14 @@ class TrainStep:
             samples_per_frame=cfg.samples_per_frame, amplitude=cfg.amplitude)
         self.params = perturbed_params(wc, cfg, np.random.default_rng(cfg.seed))
 
-    def __call__(self, i: int) -> dict:
-        params, _ = self.training.train(self.dataset, replace(self.cfg, steps=1, seed=i),
-                                        params=self.params)
-        return {k: p.data for k, p in params.items()}
+    def __call__(self, i: int):
+        marks = []
+        params, _ = self.training.train(self.dataset,
+                                        replace(self.cfg, steps=TRAIN_STEPS, seed=i),
+                                        params=self.params,
+                                        on_step=lambda step, loss: marks.append(mark()))
+        return ({k: p.data for k, p in params.items()},
+                *per_unit(marks[0], marks[-1], TRAIN_STEPS - 1))
 
 
 class UnetForward:
@@ -249,10 +270,12 @@ class UnetForward:
         self.ref = clip.frames[0]
         self.z = rng.standard_normal(cfg.latent_shape)
 
-    def __call__(self, i: int) -> np.ndarray:
+    def __call__(self, i: int):
         t = i % self.cfg.timesteps + 1
-        return self.diffusion.unet_forward(self.z, t, self.windows, self.ref, self.params,
-                                           self.cfg).data
+        start = mark()
+        out = self.diffusion.unet_forward(self.z, t, self.windows, self.ref, self.params,
+                                          self.cfg).data
+        return out, *per_unit(start, mark())
 
 
 def bits(output):
@@ -263,7 +286,11 @@ def bits(output):
 
 
 def interleave(items: dict) -> dict:
-    """Time PAIRS A B B A ... pairs of items; the raw times, faults and output mismatches."""
+    """Run PAIRS A B B A ... pairs of items; the raw times, faults and output mismatches.
+
+    An item `items[side](i)` returns its output, then the seconds and the
+    minor faults of what it timed.
+    """
     for i in range(WARMUP):
         for side in SIDES:
             items[side](i)
@@ -273,11 +300,9 @@ def interleave(items: dict) -> dict:
     for j in range(PAIRS):
         outputs = {}
         for side in SIDES if j % 2 == 0 else SIDES[::-1]:
-            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            t0 = time.perf_counter()
-            outputs[side] = items[side](WARMUP + j)
-            times[side].append(time.perf_counter() - t0)
-            faults[side] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+            outputs[side], seconds, item_faults = items[side](WARMUP + j)
+            times[side].append(seconds)
+            faults[side] += item_faults
         mismatches += bits(outputs["parent"]) != bits(outputs["change"])
     return {"times": times, "faults": faults, "mismatches": mismatches}
 
@@ -320,7 +345,7 @@ def measure(lib: str) -> dict:
     for side in SIDES:
         importlib.import_module(f"wc_{side}.training")
     sides = {side: sys.modules[f"wc_{side}"] for side in SIDES}
-    train = {side: TrainStep(wc) for side, wc in sides.items()}
+    train = {side: TrainSteps(wc) for side, wc in sides.items()}
     runs = {"train": summarize(interleave(train))}
     for side in SIDES:  # untimed: tracing slows every allocation
         runs["train"][f"{side}_traced_peak_mib"] = traced_peak_mib(train[side])

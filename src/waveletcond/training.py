@@ -22,7 +22,6 @@ from .diffusion import (
     frame_shares,
     init_model_params,
     linear_schedule,
-    share_params,
     unet_forward,
 )
 from .forks import read_into, with_child
@@ -115,97 +114,134 @@ def train(dataset: list[Clip], cfg: TrainConfig,
     same data.  Aborts with DivergenceError if the loss goes non-finite.
 
     Each step runs as the two `frame_shares`: the first here and the second
-    in one child forked per call.  Both sides draw the same (clip, t, eps),
-    backpropagate their share's `train_loss`, swap that loss and its
-    gradients once, add the two in the same order and take the same Adam
-    step, so their parameters stay equal bit for bit.  With the share count
-    fixed, the bytes do not depend on the CPU count.  Only this process
-    checks the loss and calls `on_step`.  One frame forks nothing.  A child
-    that ends without a result raises ChildProcessError naming its frames;
-    no child outlives the call.
+    in one child forked per call.  Both sides draw the same (clip, t, eps)
+    and backpropagate their share's `train_loss`.  Each side holds what
+    trains as one flat vector per dtype: the keys both shares read, then its
+    own frames of `sfm.w`, which has one slice per frame.  Once per step the
+    two swap their loss and the gradients of the keys both read, add them
+    and take one Adam step on those vectors, so both hold the same
+    parameters except their `sfm.w` frames, which the child sends once, at
+    the end.  A key the loss does not reach gets a zero gradient, under
+    which Adam leaves it as it was.  With the share count fixed, the bytes
+    do not depend on the CPU count.  Only this process calls `on_step`.  One
+    frame forks nothing.  A child that ends without a result raises
+    ChildProcessError naming its frames; no child outlives the call.
     """
     if not dataset:
         raise ValueError("train: empty dataset")
     if params is None:
         params = init_model_params(cfg)
+    trained = [k for k in params
+               if not cfg.freeze_backbone or k.startswith(FROZEN_BACKBONE_TRAINABLE_PREFIXES)]
     # frozen parameters are constants: the backward computes no gradient for them
-    params = {k: Tensor(p.data, requires_grad=not cfg.freeze_backbone
-                        or k.startswith(FROZEN_BACKBONE_TRAINABLE_PREFIXES))
-              for k, p in params.items()}
+    constants = {k: Tensor(p.data) for k, p in params.items() if k not in trained}
     rng = np.random.default_rng(cfg.seed)
-    state = AdamState(params)
     shares = frame_shares(cfg.frames)
 
-    def gradients(mine: int, swap) -> float:
-        """Draw one (clip, t, eps) and leave the clip's gradients in `params`; return its loss.
+    def flatten(mine: int):
+        """Share `mine`'s trained values as {dtype name: flat vector}, with each key's place.
+
+        The vectors come in the order their dtypes first appear, each with its
+        keys in `params` order but `sfm.w`, this share's frames, last.  So
+        what both sides hold is each vector's head, whose length `heads` gives.
+        A place is (vector name, start, shape).
+        """
+        own = {k: params[k].data[:, shares[mine]] if k == "sfm.w" else params[k].data
+               for k in trained}
+        flat, places, heads = {}, {}, {}
+        for name in dict.fromkeys(a.dtype.name for a in own.values()):
+            keys = sorted((k for k in trained if own[k].dtype.name == name), key="sfm.w".__eq__)
+            sizes = np.cumsum([0] + [own[k].size for k in keys])
+            places.update((k, (name, start, own[k].shape)) for k, start in zip(keys, sizes))
+            heads[name] = sum(own[k].size for k in keys if k != "sfm.w")
+            flat[name] = Tensor(np.concatenate([own[k].ravel() for k in keys]),
+                                requires_grad=True)
+        return flat, places, heads
+
+    def unflatten(vectors: dict[str, np.ndarray], places) -> dict[str, np.ndarray]:
+        """Each trained key's values in `vectors`, as a view of its own shape."""
+        return {k: vectors[name][start:start + math.prod(shape)].reshape(shape)
+                for k, (name, start, shape) in places.items()}
+
+    def gradients(mine: int, flat, places, heads, swap) -> float:
+        """Draw one (clip, t, eps) and leave the clip's gradients on `flat`; return its loss.
 
         This side backpropagates `shares[mine]`; `swap(sent, got)` sends its
-        loss and gradients as one flat array and fills `got` with the other
-        share's.  Without `swap`, the first share is the whole clip.
+        loss and head gradients and fills `got` with the other side's, which
+        are added to them.  Without `swap`, the first share is the whole clip.
         """
         clip = dataset[int(rng.integers(0, len(dataset)))]
         t = int(rng.integers(1, cfg.timesteps + 1))
         eps = rng.standard_normal(clip.frames.shape)
-        if swap is None:
-            loss = train_loss(clip, t, eps, params, cfg)
-            loss.backward()
-            return loss.item()
-        leaves = [share_params(params, share) for share in shares]
-        loss = train_loss(clip, t, eps, leaves[mine], cfg, frames=shares[mine])
+        grads = {name: np.zeros_like(p.data) for name, p in flat.items()}
+        values = unflatten({name: p.data for name, p in flat.items()}, places)
+        leaves = dict(constants)
+        for k, g in unflatten(grads, places).items():
+            leaves[k] = Tensor(values[k], requires_grad=True)
+            leaves[k].grad = g  # the backward adds into this view of `grads`
+        loss = train_loss(clip, t, eps, leaves, cfg, frames=shares[mine])
         loss.backward()
-        keys = [k for k, p in leaves[mine].items() if p.grad is not None]
-        parts = [None, None]  # per share: its loss, then its gradients in `keys` order
-        parts[mine] = [loss.data, *(leaves[mine][k].grad for k in keys)]
-        shapes = [(), *(leaves[1 - mine][k].shape for k in keys)]
-        sizes = [math.prod(shape) for shape in shapes]
-        sent = np.concatenate([a.ravel() for a in parts[mine]])
-        got = np.empty(sum(sizes), sent.dtype)
-        swap(sent, got)
-        parts[1 - mine] = [a.reshape(shape) for a, shape
-                           in zip(np.split(got, np.cumsum(sizes)[:-1]), shapes)]
-        # sfm.w has one slice per frame; every other gradient is the sum of the shares'.
-        # Both sides add the same operands in the same order, so they agree bit for bit.
-        for k, a, b in zip(keys, parts[0][1:], parts[1][1:]):
-            params[k].grad = np.concatenate((a, b), axis=1) if k == "sfm.w" else a + b
-        return float(parts[0][0] + parts[1][0])
+        value = loss.data
+        if swap is not None:
+            sent = [value.reshape(1), *(grads[name][:n] for name, n in heads.items())]
+            got = [np.empty_like(a) for a in sent]
+            swap(sent, got)
+            # IEEE addition commutes, so both sides' sums agree bit for bit
+            value = value + got[0][0]
+            for a, b in zip(sent[1:], got[1:]):
+                a += b
+        for name, p in flat.items():
+            p.grad = grads[name]
+        return float(value)
 
-    def run(swap) -> tuple[dict[str, Tensor], list[float]]:
-        nonlocal params
+    def run(mine: int, swap, on_step) -> tuple[dict[str, np.ndarray], list[float]]:
+        """Every step of share `mine`: this side's trained values and the loss curve."""
+        flat, places, heads = flatten(mine)
+        state = AdamState(flat)
         losses: list[float] = []
         for step in range(cfg.steps):
-            value = gradients(0, swap)
+            value = gradients(mine, flat, places, heads, swap)
             if not np.isfinite(value):
                 raise DivergenceError(f"train: non-finite loss {value} at step {step}")
             losses.append(value)
-            params = adam_step(params, state, lr=cfg.lr)
+            flat = adam_step(flat, state, lr=cfg.lr)
             if on_step is not None and (step % cfg.log_every == 0 or step == cfg.steps - 1):
                 on_step(step, value)
-        return params, losses
-
-    if shares[1].start == shares[1].stop:
-        return run(None)
+        return unflatten({name: p.data for name, p in flat.items()}, places), losses
 
     def serve(inbox, outbox):  # the child: the second share of every step
-        nonlocal params
-
         def swap(sent, got):  # writes first, as this process reads first
-            outbox.write(sent)
+            for a in sent:
+                outbox.write(a)
             outbox.flush()
-            read_into(inbox, got)
+            for a in got:
+                read_into(inbox, a)
 
-        for _ in range(cfg.steps):
-            gradients(1, swap)
-            params = adam_step(params, state, lr=cfg.lr)
+        values, _ = run(1, swap, None)
+        outbox.write(values["sfm.w"])  # its own frames, once
+        outbox.flush()
 
     def work(to_child, from_child):
         def swap(sent, got):  # reads first, so that neither side's write fills a pipe
-            read_into(from_child, got)
-            to_child.write(sent)
+            for a in got:
+                read_into(from_child, a)
+            for a in sent:
+                to_child.write(a)
             to_child.flush()
 
-        return run(swap)
+        values, losses = run(0, swap, on_step)
+        theirs = np.empty(params["sfm.w"].data[:, shares[1]].shape, values["sfm.w"].dtype)
+        read_into(from_child, theirs)
+        values["sfm.w"] = np.concatenate((values["sfm.w"], theirs), axis=1)
+        return values, losses
 
-    return with_child(serve, work, f"train: frames [{shares[1].start}, {shares[1].stop})")
+    if shares[1].start == shares[1].stop:
+        values, losses = run(0, None, on_step)
+    else:
+        values, losses = with_child(serve, work,
+                                    f"train: frames [{shares[1].start}, {shares[1].stop})")
+    return {k: constants[k] if k in constants else Tensor(values[k], requires_grad=True)
+            for k in params}, losses
 
 
 def validation_loss(dataset: list[Clip], params: dict[str, Tensor], cfg: TrainConfig) -> float:

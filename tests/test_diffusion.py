@@ -893,8 +893,14 @@ def test_sample_child_without_a_result_raises_naming_its_frames(monkeypatch):
 
 
 def two_share_train_oracle(dataset, cfg, params):
-    """`train` as a loop in one process: each share's loss and gradients, joined, then Adam."""
-    params = {k: Tensor(p.data, requires_grad=True) for k, p in params.items()}
+    """`train` as a loop in one process: each share's loss and gradients, joined, then Adam.
+
+    What `freeze_backbone` freezes is a constant; a key the loss does not reach
+    gets no gradient, so Adam leaves it and its moments as they are.
+    """
+    params = {k: Tensor(p.data, requires_grad=not cfg.freeze_backbone
+                        or k.startswith(training.FROZEN_BACKBONE_TRAINABLE_PREFIXES))
+              for k, p in params.items()}
     r = np.random.default_rng(cfg.seed)
     state = AdamState(params)
     losses = []
@@ -904,7 +910,7 @@ def two_share_train_oracle(dataset, cfg, params):
         eps = r.standard_normal(clip.frames.shape)
         parts, grads = [], []
         for share in shares_of(cfg):
-            given = share_params({k: Tensor(p.data, requires_grad=True)
+            given = share_params({k: Tensor(p.data, requires_grad=p.requires_grad)
                                   for k, p in params.items()}, share)
             part = train_loss(clip, t, eps, given, cfg, frames=share)
             part.backward()
@@ -914,8 +920,8 @@ def two_share_train_oracle(dataset, cfg, params):
             loss, joined = parts[0], grads[0]
         else:
             loss = parts[0] + parts[1]
-            joined = {k: np.concatenate((g, grads[1][k]), axis=1) if k == "sfm.w"
-                      else g + grads[1][k] for k, g in grads[0].items()}
+            joined = {k: None if g is None else np.concatenate((g, grads[1][k]), axis=1)
+                      if k == "sfm.w" else g + grads[1][k] for k, g in grads[0].items()}
         for k, p in params.items():
             p.grad = joined[k]
         losses.append(float(loss))
@@ -959,6 +965,51 @@ def test_train_equals_its_two_share_oracle(monkeypatch, dtype, frames, cpus):
     assert losses == want_losses
     for k, p in trained.items():
         assert p.dtype == dtype and np.array_equal(p.data, want[k].data), k
+
+
+@pytest.mark.parametrize("case", ["use_msm_off", "use_sfm_off", "freeze_backbone",
+                                  "sfm_in_f32_rest_in_f64"])
+def test_train_equals_its_two_share_oracle_at_three_frames(case):
+    # three frames leave the child one frame of sfm.w; an unreached key (msm.* without
+    # MSM, sfm.* without SFM) and a frozen one stay as they were, and each key keeps its dtype
+    ds, cfg, params = train_setup(3)
+    if case == "sfm_in_f32_rest_in_f64":
+        params = {k: Tensor(p.data.astype(np.float32)) if k.startswith("sfm.") else p
+                  for k, p in params.items()}
+    else:
+        field = case.removesuffix("_off")
+        cfg = dataclasses.replace(cfg, **{field: field == "freeze_backbone"})
+    trained, losses = train(ds, cfg, params=params)
+    want, want_losses = two_share_train_oracle(ds, cfg, params)
+    assert losses == want_losses
+    assert list(trained) == list(params)
+    for k, p in trained.items():
+        assert p.dtype == params[k].dtype and p.requires_grad == want[k].requires_grad, k
+        assert np.array_equal(p.data, want[k].data), k
+
+
+def test_train_keeps_each_share_of_sfm_w_in_its_own_process(monkeypatch):
+    # a step swaps the loss and the gradients both shares hold; sfm.w, one slice per
+    # frame, stays where it is updated until the child sends its frames once, at the end
+    events, read = [], training.read_into
+
+    def recorded(file, buffer):
+        events.append(buffer.shape)
+        read(file, buffer)
+
+    monkeypatch.setattr(training, "read_into", recorded)
+    ds, cfg, params = train_setup(3)
+    train(ds, cfg, params=params, on_step=lambda step, loss: events.append("step"))
+    shared = sum(p.size for k, p in params.items() if k != "sfm.w")
+    steps, end = [], []
+    for event in events:
+        if event == "step":
+            steps.append(end)
+            end = []
+        else:
+            end.append(event)
+    assert [sum(math.prod(shape) for shape in step) for step in steps] == [1 + shared] * cfg.steps
+    assert end == [params["sfm.w"].data[:, 2:].shape]
 
 
 def test_train_forks_once_per_call_and_not_for_one_frame(monkeypatch):

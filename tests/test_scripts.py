@@ -71,10 +71,11 @@ def test_bit_identity_section_names_the_checks_whose_digests_differ():
 def test_interleave_counts_every_pair_whose_outputs_differ_in_bits(monkeypatch, parent, change):
     monkeypatch.setattr(bench_pairs, "PAIRS", 3)
     monkeypatch.setattr(bench_pairs, "WARMUP", 1)
-    run = bench_pairs.interleave({"parent": lambda i: parent, "change": lambda i: change})
+    run = bench_pairs.interleave({"parent": lambda i: (parent, 0.0, 0),
+                                  "change": lambda i: (change, 0.0, 0)})
     assert run["mismatches"] == 3
-    assert bench_pairs.interleave({"parent": lambda i: parent,
-                                   "change": lambda i: parent})["mismatches"] == 0
+    assert bench_pairs.interleave({"parent": lambda i: (parent, 0.0, 0),
+                                   "change": lambda i: (parent, 0.0, 0)})["mismatches"] == 0
 
 
 @pytest.fixture
